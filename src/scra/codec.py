@@ -2,8 +2,10 @@
 
 Erasure words are int8 arrays over {0, 1, ERASED}.  The peeling decoder
 runs synchronous sweeps: every check with exactly one erased neighbor at
-the start of a sweep resolves it by XOR of its known neighbors.  The ML
-oracle solves the erased columns exactly over GF(2) and fills every
+the start of a sweep resolves it by XOR of its known neighbors.  A sweep
+fans the resolved bits out through the code's padded variable adjacency,
+whose pad entries land on a sentinel check m that is reset every sweep.
+The ML oracle solves the erased columns exactly over GF(2) and fills every
 uniquely determined bit.
 """
 
@@ -51,14 +53,9 @@ def _as_word(c, word) -> np.ndarray:
     arr = np.asarray(word, dtype=np.int8)
     if arr.shape != (c.n,):
         raise CodecError(f"word length {arr.shape} does not match code length n={c.n}")
-    bad = ~np.isin(arr, (0, 1, ERASED))
-    if bad.any():
+    if ((arr < ERASED) | (arr > 1)).any():
         raise CodecError(f"word entries must be 0, 1 or {ERASED}")
     return arr
-
-
-def _edge_checks(c) -> np.ndarray:
-    return np.repeat(np.arange(c.m, dtype=np.int64), np.diff(c.check_indptr))
 
 
 def encode(c, message) -> np.ndarray:
@@ -85,9 +82,9 @@ def encode(c, message) -> np.ndarray:
     msg = np.asarray(message, dtype=np.int8)
     if msg.shape != (c.k,):
         raise CodecError(f"message length {msg.shape} does not match k={c.k}")
-    if not np.isin(msg, (0, 1)).all():
+    if ((msg < 0) | (msg > 1)).any():
         raise CodecError("message entries must be 0 or 1")
-    edge_chk = _edge_checks(c)
+    edge_chk = c.edge_checks()
     is_msg_edge = c.check_vars < c.k
     ones = msg[c.check_vars[is_msg_edge]] == 1
     per_check = np.bincount(edge_chk[is_msg_edge][ones], minlength=c.m)
@@ -100,7 +97,7 @@ def syndrome(c, word) -> np.ndarray:
     arr = _as_word(c, word)
     if (arr == ERASED).any():
         raise CodecError("syndrome needs a fully known word")
-    edge_chk = _edge_checks(c)
+    edge_chk = c.edge_checks()
     ones = arr[c.check_vars] == 1
     return (np.bincount(edge_chk[ones], minlength=c.m) & 1).astype(np.uint8)
 
@@ -110,7 +107,7 @@ def transmit_bec(codeword, eps: float, rng: np.random.Generator) -> np.ndarray:
     if not 0.0 <= eps <= 1.0:
         raise CodecError(f"erasure probability must lie in [0, 1], got {eps}")
     word = np.asarray(codeword, dtype=np.int8)
-    if not np.isin(word, (0, 1)).all():
+    if ((word < 0) | (word > 1)).any():
         raise CodecError("codeword entries must be 0 or 1")
     out = word.copy()
     out[rng.random(len(word)) < eps] = ERASED
@@ -147,29 +144,31 @@ def decode_peel(c, word, max_iters: int = 1000, record_positions: bool = False) 
     DecodeOutcome
     """
     work = _as_word(c, word).copy()
-    unknown = work == ERASED
+    erased = np.flatnonzero(work == ERASED)
+    n_unknown = erased.size
 
-    is_msg = c.var_kind == 0
     trace: list[np.ndarray] = []
     if record_positions:
+        is_msg = c.var_kind == 0
         n_pos = int(c.var_pos[is_msg].max()) + 1
         pos_totals = np.bincount(c.var_pos[is_msg], minlength=n_pos)
 
-    n_unknown = int(np.count_nonzero(unknown))
     if n_unknown == 0:
-        res_m, res_a = _residuals(c, unknown)
-        return DecodeOutcome(FULLY_RECOVERED, work, 0, res_m, res_a,
+        return DecodeOutcome(FULLY_RECOVERED, work, 0, 0, 0,
                              np.empty((0, 0)) if record_positions else None)
 
-    edge_chk = _edge_checks(c)
-    erased_edge = unknown[c.check_vars]
-    cnt = np.bincount(edge_chk[erased_edge], minlength=c.m)
-    acc = np.bincount(edge_chk[~erased_edge][work[c.check_vars[~erased_edge]] == 1], minlength=c.m)
-    isum = np.bincount(
-        edge_chk[erased_edge], weights=c.check_vars[erased_edge].astype(np.float64), minlength=c.m
-    ).astype(np.int64)
+    m = c.m
+    var_chk = c.padded_var_checks()
+    dmax = var_chk.shape[1]
+    # per check: count and id sum of its erased neighbors, count of its ones;
+    # pad entries land on the sentinel check m, which is zeroed after each update
+    touched = var_chk[erased].ravel()
+    cnt = np.bincount(touched, minlength=m + 1)
+    isum = np.bincount(touched, weights=np.repeat(erased, dmax), minlength=m + 1).astype(np.int64)
+    acc = np.bincount(var_chk[np.flatnonzero(work == 1)].ravel(), minlength=m + 1)
+    cnt[m] = isum[m] = acc[m] = 0
 
-    vindptr, vchecks = c.var_adjacency()
+    slot = np.empty(c.n, dtype=np.intp)
     candidates = np.flatnonzero(cnt == 1)
     iters = 0
     while candidates.size and n_unknown and iters < max_iters:
@@ -177,27 +176,27 @@ def decode_peel(c, word, max_iters: int = 1000, record_positions: bool = False) 
         if sel.size == 0:
             break
         bits = isum[sel]
-        vals = (acc[sel] & 1).astype(np.int8)
-        bits, first = np.unique(bits, return_index=True)  # duplicates agree on the BEC
-        vals = vals[first]
+        # duplicates agree on the BEC: keep the last writer of each bit
+        order = np.arange(bits.size)
+        slot[bits] = order
+        keep = slot[bits] == order
+        bits = bits[keep]
+        vals = acc[sel[keep]] & 1
         work[bits] = vals
-        unknown[bits] = False
         n_unknown -= bits.size
         iters += 1
         if record_positions:
-            trace.append(np.bincount(c.var_pos[unknown & is_msg], minlength=n_pos) / pos_totals)
+            trace.append(np.bincount(c.var_pos[(work == ERASED) & is_msg], minlength=n_pos) / pos_totals)
 
-        starts = vindptr[bits]
-        lens = (vindptr[bits + 1] - starts).astype(np.int64)
-        total = int(lens.sum())
-        base = np.repeat(starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-        touched = vchecks[np.arange(total, dtype=np.int64) + base]
-        np.add.at(cnt, touched, -1)
-        np.subtract.at(isum, touched, np.repeat(bits, lens))
-        np.add.at(acc, touched, np.repeat(vals.astype(np.int64), lens))
-        candidates = np.unique(touched)
+        touched = var_chk[bits].ravel()
+        np.subtract.at(cnt, touched, 1)
+        np.subtract.at(isum, touched, np.repeat(bits, dmax))
+        if vals.any():
+            np.add.at(acc, touched, np.repeat(vals, dmax))
+        cnt[m] = isum[m] = acc[m] = 0
+        candidates = touched
 
-    res_m, res_a = _residuals(c, unknown)
+    res_m, res_a = _residuals(c, work == ERASED)
     status = FULLY_RECOVERED if n_unknown == 0 else STALLED
     return DecodeOutcome(
         status,
@@ -231,7 +230,7 @@ def decode_ml_oracle(c, word) -> DecodeOutcome:
     words = (e + 1 + 63) // 64  # one extra bit for the right-hand side
     rows = np.zeros((c.m, words), dtype=np.uint64)
 
-    edge_chk = _edge_checks(c)
+    edge_chk = c.edge_checks()
     edge_col = col_of[c.check_vars]
     sel = edge_col >= 0
     flat_idx = edge_chk[sel] * words + (edge_col[sel] >> 6)

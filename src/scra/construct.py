@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from scra.ensembles import (
-    ParameterError,
-    ScLdpcParams,
-    ScRaParams,
-    code_size,
-)
+from scra.ensembles import ParameterError, ScLdpcParams, ScRaParams
 
 KIND_MESSAGE = 0
 KIND_PARITY = 1
@@ -63,6 +58,7 @@ class CodeInstance:
     check_vars: np.ndarray
     accumulator_order: np.ndarray | None
     _var_adj: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _tables: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def m(self) -> int:
@@ -83,6 +79,28 @@ class CodeInstance:
             np.cumsum(np.bincount(edge_var, minlength=self.n), out=indptr[1:])
             self._var_adj = (indptr, edge_chk[order])
         return self._var_adj
+
+    def edge_checks(self) -> np.ndarray:
+        """Check id of every edge in check_vars order, cached."""
+        if "edge_checks" not in self._tables:
+            self._tables["edge_checks"] = np.repeat(
+                np.arange(self.m, dtype=np.intp), np.diff(self.check_indptr)
+            )
+        return self._tables["edge_checks"]
+
+    def padded_var_checks(self) -> np.ndarray:
+        """(n, max variable degree) table of each variable's checks, cached.
+
+        Rows are ascending; unused entries hold the sentinel check id m.
+        """
+        if "padded_var_checks" not in self._tables:
+            indptr, var_chk = self.var_adjacency()
+            deg = np.diff(indptr)
+            padded = np.full((self.n, int(deg.max(initial=0))), self.m, dtype=np.intp)
+            rows = np.repeat(np.arange(self.n), deg)
+            padded[rows, np.arange(len(var_chk)) - indptr[rows]] = var_chk
+            self._tables["padded_var_checks"] = padded
+        return self._tables["padded_var_checks"]
 
     def h_dense(self) -> np.ndarray:
         """Dense 0/1 parity-check matrix; intended for small instances."""
@@ -275,18 +293,20 @@ def validate_instance(c: CodeInstance) -> None:
     def fail(msg: str) -> None:
         raise ConstructionError(msg)
 
-    # strictly ascending neighbor lists <=> no parallel edges
+    if c.m == 0:
+        fail("code has no checks")
     starts = c.check_indptr[:-1]
     ends = c.check_indptr[1:]
+    # boundary checks may carry few message edges, but never none at all
+    if np.any(ends - starts < 1):
+        fail("check of degree 0")
+    # strictly ascending neighbor lists <=> no parallel edges
     interior_steps = np.diff(c.check_vars)
     boundary = ends[:-1]  # last index of each check's slice except final
     keep = np.ones(len(c.check_vars) - 1, dtype=bool)
     keep[boundary - 1] = False
     if np.any(interior_steps[keep] <= 0):
         fail("parallel or unsorted edges in check adjacency")
-    # boundary checks may carry few message edges, but never none at all
-    if np.any(ends - starts < 1):
-        fail("check of degree 0")
 
     var_deg = np.bincount(c.check_vars, minlength=c.n)
     is_msg = c.var_kind == KIND_MESSAGE
@@ -306,10 +326,9 @@ def validate_instance(c: CodeInstance) -> None:
         msg_deg = np.bincount(edge_chk[sel], minlength=c.m)
         if np.any(msg_deg > combine):
             fail(f"check absorbs more than {combine} message edges")
-        n_var_pos = int(c.var_pos[is_msg].max()) + 1 if is_msg.any() else 0
-        full = np.array(
-            [len(_window_sources(int(j), width, n_var_pos - 1)) == width for j in c.check_pos]
-        )
+        last_pos = int(c.var_pos[is_msg].max()) if is_msg.any() else -1
+        # checks whose window of source positions is not cut by a chain end
+        full = np.minimum(last_pos, c.check_pos) - np.maximum(0, c.check_pos - width + 1) + 1 == width
         if np.any(msg_deg[full] != combine):
             fail("interior check does not absorb exactly the combiner degree")
 
@@ -525,7 +544,10 @@ def save_descriptor(c: CodeInstance, dest) -> None:
 
 
 def load_descriptor(src) -> CodeInstance:
-    """Load a descriptor written by save_descriptor; load(save(c)) == c."""
+    """Load a descriptor written by save_descriptor; load(save(c)) == c.
+
+    The loaded graph passes validate_instance, so callers can trust it.
+    """
     if hasattr(src, "read"):
         text = src.read()
     else:
@@ -583,7 +605,7 @@ def load_descriptor(src) -> CodeInstance:
 
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum([len(row) for row in checks], out=indptr[1:])
-    return CodeInstance(
+    inst = CodeInstance(
         family=family,
         params=params,
         seed=seed,
@@ -596,3 +618,8 @@ def load_descriptor(src) -> CodeInstance:
         check_vars=np.array([v for row in checks for v in row], dtype=np.int32),
         accumulator_order=acc_arr,
     )
+    try:
+        validate_instance(inst)
+    except ConstructionError as exc:
+        raise DescriptorError(f"field 'checks': {exc}") from None
+    return inst

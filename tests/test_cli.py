@@ -156,6 +156,18 @@ def test_encode_nonexistent_code(tmp_path):
     assert rc == 2
 
 
+def test_encode_rejects_broken_descriptor(tmp_path, capsys):
+    construct_toy(tmp_path)
+    path = tmp_path / "code.json"
+    doc = json.loads(path.read_text())
+    doc["checks"][5].remove(doc["k"] + 4)  # drop one accumulator edge
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["encode", "--code", str(path), "--message", "0x00", "--out", str(tmp_path / "w.txt")])
+    assert rc == 2
+    assert "field 'checks'" in capsys.readouterr().err
+
+
 def test_simulate_single_run(tmp_path, capsys):
     base = construct_toy(tmp_path)
     out = tmp_path / "sweep.csv"

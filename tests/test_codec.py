@@ -79,8 +79,9 @@ def test_encode_rejects_bad_input():
     c = small_ra()
     with pytest.raises(CodecError):
         encode(c, np.zeros(c.k - 1, dtype=np.int8))
-    with pytest.raises(CodecError):
-        encode(c, np.full(c.k, 2, dtype=np.int8))
+    for value in (2, ERASED):
+        with pytest.raises(CodecError):
+            encode(c, np.full(c.k, value, dtype=np.int8))
     ldpc = build_sc_ldpc(ScLdpcParams(3, 6, 1, 2), 0)
     with pytest.raises(CodecError):
         encode(ldpc, np.zeros(ldpc.k, dtype=np.int8))
@@ -114,6 +115,14 @@ def test_transmit_bec_endpoints_and_rate():
         transmit_bec(word, 1.5, rng)
 
 
+@pytest.mark.parametrize("bad", [ERASED, 2])
+def test_transmit_bec_rejects_non_binary_codeword(bad):
+    word = np.zeros(10, dtype=np.int8)
+    word[4] = bad
+    with pytest.raises(CodecError):
+        transmit_bec(word, 0.5, np.random.default_rng(0))
+
+
 def test_decode_no_erasures_is_immediate():
     c = small_ra()
     word = encode(c, np.ones(c.k, dtype=np.int8))
@@ -137,10 +146,53 @@ def test_decode_rejects_bad_words():
     c = small_ra()
     with pytest.raises(CodecError):
         decode_peel(c, np.zeros(c.n - 1, dtype=np.int8))
-    bad = np.zeros(c.n, dtype=np.int8)
-    bad[0] = 3
-    with pytest.raises(CodecError):
-        decode_peel(c, bad)
+    for value in (3, 2, -2):
+        bad = np.zeros(c.n, dtype=np.int8)
+        bad[0] = value
+        with pytest.raises(CodecError):
+            decode_peel(c, bad)
+
+
+def toy_instance(rows, n):
+    """Hand-built instance from ascending check rows."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    return CodeInstance(
+        family="alist",
+        params=None,
+        seed=None,
+        n=n,
+        k=n,
+        var_kind=np.zeros(n, dtype=np.uint8),
+        var_pos=np.zeros(n, dtype=np.int32),
+        check_pos=np.zeros(len(rows), dtype=np.int32),
+        check_indptr=indptr,
+        check_vars=np.array([v for r in rows for v in r], dtype=np.int32),
+        accumulator_order=None,
+    )
+
+
+def test_peel_resolves_duplicates_once():
+    """Checks 0 and 1 both resolve bit 0 in sweep 1, while bits 3 and 4
+    (through checks 2 and 3) both touch check 4, which then resolves bit 5
+    in sweep 2 from two copies of itself in the candidate list."""
+    c = toy_instance([[0, 1], [0, 2], [3, 6], [4, 7], [3, 4, 5]], n=8)
+    sent = np.array([1, 1, 1, 1, 0, 1, 1, 0], dtype=np.int8)
+    assert not syndrome(c, sent).any()
+    word = sent.copy()
+    word[[0, 3, 4, 5]] = ERASED
+    known = word != ERASED
+
+    first = decode_peel(c, word, max_iters=1)
+    assert first.iterations == 1 and first.residual_all_bits == 1
+    np.testing.assert_array_equal(first.word[known], word[known])
+    np.testing.assert_array_equal(first.word[[0, 3, 4]], sent[[0, 3, 4]])
+
+    res = decode_peel(c, word)
+    assert res.recovered and res.iterations == 2 and res.residual_all_bits == 0
+    np.testing.assert_array_equal(res.word, decode_ml_oracle(c, word).word)
+    np.testing.assert_array_equal(res.word[known], word[known])
+    np.testing.assert_array_equal(res.word, sent)
 
 
 def exhaustive_unique_bits(c, word):

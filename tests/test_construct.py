@@ -142,6 +142,19 @@ def test_var_adjacency_matches_dense_transpose():
         np.testing.assert_array_equal(vchk[indptr[v] : indptr[v + 1]], np.flatnonzero(h[:, v]))
 
 
+def test_cached_tables_match_adjacency():
+    c = small_ra(3)
+    np.testing.assert_array_equal(c.edge_checks(), np.repeat(np.arange(c.m), np.diff(c.check_indptr)))
+    padded = c.padded_var_checks()
+    indptr, vchk = c.var_adjacency()
+    deg = np.diff(indptr)
+    assert padded.shape == (c.n, deg.max())
+    for v in range(c.n):
+        np.testing.assert_array_equal(padded[v, : deg[v]], vchk[indptr[v] : indptr[v + 1]])
+        assert (padded[v, deg[v] :] == c.m).all()
+    assert c == small_ra(3)  # cached tables take no part in equality
+
+
 def test_degree_profile_ra_mean():
     """Edges = q*k + 2m - 1 makes the mean 274/71 - 1/(71M) for (6,6,16,M)."""
     for M in (15, 100):
@@ -275,6 +288,10 @@ def test_descriptor_records_message_length():
         (lambda d: d.update(accumulator_order=[0] * len(d["accumulator_order"])), "accumulator_order"),
         (lambda d: d.update(params={"family": "nope"}), "params"),
         (lambda d: d.update(params={"family": "ra", "q": 1, "a": 1, "L": 0, "M": 1, "w": None}), "params"),
+        # well-formed rows, broken graph: check 5 loses its edge to parity bit 4
+        (lambda d: d["checks"][5].remove(d["k"] + 4), "checks"),
+        (lambda d: d.update(checks=[], check_pos=[], accumulator_order=None), "checks"),
+        (lambda d: d["checks"][-1].clear(), "checks"),
     ],
 )
 def test_descriptor_corruption_names_field(corrupt, field):

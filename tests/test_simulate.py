@@ -1,5 +1,6 @@
 """Monte Carlo sweep machinery: determinism, stop rule, statistics."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -104,6 +105,22 @@ def test_sweep_identical_for_any_worker_count():
     a.to_csv(buf_a)
     b.to_csv(buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
+
+
+# sha256 of the CSV below without its "# build=" line: any change to the
+# channel draws, the peeling outcomes or the stop rule moves it
+SWEEP_PIN = "724cfce73da74c866f24e59e15277086df18772fc78fbf5146f70b274e38a074"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_csv_matches_pinned_digest(jobs):
+    code = build_sc_ra(ScRaParams(6, 6, 8, M=20), 0)
+    plan = SweepPlan(eps_range(0.40, 0.50, 0.02), max_trials=60, max_word_errors=20, seed=0)
+    buf = io.StringIO()
+    run_sweep(code, plan, jobs=jobs).to_csv(buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    text = "".join(ln for ln in lines if not ln.startswith("# build="))
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_PIN
 
 
 def test_sweep_rerun_is_binary_identical():

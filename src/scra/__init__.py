@@ -8,12 +8,10 @@ experiments, with a command line front end.
 from scra.ensembles import (
     ScRaParams,
     ScLdpcParams,
-    NodeCounts,
     ParameterError,
     rate_sc_ra,
     rate_sc_ra_w,
     rate_sc_ldpc,
-    node_counts,
     code_size,
     density_matched_q,
 )
@@ -47,7 +45,6 @@ from scra.density_evolution import (
     de_step_ra_w,
     de_step_ldpc_w,
     de_run,
-    de_uncoupled_ra,
     make_de_model,
     threshold,
     sweep_fig4,
@@ -58,7 +55,6 @@ from scra.simulate import (
     run_sweep,
     wilson_interval,
     waterfall_crossing,
-    compare_runs,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ KIND_MESSAGE = 0
 KIND_PARITY = 1
 
 DESCRIPTOR_FORMAT = "sc-code-descriptor"
-DESCRIPTOR_VERSION = 1
+DESCRIPTOR_VERSION = 2
 
 
 class ConstructionError(RuntimeError):
@@ -28,7 +28,8 @@ class ConstructionError(RuntimeError):
 
 
 class AlistError(ValueError):
-    """Raised on malformed alist input; the message carries a line number."""
+    """Raised on malformed alist input; the message carries a line number
+    or names the graph invariant the input breaks."""
 
 
 class DescriptorError(ValueError):
@@ -40,7 +41,7 @@ class CodeInstance:
     """One explicit bipartite code graph.
 
     Variables are numbered message bits first (position-major, copy index
-    within a position), then parity bits in accumulator order.  Checks are
+    within a position), then parity bits in chain order.  Checks are
     numbered position-major; for the RA family this numbering is the
     accumulator chain order.  Adjacency is stored per check with neighbor
     lists strictly ascending.
@@ -56,8 +57,6 @@ class CodeInstance:
     check_pos: np.ndarray
     check_indptr: np.ndarray
     check_vars: np.ndarray
-    accumulator_order: np.ndarray | None
-    _var_adj: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _tables: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
@@ -69,16 +68,16 @@ class CodeInstance:
 
     def var_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, check ids) of the transposed adjacency, cached."""
-        if self._var_adj is None:
+        if "var_checks" not in self._tables:
             edge_var = self.check_vars
             edge_chk = np.repeat(
                 np.arange(self.m, dtype=np.int32), np.diff(self.check_indptr)
             )
-            order = np.lexsort((edge_chk, edge_var))
             indptr = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(np.bincount(edge_var, minlength=self.n), out=indptr[1:])
-            self._var_adj = (indptr, edge_chk[order])
-        return self._var_adj
+            self._tables["var_indptr"] = indptr
+            self._tables["var_checks"] = edge_chk[np.lexsort((edge_chk, edge_var))]
+        return self._tables["var_indptr"], self._tables["var_checks"]
 
     def edge_checks(self) -> np.ndarray:
         """Check id of every edge in check_vars order, cached."""
@@ -129,12 +128,6 @@ class CodeInstance:
         ):
             if not np.array_equal(mine, theirs):
                 return False
-        if (self.accumulator_order is None) != (other.accumulator_order is None):
-            return False
-        if self.accumulator_order is not None and not np.array_equal(
-            self.accumulator_order, other.accumulator_order
-        ):
-            return False
         return True
 
 
@@ -243,7 +236,6 @@ def build_sc_ra(p: ScRaParams, seed: int) -> CodeInstance:
         check_pos=check_pos,
         check_indptr=indptr,
         check_vars=vars_sorted,
-        accumulator_order=np.arange(m, dtype=np.int64),
     )
     validate_instance(inst)
     return inst
@@ -277,7 +269,6 @@ def build_sc_ldpc(p: ScLdpcParams, seed: int) -> CodeInstance:
         check_pos=np.repeat(np.arange(n_chk_pos, dtype=np.int32), cpp),
         check_indptr=indptr,
         check_vars=vars_sorted,
-        accumulator_order=None,
     )
     validate_instance(inst)
     return inst
@@ -355,29 +346,41 @@ class DegreeProfile:
     """Degree histograms and totals of one instance."""
 
     variable_hist: dict[int, dict[int, int]]  # kind -> degree -> count
-    check_hist_by_pos: dict[int, dict[int, int]]  # position -> degree -> count
     mean_variable_degree: float
     edges: int
 
 
 def degree_profile(c: CodeInstance) -> DegreeProfile:
     var_deg = np.bincount(c.check_vars, minlength=c.n)
-    chk_deg = np.diff(c.check_indptr)
     var_hist: dict[int, dict[int, int]] = {}
     for kind in np.unique(c.var_kind):
         degs, counts = np.unique(var_deg[c.var_kind == kind], return_counts=True)
         var_hist[int(kind)] = {int(d): int(cnt) for d, cnt in zip(degs, counts)}
-    chk_hist: dict[int, dict[int, int]] = {}
-    for pos in np.unique(c.check_pos):
-        degs, counts = np.unique(chk_deg[c.check_pos == pos], return_counts=True)
-        chk_hist[int(pos)] = {int(d): int(cnt) for d, cnt in zip(degs, counts)}
     edges = int(len(c.check_vars))
     return DegreeProfile(
         variable_hist=var_hist,
-        check_hist_by_pos=chk_hist,
         mean_variable_degree=edges / c.n,
         edges=edges,
     )
+
+
+# -- text I/O ----------------------------------------------------------------
+
+def _write_text(dest, text: str) -> None:
+    """Write text to a path or to an open text handle."""
+    if hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        with open(dest, "w") as fh:
+            fh.write(text)
+
+
+def _read_text(src) -> str:
+    """Read all text from a path or from an open text handle."""
+    if hasattr(src, "read"):
+        return src.read()
+    with open(src) as fh:
+        return fh.read()
 
 
 # -- alist interchange -------------------------------------------------------
@@ -401,12 +404,7 @@ def export_alist(c: CodeInstance, dest) -> None:
         lines.append(" ".join(str(int(t) + 1) for t in var_chk[indptr[v] : indptr[v + 1]]))
     for t in range(c.m):
         lines.append(" ".join(str(int(v) + 1) for v in c.check_neighbors(t)))
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w") as fh:
-            fh.write(text)
+    _write_text(dest, "\n".join(lines) + "\n")
 
 
 def import_alist(src) -> CodeInstance:
@@ -414,14 +412,10 @@ def import_alist(src) -> CodeInstance:
 
     Zero padding inside neighbor lists is accepted and dropped.  Kind and
     position labels are unknown for imported matrices: all variables are
-    labeled message bits at position 0 and k is the nominal n - m.
+    labeled message bits at position 0 and k is the nominal n - m.  The
+    graph passes validate_instance, so it saves to a loadable descriptor.
     """
-    if hasattr(src, "read"):
-        text = src.read()
-    else:
-        with open(src) as fh:
-            text = fh.read()
-    lines = text.splitlines()
+    lines = _read_text(src).splitlines()
 
     def ints(line_no: int, expect: int | None = None) -> list[int]:
         if line_no >= len(lines):
@@ -474,7 +468,7 @@ def import_alist(src) -> CodeInstance:
     if rebuilt != cols:
         raise AlistError("line 1: column lists inconsistent with row lists")
 
-    return CodeInstance(
+    inst = CodeInstance(
         family="alist",
         params=None,
         seed=None,
@@ -485,8 +479,12 @@ def import_alist(src) -> CodeInstance:
         check_pos=np.zeros(m, dtype=np.int32),
         check_indptr=indptr,
         check_vars=check_vars,
-        accumulator_order=None,
     )
+    try:
+        validate_instance(inst)
+    except ConstructionError as exc:
+        raise AlistError(f"invalid graph: {exc}") from None
+    return inst
 
 
 # -- descriptor persistence --------------------------------------------------
@@ -529,18 +527,12 @@ def descriptor_dict(c: CodeInstance) -> dict:
         "var_pos": c.var_pos.tolist(),
         "check_pos": c.check_pos.tolist(),
         "checks": [chunk.tolist() for chunk in np.split(c.check_vars, c.check_indptr[1:-1])],
-        "accumulator_order": None if c.accumulator_order is None else c.accumulator_order.tolist(),
     }
 
 
 def save_descriptor(c: CodeInstance, dest) -> None:
     """Persist an instance losslessly as versioned JSON."""
-    text = json.dumps(descriptor_dict(c), sort_keys=True, separators=(",", ":")) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w") as fh:
-            fh.write(text)
+    _write_text(dest, json.dumps(descriptor_dict(c), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_descriptor(src) -> CodeInstance:
@@ -548,13 +540,8 @@ def load_descriptor(src) -> CodeInstance:
 
     The loaded graph passes validate_instance, so callers can trust it.
     """
-    if hasattr(src, "read"):
-        text = src.read()
-    else:
-        with open(src) as fh:
-            text = fh.read()
     try:
-        obj = json.loads(text)
+        obj = json.loads(_read_text(src))
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"field '<document>': not valid JSON ({exc})") from None
     if not isinstance(obj, dict):
@@ -590,18 +577,10 @@ def load_descriptor(src) -> CodeInstance:
     for t, row in enumerate(checks):
         if not isinstance(row, list) or not all(isinstance(v, int) and 0 <= v < n for v in row):
             raise DescriptorError(f"field 'checks': row {t} is not a list of variable ids")
-        if row != sorted(set(row)):
-            raise DescriptorError(f"field 'checks': row {t} is not strictly ascending")
     m = len(checks)
     var_kind = int_array("var_kind", n, np.uint8)
     var_pos = int_array("var_pos", n, np.int32)
     check_pos = int_array("check_pos", m, np.int32)
-    acc = obj.get("accumulator_order")
-    acc_arr = None
-    if acc is not None:
-        if not isinstance(acc, list) or sorted(acc) != list(range(m)):
-            raise DescriptorError("field 'accumulator_order': expected a permutation of the checks")
-        acc_arr = np.array(acc, dtype=np.int64)
 
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum([len(row) for row in checks], out=indptr[1:])
@@ -616,7 +595,6 @@ def load_descriptor(src) -> CodeInstance:
         check_pos=check_pos,
         check_indptr=indptr,
         check_vars=np.array([v for row in checks for v in row], dtype=np.int32),
-        accumulator_order=acc_arr,
     )
     try:
         validate_instance(inst)

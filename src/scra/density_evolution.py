@@ -25,6 +25,7 @@ from scra.ensembles import (
     rate_sc_ra_w,
     density_matched_q,
 )
+from scra.construct import _write_text
 
 DELTA_SUCCESS = 1e-8
 DELTA_STALL = 1e-12
@@ -104,14 +105,36 @@ def de_step_ldpc_w(s: DeState, p: ScLdpcParams) -> DeState:
     return DeState(x_new, None, s.eps, s.iteration + 1)
 
 
-class _WModel:
+class _Driver:
+    """Residual and change shared by the DE drivers.
+
+    Every state tracks the message values x; parity_fields names the
+    state's parity arrays, empty for the LDPC baseline.
+    """
+
+    parity_fields: tuple[str, ...]
+
+    def residual(self, s, criterion: str) -> float:
+        r = float(s.x.max())
+        if criterion == CRITERION_ALL:
+            for f in self.parity_fields:
+                r = max(r, float(getattr(s, f).max()))
+        return r
+
+    def change(self, old, new) -> float:
+        d = float(np.abs(new.x - old.x).max())
+        for f in self.parity_fields:
+            d = max(d, float(np.abs(getattr(new, f) - getattr(old, f)).max()))
+        return d
+
+
+class _WModel(_Driver):
     """Driver for the smoothed recursions."""
 
     def __init__(self, p: ScRaParams | ScLdpcParams):
-        if p.w is None:
-            raise ParameterError("smoothed model needs the window w")
         self.p = p
         self.is_ra = isinstance(p, ScRaParams)
+        self.parity_fields = ("y",) if self.is_ra else ()
 
     def initial_state(self, eps: float) -> DeState:
         span = 2 * self.p.L + 1
@@ -122,18 +145,6 @@ class _WModel:
     def step(self, s: DeState) -> DeState:
         return de_step_ra_w(s, self.p) if self.is_ra else de_step_ldpc_w(s, self.p)
 
-    def residual(self, s: DeState, criterion: str) -> float:
-        r = float(s.x.max())
-        if criterion == CRITERION_ALL and s.y is not None:
-            r = max(r, float(s.y.max()))
-        return r
-
-    def change(self, old: DeState, new: DeState) -> float:
-        d = float(np.abs(new.x - old.x).max())
-        if old.y is not None:
-            d = max(d, float(np.abs(new.y - old.y).max()))
-        return d
-
 
 def _mean_message_degree(width: int, combine: int, n_var_pos: int, n_chk_pos: int) -> tuple[np.ndarray, np.ndarray]:
     """(bundle count, mean message degree) per check position."""
@@ -142,14 +153,13 @@ def _mean_message_degree(width: int, combine: int, n_var_pos: int, n_chk_pos: in
     return n_sources.astype(np.float64), combine * n_sources / width
 
 
-class _ProtoModel:
+class _ProtoModel(_Driver):
     """Driver for the structured (protograph) recursion."""
 
     def __init__(self, p: ScRaParams | ScLdpcParams):
-        if p.w is not None:
-            raise ParameterError("structured model takes w=None parameters")
         self.p = p
         self.is_ra = isinstance(p, ScRaParams)
+        self.parity_fields = ("y_left", "y_right") if self.is_ra else ()
         self.width = p.q if self.is_ra else p.dl
         combine = p.a if self.is_ra else p.dr
         self.span = 2 * p.L + 1
@@ -198,22 +208,6 @@ class _ProtoModel:
             y_left = y_right = None
         return ProtoDeState(x_new, y_left, y_right, z, s.eps, s.iteration + 1)
 
-    def residual(self, s: ProtoDeState, criterion: str) -> float:
-        r = float(s.x.max())
-        if criterion == CRITERION_ALL and s.y_left is not None:
-            r = max(r, float(s.y_left.max()), float(s.y_right.max()))
-        return r
-
-    def change(self, old: ProtoDeState, new: ProtoDeState) -> float:
-        d = float(np.abs(new.x - old.x).max())
-        if old.y_left is not None:
-            d = max(
-                d,
-                float(np.abs(new.y_left - old.y_left).max()),
-                float(np.abs(new.y_right - old.y_right).max()),
-            )
-        return d
-
     def posterior_profile(self, s: ProtoDeState) -> np.ndarray:
         """A-posteriori message erasure per position after s.iteration sweeps."""
         if s.z is None:
@@ -221,45 +215,41 @@ class _ProtoModel:
         return s.eps * sliding_window_view(s.z, self.width).prod(axis=1)
 
 
-MODEL_KINDS = ("ra-w", "ldpc-w", "ra-proto", "ldpc-proto", "ra-uncoupled")
+def _ra_uncoupled(p: ScRaParams) -> _WModel:
+    """The smoothed recursion at L=0, w=1: the single-position RA fixed-point iteration."""
+    return _WModel(ScRaParams(q=p.q, a=p.a, L=0, M=p.a, w=1))
+
+
+# kind -> (parameter type, window w required (True), forbidden (False) or ignored (None), factory)
+_MODELS = {
+    "ra-w": (ScRaParams, True, _WModel),
+    "ldpc-w": (ScLdpcParams, True, _WModel),
+    "ra-proto": (ScRaParams, False, _ProtoModel),
+    "ldpc-proto": (ScLdpcParams, False, _ProtoModel),
+    "ra-uncoupled": (ScRaParams, None, _ra_uncoupled),
+}
+MODEL_KINDS = tuple(_MODELS)
 
 
 def make_de_model(kind: str, p: ScRaParams | ScLdpcParams):
-    """Build the DE driver for one ensemble view.
-
-    ra-uncoupled reuses the smoothed recursion at L=0, w=1, which is the
-    single-position RA fixed-point iteration.
-    """
-    if kind == "ra-w":
-        if not isinstance(p, ScRaParams):
-            raise ParameterError("ra-w needs ScRaParams")
-        return _WModel(p)
-    if kind == "ldpc-w":
-        if not isinstance(p, ScLdpcParams):
-            raise ParameterError("ldpc-w needs ScLdpcParams")
-        return _WModel(p)
-    if kind == "ra-proto":
-        if not isinstance(p, ScRaParams):
-            raise ParameterError("ra-proto needs ScRaParams")
-        return _ProtoModel(p)
-    if kind == "ldpc-proto":
-        if not isinstance(p, ScLdpcParams):
-            raise ParameterError("ldpc-proto needs ScLdpcParams")
-        return _ProtoModel(p)
-    if kind == "ra-uncoupled":
-        if not isinstance(p, ScRaParams):
-            raise ParameterError("ra-uncoupled needs ScRaParams")
-        flat = ScRaParams(q=p.q, a=p.a, L=0, M=p.a, w=1)
-        return _WModel(flat)
-    raise ParameterError(f"unknown ensemble kind {kind!r}; expected one of {MODEL_KINDS}")
+    """Build the DE driver for one ensemble view."""
+    if kind not in _MODELS:
+        raise ParameterError(f"unknown ensemble kind {kind!r}; expected one of {MODEL_KINDS}")
+    ptype, windowed, factory = _MODELS[kind]
+    if not isinstance(p, ptype):
+        raise ParameterError(f"{kind} needs {ptype.__name__}")
+    if windowed is True and p.w is None:
+        raise ParameterError("smoothed model needs the window w")
+    if windowed is False and p.w is not None:
+        raise ParameterError("structured model takes w=None parameters")
+    return factory(p)
 
 
-def _model_for(p: ScRaParams | ScLdpcParams):
-    if isinstance(p, ScRaParams):
+def _model_for(p):
+    """The driver for a parameter set, smoothed iff it has a window; a driver passes through."""
+    if isinstance(p, (ScRaParams, ScLdpcParams)):
         return _WModel(p) if p.w is not None else _ProtoModel(p)
-    if isinstance(p, ScLdpcParams):
-        return _WModel(p) if p.w is not None else _ProtoModel(p)
-    return p  # already a model
+    return p
 
 
 @dataclass
@@ -300,12 +290,6 @@ def de_run(
             return DeRunResult(False, new, new.iteration, res)
         state = new
     return DeRunResult(False, state, state.iteration, model.residual(state, criterion))
-
-
-def de_uncoupled_ra(q: int, a: int, eps: float, max_iters: int = MAX_ITERS) -> bool:
-    """Convergence flag of the uncoupled RA fixed-point recursion."""
-    model = make_de_model("ra-uncoupled", ScRaParams(q=q, a=a, L=0, M=a))
-    return de_run(model, eps, max_iters=max_iters).converged
 
 
 @dataclass
@@ -435,9 +419,4 @@ def write_fig4_csv(rows: list[Fig4Row], dest, metadata: dict | None = None) -> N
         lines.append(
             f"{r.family},{r.degree},{r.L},{w},{r.rate:.10g},{r.threshold_lo:.10g},{r.threshold_hi:.10g},{r.iters}"
         )
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w") as fh:
-            fh.write(text)
+    _write_text(dest, "\n".join(lines) + "\n")

@@ -52,11 +52,6 @@ class ScRaParams:
         if self.w is not None:
             _require(isinstance(self.w, int) and self.w >= 1, f"w must be an integer >= 1, got {self.w!r}")
 
-    @property
-    def hhat(self) -> int | None:
-        """One-sided reach (q-1)/2 of the centered window; None for even q."""
-        return (self.q - 1) // 2 if self.q % 2 == 1 else None
-
 
 @dataclass(frozen=True)
 class ScLdpcParams:
@@ -84,23 +79,6 @@ class ScLdpcParams:
         )
         if self.w is not None:
             _require(isinstance(self.w, int) and self.w >= 1, f"w must be an integer >= 1, got {self.w!r}")
-
-
-@dataclass(frozen=True)
-class NodeCounts:
-    """Node totals of one coupled RA instance."""
-
-    message_bits: int
-    parity_bits: int
-    checks: int
-
-    @property
-    def k(self) -> int:
-        return self.message_bits
-
-    @property
-    def n(self) -> int:
-        return self.message_bits + self.parity_bits
 
 
 def rate_sc_ra(p: ScRaParams) -> Fraction:
@@ -144,25 +122,16 @@ def rate_sc_ldpc(p: ScLdpcParams) -> Fraction:
     return r
 
 
-def node_counts(p: ScRaParams) -> NodeCounts:
-    """Message/parity/check totals for a coupled RA instance.
-
-    One parity bit per check, so parity_bits == checks always.
-    """
-    span = 2 * p.L + 1
-    checks = (2 * p.L + p.q) * (p.q * p.M // p.a)
-    return NodeCounts(message_bits=span * p.M, parity_bits=checks, checks=checks)
-
-
 def code_size(p: ScRaParams | ScLdpcParams) -> tuple[int, int]:
     """(k, n) of an instance with these parameters.
 
-    For the RA family k counts the systematic message bits.  For the LDPC
-    baseline k = n - checks, the nominal dimension at full check rank.
+    For the RA family k counts the systematic message bits and there is
+    one parity bit per check.  For the LDPC baseline k = n - checks, the
+    nominal dimension at full check rank.
     """
     if isinstance(p, ScRaParams):
-        c = node_counts(p)
-        return c.k, c.n
+        k = (2 * p.L + 1) * p.M
+        return k, k + (2 * p.L + p.q) * (p.q * p.M // p.a)
     n = (2 * p.L + 1) * p.M
     m = (2 * p.L + p.dl) * (p.dl * p.M // p.dr)
     return n - m, n

@@ -10,14 +10,13 @@ identical for any worker count.
 from __future__ import annotations
 
 import hashlib
-import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from scra.codec import decode_peel, transmit_bec
-from scra.construct import CodeInstance, save_descriptor
+from scra.construct import CodeInstance, _write_text
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -131,19 +130,19 @@ class SimResult:
                 f"{wer[i]:.10g},{lo[i]:.10g},{hi[i]:.10g},"
                 f"{int(self.bit_errors_message[i])},{ber_m[i]:.10g},{ber_a[i]:.10g},{mi[i]:.10g}"
             )
-        text = "\n".join(lines) + "\n"
-        if hasattr(dest, "write"):
-            dest.write(text)
-        else:
-            with open(dest, "w") as fh:
-                fh.write(text)
+        _write_text(dest, "\n".join(lines) + "\n")
 
 
 def code_build_id(c: CodeInstance) -> str:
-    """Content hash of the full descriptor, used as the build identifier."""
-    buf = io.StringIO()
-    save_descriptor(c, buf)
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()[:12]
+    """Content hash of the code's identity and graph, used as the build identifier.
+
+    Hashes (family, params, seed, n, k) and the five graph arrays as int64,
+    so a saved and reloaded code keeps its id whatever the arrays' dtypes.
+    """
+    h = hashlib.sha256(repr((c.family, c.params, c.seed, c.n, c.k)).encode())
+    for arr in (c.var_kind, c.var_pos, c.check_pos, c.check_indptr, c.check_vars):
+        h.update(np.asarray(arr, dtype=np.int64).tobytes())
+    return h.hexdigest()[:12]
 
 
 _worker_code: CodeInstance | None = None
@@ -282,41 +281,3 @@ def waterfall_crossing(result: SimResult, level: float = 0.5) -> float:
     t = (np.log(level) - la) / (lb - la) if lb != la else 0.5
     return float(result.eps[i] + t * (result.eps[i + 1] - result.eps[i]))
 
-
-@dataclass(frozen=True)
-class CompareRow:
-    eps: float
-    wer_a: float
-    wer_b: float
-    wer_delta: float
-    intervals_separate: bool
-    ber_msg_a: float
-    ber_msg_b: float
-
-
-def compare_runs(a: SimResult, b: SimResult) -> list[CompareRow]:
-    """Per-rate deltas of two runs on their shared grid points."""
-    rows: list[CompareRow] = []
-    lo_a, hi_a = a.wer_interval()
-    lo_b, hi_b = b.wer_interval()
-    wer_a, wer_b = a.wer(), b.wer()
-    ber_a, ber_b = a.ber_message(), b.ber_message()
-    for i, eps in enumerate(a.eps):
-        js = np.flatnonzero(np.isclose(b.eps, eps, rtol=0, atol=1e-12))
-        if js.size == 0:
-            continue
-        j = int(js[0])
-        rows.append(
-            CompareRow(
-                eps=float(eps),
-                wer_a=float(wer_a[i]),
-                wer_b=float(wer_b[j]),
-                wer_delta=float(wer_a[i] - wer_b[j]),
-                intervals_separate=bool(hi_a[i] < lo_b[j] or hi_b[j] < lo_a[i]),
-                ber_msg_a=float(ber_a[i]),
-                ber_msg_b=float(ber_b[j]),
-            )
-        )
-    if not rows:
-        raise SimulationError("the two runs share no eps grid points")
-    return rows

@@ -168,7 +168,6 @@ def toy_instance(rows, n):
         check_pos=np.zeros(len(rows), dtype=np.int32),
         check_indptr=indptr,
         check_vars=np.array([v for r in rows for v in r], dtype=np.int32),
-        accumulator_order=None,
     )
 
 
@@ -255,7 +254,6 @@ def test_ml_oracle_rejects_oversized_instance():
         check_pos=np.zeros(1, dtype=np.int32),
         check_indptr=np.zeros(2, dtype=np.int64),
         check_vars=np.zeros(0, dtype=np.int32),
-        accumulator_order=None,
     )
     with pytest.raises(CodecError):
         decode_ml_oracle(dummy, np.zeros(1, dtype=np.int8))
@@ -386,7 +384,6 @@ def permuted_instance(c, perm):
         check_pos=c.check_pos,
         check_indptr=indptr,
         check_vars=np.array([v for r in rows for v in r], dtype=np.int32),
-        accumulator_order=None,
     )
 
 

@@ -20,7 +20,7 @@ from scra.construct import (
     save_descriptor,
     validate_instance,
 )
-from scra.ensembles import ScLdpcParams, ScRaParams, node_counts
+from scra.ensembles import ScLdpcParams, ScRaParams, code_size
 
 
 def small_ra(seed=0):
@@ -56,8 +56,8 @@ def test_small_instance_balanced_check_fill():
 def test_sizes_match_node_counts():
     for p in (ScRaParams(6, 6, 16, 100), ScRaParams(6, 6, 16, 300)):
         c = build_sc_ra(p, 1)
-        counts = node_counts(p)
-        assert (c.k, c.n, c.m) == (counts.k, counts.n, counts.checks)
+        k, n = code_size(p)
+        assert (c.k, c.n, c.m) == (k, n, n - k)
     c = build_sc_ldpc(ScLdpcParams(4, 8, 16, 220), 1)
     assert (c.k, c.n) == (3300, 7260)
     c = build_sc_ldpc(ScLdpcParams(4, 8, 16, 660), 1)
@@ -178,9 +178,8 @@ def test_degree_profile_degenerate_single_position():
     p = ScRaParams(3, 3, 0, 3)
     c = build_sc_ra(p, 0)
     prof = degree_profile(c)
-    counts = node_counts(p)
     assert prof.edges == sum(d * n for h in prof.variable_hist.values() for d, n in h.items())
-    assert c.n == counts.n
+    assert c.n == code_size(p)[1]
 
 
 def test_alist_header_and_round_trip():
@@ -249,6 +248,15 @@ def test_alist_detects_duplicate_row_entry():
     assert "duplicate" in str(err.value) or "inconsistent" in str(err.value)
 
 
+def test_alist_rejects_empty_row():
+    """The rule load_descriptor applies holds at import too, so no imported
+    code saves to a descriptor that fails to load."""
+    text = "3 2\n1 3\n1 1 1\n3 0\n1\n1\n1\n1 2 3\n\n"
+    with pytest.raises(AlistError) as err:
+        import_alist(io.StringIO(text))
+    assert "check of degree 0" in str(err.value)
+
+
 def test_alist_detects_row_column_mismatch():
     # column lists claim var 1 is in check 2; rows say check 2 holds vars 2,3
     text = "3 2\n2 2\n2 1 1\n2 2\n1 2\n1\n1\n1 2\n2 3\n"
@@ -285,12 +293,11 @@ def test_descriptor_records_message_length():
         (lambda d: d.update(var_kind=d["var_kind"][:-1]), "var_kind"),
         (lambda d: d["checks"][0].reverse(), "checks"),
         (lambda d: d["checks"].__setitem__(0, d["checks"][0] + d["checks"][0][:1]), "checks"),
-        (lambda d: d.update(accumulator_order=[0] * len(d["accumulator_order"])), "accumulator_order"),
         (lambda d: d.update(params={"family": "nope"}), "params"),
         (lambda d: d.update(params={"family": "ra", "q": 1, "a": 1, "L": 0, "M": 1, "w": None}), "params"),
         # well-formed rows, broken graph: check 5 loses its edge to parity bit 4
         (lambda d: d["checks"][5].remove(d["k"] + 4), "checks"),
-        (lambda d: d.update(checks=[], check_pos=[], accumulator_order=None), "checks"),
+        (lambda d: d.update(checks=[], check_pos=[]), "checks"),
         (lambda d: d["checks"][-1].clear(), "checks"),
     ],
 )
@@ -301,7 +308,7 @@ def test_descriptor_corruption_names_field(corrupt, field):
 
     with pytest.raises(DescriptorError) as err:
         load_descriptor(io.StringIO(json.dumps(doc)))
-    assert field in str(err.value)
+    assert f"field '{field}'" in str(err.value)
 
 
 def test_descriptor_rejects_non_json():

@@ -9,7 +9,6 @@ from scra.density_evolution import (
     de_run,
     de_step_ldpc_w,
     de_step_ra_w,
-    de_uncoupled_ra,
     make_de_model,
     sweep_fig4,
     threshold,
@@ -77,8 +76,9 @@ def test_uncoupled_model_is_the_scalar_recursion():
 
 
 def test_uncoupled_convergence_flags():
-    assert de_uncoupled_ra(6, 6, 0.40)
-    assert not de_uncoupled_ra(6, 6, 0.42)
+    model = make_de_model("ra-uncoupled", ScRaParams(6, 6, 0, M=6))
+    assert de_run(model, 0.40).converged
+    assert not de_run(model, 0.42).converged
 
 
 def random_w_state(model, rng, eps):

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from scra.ensembles import (
-    NodeCounts,
     ParameterError,
     ScLdpcParams,
     ScRaParams,
     code_size,
     density_matched_q,
-    node_counts,
     rate_sc_ldpc,
     rate_sc_ra,
     rate_sc_ra_w,
@@ -85,18 +83,15 @@ def test_rate_dispatch_guards():
 
 
 def test_node_counts_paper_point():
-    c = node_counts(ScRaParams(q=6, a=6, L=16, M=100))
-    assert c == NodeCounts(message_bits=3300, parity_bits=3800, checks=3800)
-    assert (c.k, c.n) == (3300, 7100)
+    k, n = code_size(ScRaParams(q=6, a=6, L=16, M=100))
+    assert (k, n, n - k) == (3300, 7100, 3800)  # message bits, length, checks = parity bits
 
 
 @pytest.mark.parametrize("q,a,L,M", [(3, 3, 1, 2), (4, 2, 3, 5), (6, 4, 8, 10), (10, 10, 16, 7)])
 def test_node_counts_formulas(q, a, L, M):
-    c = node_counts(ScRaParams(q=q, a=a, L=L, M=M))
-    assert c.message_bits == (2 * L + 1) * M
-    assert c.checks == (2 * L + q) * (q * M // a)
-    assert c.parity_bits == c.checks  # one parity bit per check
-    assert c.n == c.message_bits + c.parity_bits
+    k, n = code_size(ScRaParams(q=q, a=a, L=L, M=M))
+    assert k == (2 * L + 1) * M  # message bits
+    assert n - k == (2 * L + q) * (q * M // a)  # one parity bit per check
 
 
 def test_code_size_paper_points():
@@ -158,9 +153,3 @@ def test_degenerate_ldpc_rate_warns():
         r = rate_sc_ldpc(ScLdpcParams(dl=4, dr=4, L=1))
     assert r <= 0
 
-
-def test_window_reach_property():
-    assert ScRaParams(3, 3, 1).hhat == 1
-    assert ScRaParams(5, 5, 1).hhat == 2
-    assert ScRaParams(4, 4, 1).hhat is None
-    assert ScRaParams(6, 6, 1).hhat is None

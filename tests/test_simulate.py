@@ -6,14 +6,13 @@ import io
 import numpy as np
 import pytest
 
-from scra.construct import build_sc_ra
-from scra.ensembles import ScRaParams
+from scra.construct import build_sc_ldpc, build_sc_ra, load_descriptor, save_descriptor
+from scra.ensembles import ScLdpcParams, ScRaParams
 from scra.simulate import (
     SimResult,
     SimulationError,
     SweepPlan,
     code_build_id,
-    compare_runs,
     eps_range,
     run_sweep,
     trial_stream,
@@ -220,24 +219,15 @@ def test_waterfall_crossing_zero_floor_and_missing():
         waterfall_crossing(flat)
 
 
-def test_compare_run_with_itself():
-    res = run_sweep(toy_code(), SweepPlan((0.4, 0.5), max_trials=50, seed=9))
-    rows = compare_runs(res, res)
-    assert len(rows) == 2
-    for row in rows:
-        assert row.wer_delta == 0.0
-        assert not row.intervals_separate
-
-
-def test_compare_disjoint_grids():
-    a = run_sweep(toy_code(), SweepPlan((0.3,), max_trials=10, seed=9))
-    b = run_sweep(toy_code(), SweepPlan((0.6,), max_trials=10, seed=9))
-    with pytest.raises(SimulationError):
-        compare_runs(a, b)
-
-
 def test_build_id_tracks_content():
     assert code_build_id(toy_code(6)) == code_build_id(toy_code(6))
     assert code_build_id(toy_code(6)) != code_build_id(toy_code(7))
     ident = code_build_id(toy_code())
     assert len(ident) == 12 and set(ident) <= set("0123456789abcdef")
+
+
+def test_build_id_survives_descriptor_round_trip():
+    for c in (toy_code(), build_sc_ldpc(ScLdpcParams(3, 6, 2, 6), 4)):
+        buf = io.StringIO()
+        save_descriptor(c, buf)
+        assert code_build_id(load_descriptor(io.StringIO(buf.getvalue()))) == code_build_id(c)

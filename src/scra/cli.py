@@ -28,6 +28,7 @@ from scra.construct import (
     export_alist,
     load_descriptor,
     save_descriptor,
+    _write_text,
 )
 from scra.density_evolution import (
     BISECT_PRECISION,
@@ -83,9 +84,7 @@ def _resolve(ns: argparse.Namespace, spec: dict[str, object]) -> dict:
 
 def _write_config(command: str, cfg: dict, out_path: str) -> None:
     doc = {"tool": "scra", "version": __version__, "command": command, "args": cfg}
-    with open(out_path + ".config.json", "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_text(out_path + ".config.json", json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _parse_eps(spec: str) -> tuple[float, ...]:
@@ -106,14 +105,12 @@ def _build_from_cfg(cfg: dict):
         for key in ("q", "a", "L", "M"):
             if cfg.get(key) is None:
                 raise ParameterError(f"--{key} is required for the ra family")
-        p = ScRaParams(q=cfg["q"], a=cfg["a"], L=cfg["L"], M=cfg["M"])
-        return build_sc_ra(p, cfg["seed"]), p
+        return build_sc_ra(ScRaParams(q=cfg["q"], a=cfg["a"], L=cfg["L"], M=cfg["M"]), cfg["seed"])
     if family == "ldpc":
         for key in ("dl", "dr", "L", "M"):
             if cfg.get(key) is None:
                 raise ParameterError(f"--{key} is required for the ldpc family")
-        p = ScLdpcParams(dl=cfg["dl"], dr=cfg["dr"], L=cfg["L"], M=cfg["M"])
-        return build_sc_ldpc(p, cfg["seed"]), p
+        return build_sc_ldpc(ScLdpcParams(dl=cfg["dl"], dr=cfg["dr"], L=cfg["L"], M=cfg["M"]), cfg["seed"])
     raise ParameterError(f"unknown family {family!r}; expected ra or ldpc")
 
 
@@ -125,11 +122,11 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, spec)
     if cfg["out"] is None:
         raise ParameterError("--out is required")
-    code, params = _build_from_cfg(cfg)
+    code = _build_from_cfg(cfg)
     save_descriptor(code, cfg["out"] + ".json")
     export_alist(code, cfg["out"] + ".alist")
     _write_config("construct", cfg, cfg["out"])
-    rate = rate_sc_ra(params) if isinstance(params, ScRaParams) else rate_sc_ldpc(params)
+    rate = rate_sc_ra(code.params) if code.family == "ra" else rate_sc_ldpc(code.params)
     prof = degree_profile(code)
     print(f"n={code.n} k={code.k} rate={float(rate):.4f} mean_var_degree={prof.mean_variable_degree:.4f}")
     return 0
@@ -144,12 +141,11 @@ def _cmd_encode(ns: argparse.Namespace) -> int:
     code = load_descriptor(cfg["code"])
     bits = _read_message(cfg["message"], code.k)
     word = encode(code, bits)
-    with open(cfg["out"], "w") as fh:
-        fh.write("".join(str(int(b)) for b in word) + "\n")
+    _write_text(cfg["out"], "".join(str(int(b)) for b in word) + "\n")
     _write_config("encode", cfg, cfg["out"])
     if code.params is not None:
-        last_msg_pos = 2 * code.params.L
-        for j in range(int(code.check_pos.max()) + 1):
+        last_msg_pos = code.params.span - 1
+        for j in range(code.params.n_chk_pos):
             print(f"parity position {j}: ready after message position {min(j, last_msg_pos)}")
     return 0
 
@@ -174,10 +170,10 @@ def _read_message(spec: str, k: int) -> np.ndarray:
 
 
 _FIG5_CODES = (
-    ("ra_M100", "ra", dict(q=6, a=6, L=16, M=100)),
-    ("ra_M300", "ra", dict(q=6, a=6, L=16, M=300)),
-    ("ldpc_M220", "ldpc", dict(dl=4, dr=8, L=16, M=220)),
-    ("ldpc_M660", "ldpc", dict(dl=4, dr=8, L=16, M=660)),
+    ("ra_M100", dict(family="ra", q=6, a=6, L=16, M=100)),
+    ("ra_M300", dict(family="ra", q=6, a=6, L=16, M=300)),
+    ("ldpc_M220", dict(family="ldpc", dl=4, dr=8, L=16, M=220)),
+    ("ldpc_M660", dict(family="ldpc", dl=4, dr=8, L=16, M=660)),
 )
 
 
@@ -203,12 +199,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         os.makedirs(cfg["out"], exist_ok=True)
         eps = _parse_eps(cfg["eps"]) if cfg["eps"] else eps_range(0.43, 0.50, 0.005)
         trials = cfg["trials"]
-        for name, family, kw in _FIG5_CODES:
-            code = (
-                build_sc_ra(ScRaParams(**kw), cfg["seed"])
-                if family == "ra"
-                else build_sc_ldpc(ScLdpcParams(**kw), cfg["seed"])
-            )
+        for name, code_cfg in _FIG5_CODES:
+            code = _build_from_cfg({**code_cfg, "seed": cfg["seed"]})
             plan = SweepPlan(eps, trials, word_errors, cfg["max_iters"], cfg["seed"])
             result = run_sweep(code, plan, jobs=cfg["jobs"])
             result.to_csv(os.path.join(cfg["out"], name + ".csv"))
@@ -265,12 +257,11 @@ def _cmd_de_threshold(ns: argparse.Namespace) -> int:
         f"probes={res.steps} iters={sum(p[2] for p in res.probes)}"
     )
     if cfg["out"] is not None:
-        with open(cfg["out"], "w") as fh:
-            fh.write("ensemble,threshold_lo,threshold_hi,probes,iters\n")
-            fh.write(
-                f"{cfg['ensemble']},{res.lo:.10g},{res.hi:.10g},{res.steps},"
-                f"{sum(p[2] for p in res.probes)}\n"
-            )
+        _write_text(
+            cfg["out"],
+            "ensemble,threshold_lo,threshold_hi,probes,iters\n"
+            f"{cfg['ensemble']},{res.lo:.10g},{res.hi:.10g},{res.steps},{sum(p[2] for p in res.probes)}\n",
+        )
         _write_config("de-threshold", cfg, cfg["out"])
     return 0
 

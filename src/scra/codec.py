@@ -115,8 +115,7 @@ def transmit_bec(codeword, eps: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def _residuals(c, unknown: np.ndarray) -> tuple[int, int]:
-    is_msg = c.var_kind == 0
-    return int(np.count_nonzero(unknown & is_msg)), int(np.count_nonzero(unknown))
+    return int(np.count_nonzero(unknown[: c.n_msg])), int(np.count_nonzero(unknown))
 
 
 def decode_peel(c, word, max_iters: int = 1000, record_positions: bool = False) -> DecodeOutcome:
@@ -149,9 +148,9 @@ def decode_peel(c, word, max_iters: int = 1000, record_positions: bool = False) 
 
     trace: list[np.ndarray] = []
     if record_positions:
-        is_msg = c.var_kind == 0
-        n_pos = int(c.var_pos[is_msg].max()) + 1
-        pos_totals = np.bincount(c.var_pos[is_msg], minlength=n_pos)
+        n_msg = c.n_msg
+        msg_pos = c.var_pos[:n_msg]
+        pos_totals = np.bincount(msg_pos)
 
     if n_unknown == 0:
         return DecodeOutcome(FULLY_RECOVERED, work, 0, 0, 0,
@@ -186,7 +185,7 @@ def decode_peel(c, word, max_iters: int = 1000, record_positions: bool = False) 
         n_unknown -= bits.size
         iters += 1
         if record_positions:
-            trace.append(np.bincount(c.var_pos[(work == ERASED) & is_msg], minlength=n_pos) / pos_totals)
+            trace.append(np.bincount(msg_pos[work[:n_msg] == ERASED], minlength=pos_totals.size) / pos_totals)
 
         touched = var_chk[bits].ravel()
         np.subtract.at(cnt, touched, 1)

@@ -10,17 +10,17 @@ a balanced, seeded socket assignment, so interior checks absorb exactly
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from scra.ensembles import ParameterError, ScLdpcParams, ScRaParams
+from scra.ensembles import ParameterError, ScLdpcParams, ScRaParams, code_size
 
 KIND_MESSAGE = 0
 KIND_PARITY = 1
 
 DESCRIPTOR_FORMAT = "sc-code-descriptor"
-DESCRIPTOR_VERSION = 2
+DESCRIPTOR_VERSION = 3
 
 
 class ConstructionError(RuntimeError):
@@ -44,24 +44,63 @@ class CodeInstance:
     within a position), then parity bits in chain order.  Checks are
     numbered position-major; for the RA family this numbering is the
     accumulator chain order.  Adjacency is stored per check with neighbor
-    lists strictly ascending.
+    lists strictly ascending.  Only the graph is stored: the family, k,
+    the message count and every position follow from the parameters.
     """
 
-    family: str
     params: ScRaParams | ScLdpcParams | None
     seed: int | None
     n: int
-    k: int
-    var_kind: np.ndarray
-    var_pos: np.ndarray
-    check_pos: np.ndarray
     check_indptr: np.ndarray
     check_vars: np.ndarray
     _tables: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
+    def family(self) -> str:
+        return "alist" if self.params is None else self.params.family
+
+    @property
     def m(self) -> int:
-        return len(self.check_pos)
+        return len(self.check_indptr) - 1
+
+    @property
+    def k(self) -> int:
+        return self.n - self.m
+
+    @property
+    def n_msg(self) -> int:
+        """Number of message variables, which are numbered first."""
+        return self.k if self.family == "ra" else self.n
+
+    @property
+    def check_pos(self) -> np.ndarray:
+        """Chain position of every check, cached; all zero without params."""
+        if "check_pos" not in self._tables:
+            p = self.params
+            self._tables["check_pos"] = (
+                np.zeros(self.m, dtype=np.int32)
+                if p is None
+                else np.repeat(np.arange(p.n_chk_pos, dtype=np.int32), p.checks_per_pos)
+            )
+        return self._tables["check_pos"]
+
+    @property
+    def var_pos(self) -> np.ndarray:
+        """Chain position of every variable, cached; all zero without params.
+
+        A parity bit sits at the position of its check.
+        """
+        if "var_pos" not in self._tables:
+            p = self.params
+            self._tables["var_pos"] = (
+                np.zeros(self.n, dtype=np.int32)
+                if p is None
+                else np.concatenate([
+                    np.repeat(np.arange(p.span, dtype=np.int32), p.M),
+                    self.check_pos[: self.n - self.n_msg],
+                ])
+            )
+        return self._tables["var_pos"]
 
     def check_neighbors(self, t: int) -> np.ndarray:
         return self.check_vars[self.check_indptr[t] : self.check_indptr[t + 1]]
@@ -111,29 +150,11 @@ class CodeInstance:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CodeInstance):
             return NotImplemented
-        if (self.family, self.params, self.seed, self.n, self.k) != (
-            other.family,
-            other.params,
-            other.seed,
-            other.n,
-            other.k,
-        ):
-            return False
-        for mine, theirs in (
-            (self.var_kind, other.var_kind),
-            (self.var_pos, other.var_pos),
-            (self.check_pos, other.check_pos),
-            (self.check_indptr, other.check_indptr),
-            (self.check_vars, other.check_vars),
-        ):
-            if not np.array_equal(mine, theirs):
-                return False
-        return True
-
-
-def _window_sources(j: int, width: int, last_pos: int) -> range:
-    """Variable positions feeding check position j under a width-`width` window."""
-    return range(max(0, j - width + 1), min(last_pos, j) + 1)
+        return (
+            (self.params, self.seed, self.n) == (other.params, other.seed, other.n)
+            and np.array_equal(self.check_indptr, other.check_indptr)
+            and np.array_equal(self.check_vars, other.check_vars)
+        )
 
 
 def _assemble(edge_chk: np.ndarray, edge_var: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,14 +164,7 @@ def _assemble(edge_chk: np.ndarray, edge_var: np.ndarray, m: int) -> tuple[np.nd
     return indptr, edge_var[order].astype(np.int32)
 
 
-def _windowed_edges(
-    rng: np.random.Generator,
-    width: int,
-    n_var_pos: int,
-    n_chk_pos: int,
-    bits_per_pos: int,
-    checks_per_pos: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def _windowed_edges(rng: np.random.Generator, p: ScRaParams | ScLdpcParams) -> tuple[np.ndarray, np.ndarray]:
     """Seeded balanced socket assignment for all window edges.
 
     Per check position: a random check relabeling, then one random
@@ -161,15 +175,34 @@ def _windowed_edges(
     """
     chk_parts = []
     var_parts = []
-    bit_ids = np.arange(bits_per_pos, dtype=np.int64)
-    for j in range(n_chk_pos):
-        relabel = rng.permutation(checks_per_pos)
-        for t, i in enumerate(_window_sources(j, width, n_var_pos - 1)):
-            pi = rng.permutation(bits_per_pos)
-            local = relabel[(t * bits_per_pos + pi) % checks_per_pos]
-            chk_parts.append(j * checks_per_pos + local)
-            var_parts.append(i * bits_per_pos + bit_ids)
+    cpp = p.checks_per_pos
+    bit_ids = np.arange(p.M, dtype=np.int64)
+    for j in range(p.n_chk_pos):
+        relabel = rng.permutation(cpp)
+        for t, i in enumerate(range(max(0, j - p.width + 1), min(p.span - 1, j) + 1)):
+            pi = rng.permutation(p.M)
+            local = relabel[(t * p.M + pi) % cpp]
+            chk_parts.append(j * cpp + local)
+            var_parts.append(i * p.M + bit_ids)
     return np.concatenate(chk_parts), np.concatenate(var_parts)
+
+
+def _build(p: ScRaParams | ScLdpcParams, seed: int, family: str) -> CodeInstance:
+    if getattr(p, "family", None) != family:
+        raise ParameterError(f"build_sc_{family} needs {family} parameters, got {p!r}")
+    k, n = code_size(p)
+    m = n - k
+    edge_chk, edge_var = _windowed_edges(np.random.default_rng(seed), p)
+    if p.family == "ra":
+        chain = np.arange(m, dtype=np.int64)
+        # check t sees its own parity bit and the previous one; the edge that
+        # would close the chain at the top-right corner is omitted.
+        edge_chk = np.concatenate([edge_chk, chain, chain[1:]])
+        edge_var = np.concatenate([edge_var, k + chain, k + chain[:-1]])
+    indptr, check_vars = _assemble(edge_chk, edge_var, m)
+    inst = CodeInstance(params=p, seed=seed, n=n, check_indptr=indptr, check_vars=check_vars)
+    validate_instance(inst)
+    return inst
 
 
 def build_sc_ra(p: ScRaParams, seed: int) -> CodeInstance:
@@ -189,56 +222,7 @@ def build_sc_ra(p: ScRaParams, seed: int) -> CodeInstance:
         parity columns lower bidiagonal in chain order with the final
         chain-closing edge omitted so encoding stays a forward pass.
     """
-    rng = np.random.default_rng(seed)
-    span = 2 * p.L + 1
-    cpp = p.q * p.M // p.a
-    n_chk_pos = 2 * p.L + p.q
-    n_msg = span * p.M
-    m = n_chk_pos * cpp
-    n = n_msg + m
-
-    edge_chk, edge_var = _windowed_edges(rng, p.q, span, n_chk_pos, p.M, cpp)
-
-    chain = np.arange(m, dtype=np.int64)
-    # check t sees its own parity bit and the previous one; the edge that
-    # would close the chain at the top-right corner is omitted.
-    par_chk = np.concatenate([chain, chain[1:]])
-    par_var = np.concatenate([n_msg + chain, n_msg + chain[:-1]])
-
-    indptr, vars_sorted = _assemble(
-        np.concatenate([edge_chk, par_chk]),
-        np.concatenate([edge_var, par_var]),
-        m,
-    )
-
-    var_kind = np.concatenate(
-        [
-            np.full(n_msg, KIND_MESSAGE, dtype=np.uint8),
-            np.full(m, KIND_PARITY, dtype=np.uint8),
-        ]
-    )
-    var_pos = np.concatenate(
-        [
-            np.repeat(np.arange(span, dtype=np.int32), p.M),
-            np.repeat(np.arange(n_chk_pos, dtype=np.int32), cpp),
-        ]
-    )
-    check_pos = np.repeat(np.arange(n_chk_pos, dtype=np.int32), cpp)
-
-    inst = CodeInstance(
-        family="ra",
-        params=p,
-        seed=seed,
-        n=n,
-        k=n_msg,
-        var_kind=var_kind,
-        var_pos=var_pos,
-        check_pos=check_pos,
-        check_indptr=indptr,
-        check_vars=vars_sorted,
-    )
-    validate_instance(inst)
-    return inst
+    return _build(p, seed, "ra")
 
 
 def build_sc_ldpc(p: ScLdpcParams, seed: int) -> CodeInstance:
@@ -248,38 +232,16 @@ def build_sc_ldpc(p: ScLdpcParams, seed: int) -> CodeInstance:
     dl, no accumulator.  All variables are codeword bits; k is the nominal
     dimension n - m.
     """
-    rng = np.random.default_rng(seed)
-    span = 2 * p.L + 1
-    cpp = p.dl * p.M // p.dr
-    n_chk_pos = 2 * p.L + p.dl
-    n = span * p.M
-    m = n_chk_pos * cpp
-
-    edge_chk, edge_var = _windowed_edges(rng, p.dl, span, n_chk_pos, p.M, cpp)
-    indptr, vars_sorted = _assemble(edge_chk, edge_var, m)
-
-    inst = CodeInstance(
-        family="ldpc",
-        params=p,
-        seed=seed,
-        n=n,
-        k=n - m,
-        var_kind=np.full(n, KIND_MESSAGE, dtype=np.uint8),
-        var_pos=np.repeat(np.arange(span, dtype=np.int32), p.M),
-        check_pos=np.repeat(np.arange(n_chk_pos, dtype=np.int32), cpp),
-        check_indptr=indptr,
-        check_vars=vars_sorted,
-    )
-    validate_instance(inst)
-    return inst
+    return _build(p, seed, "ldpc")
 
 
 def validate_instance(c: CodeInstance) -> None:
     """Check the structural invariants of a built instance.
 
-    Simple graph, correct per-kind variable degrees, window containment,
-    balanced check fill (interior checks absorb exactly the combiner
-    degree), and the bidiagonal parity chain for the RA family.
+    No empty check or variable, simple graph, sizes and message degrees
+    as the parameters fix them, window containment, balanced check fill
+    (interior checks absorb exactly the combiner degree), and the
+    bidiagonal parity chain for the RA family.
     """
     def fail(msg: str) -> None:
         raise ConstructionError(msg)
@@ -291,6 +253,9 @@ def validate_instance(c: CodeInstance) -> None:
     # boundary checks may carry few message edges, but never none at all
     if np.any(ends - starts < 1):
         fail("check of degree 0")
+    # tested before any n-sized allocation: n may come from an untrusted file
+    if c.n > len(c.check_vars):
+        fail("variable of degree 0")
     # strictly ascending neighbor lists <=> no parallel edges
     interior_steps = np.diff(c.check_vars)
     boundary = ends[:-1]  # last index of each check's slice except final
@@ -300,40 +265,41 @@ def validate_instance(c: CodeInstance) -> None:
         fail("parallel or unsorted edges in check adjacency")
 
     var_deg = np.bincount(c.check_vars, minlength=c.n)
-    is_msg = c.var_kind == KIND_MESSAGE
-    edge_var_kind = c.var_kind[c.check_vars]
+    if np.any(var_deg == 0):
+        fail("variable of degree 0")
+    n_msg = c.n_msg
+    msg_edge = c.check_vars < n_msg
     edge_chk = np.repeat(np.arange(c.m, dtype=np.int64), ends - starts)
 
     if c.params is not None:
-        width = c.params.q if isinstance(c.params, ScRaParams) else c.params.dl
-        combine = c.params.a if isinstance(c.params, ScRaParams) else c.params.dr
-        if np.any(var_deg[is_msg] != width):
-            fail(f"message variable degree != {width}")
+        p = c.params
+        k, n = code_size(p)
+        if (c.n, c.m) != (n, n - k):
+            fail(f"n={c.n}, m={c.m} disagree with the parameters (n={n}, m={n - k})")
+        if np.any(var_deg[:n_msg] != p.width):
+            fail(f"message variable degree != {p.width}")
         # every message edge lies inside the one-sided window of its source
-        sel = edge_var_kind == KIND_MESSAGE
-        offs = c.check_pos[edge_chk[sel]] - c.var_pos[c.check_vars[sel]]
-        if np.any(offs < 0) or np.any(offs >= width):
+        offs = c.check_pos[edge_chk[msg_edge]] - c.var_pos[c.check_vars[msg_edge]]
+        if np.any(offs < 0) or np.any(offs >= p.width):
             fail("message edge outside its coupling window")
-        msg_deg = np.bincount(edge_chk[sel], minlength=c.m)
-        if np.any(msg_deg > combine):
-            fail(f"check absorbs more than {combine} message edges")
-        last_pos = int(c.var_pos[is_msg].max()) if is_msg.any() else -1
+        msg_deg = np.bincount(edge_chk[msg_edge], minlength=c.m)
+        if np.any(msg_deg > p.combine):
+            fail(f"check absorbs more than {p.combine} message edges")
         # checks whose window of source positions is not cut by a chain end
-        full = np.minimum(last_pos, c.check_pos) - np.maximum(0, c.check_pos - width + 1) + 1 == width
-        if np.any(msg_deg[full] != combine):
+        full = (p.sources_per_check_pos() == p.width)[c.check_pos]
+        if np.any(msg_deg[full] != p.combine):
             fail("interior check does not absorb exactly the combiner degree")
 
     if c.family == "ra":
-        n_msg = int(np.count_nonzero(is_msg))
         par_deg = var_deg[n_msg:]
-        if len(par_deg) != c.m or np.any(par_deg[:-1] != 2) or par_deg[-1] != 1:
+        if np.any(par_deg[:-1] != 2) or par_deg[-1] != 1:
             fail("parity degrees must be 2 with a final degree-1 bit")
         for t in (0, c.m - 1):  # spot ends; the bulk is covered by the degree check
             nbrs = set(int(v) for v in c.check_neighbors(t) if v >= n_msg)
             want = {n_msg + t} | ({n_msg + t - 1} if t > 0 else set())
             if nbrs != want:
                 fail(f"parity chain broken at check {t}")
-        sel = edge_var_kind == KIND_PARITY
+        sel = ~msg_edge
         band = edge_chk[sel] - (c.check_vars[sel] - n_msg)
         if np.any(band < 0) or np.any(band > 1):
             fail("parity edge outside the bidiagonal band")
@@ -353,9 +319,10 @@ class DegreeProfile:
 def degree_profile(c: CodeInstance) -> DegreeProfile:
     var_deg = np.bincount(c.check_vars, minlength=c.n)
     var_hist: dict[int, dict[int, int]] = {}
-    for kind in np.unique(c.var_kind):
-        degs, counts = np.unique(var_deg[c.var_kind == kind], return_counts=True)
-        var_hist[int(kind)] = {int(d): int(cnt) for d, cnt in zip(degs, counts)}
+    for kind, kind_deg in ((KIND_MESSAGE, var_deg[: c.n_msg]), (KIND_PARITY, var_deg[c.n_msg :])):
+        if kind_deg.size:
+            degs, counts = np.unique(kind_deg, return_counts=True)
+            var_hist[kind] = {int(d): int(cnt) for d, cnt in zip(degs, counts)}
     edges = int(len(c.check_vars))
     return DegreeProfile(
         variable_hist=var_hist,
@@ -410,10 +377,11 @@ def export_alist(c: CodeInstance, dest) -> None:
 def import_alist(src) -> CodeInstance:
     """Read an alist file into an adjacency-only instance.
 
-    Zero padding inside neighbor lists is accepted and dropped.  Kind and
-    position labels are unknown for imported matrices: all variables are
-    labeled message bits at position 0 and k is the nominal n - m.  The
-    graph passes validate_instance, so it saves to a loadable descriptor.
+    Zero padding inside neighbor lists is accepted and dropped.  An
+    imported matrix has no parameters: all variables count as message bits
+    at position 0 and k is the nominal n - m.  The graph passes
+    validate_instance (no empty row or column), so it saves to a loadable
+    descriptor.
     """
     lines = _read_text(src).splitlines()
 
@@ -468,18 +436,7 @@ def import_alist(src) -> CodeInstance:
     if rebuilt != cols:
         raise AlistError("line 1: column lists inconsistent with row lists")
 
-    inst = CodeInstance(
-        family="alist",
-        params=None,
-        seed=None,
-        n=n,
-        k=n - m,
-        var_kind=np.full(n, KIND_MESSAGE, dtype=np.uint8),
-        var_pos=np.zeros(n, dtype=np.int32),
-        check_pos=np.zeros(m, dtype=np.int32),
-        check_indptr=indptr,
-        check_vars=check_vars,
-    )
+    inst = CodeInstance(params=None, seed=None, n=n, check_indptr=indptr, check_vars=check_vars)
     try:
         validate_instance(inst)
     except ConstructionError as exc:
@@ -489,12 +446,13 @@ def import_alist(src) -> CodeInstance:
 
 # -- descriptor persistence --------------------------------------------------
 
+def _is_int(x) -> bool:
+    """A JSON integer; JSON true and false load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _params_to_json(p: ScRaParams | ScLdpcParams | None):
-    if p is None:
-        return None
-    if isinstance(p, ScRaParams):
-        return {"family": "ra", "q": p.q, "a": p.a, "L": p.L, "M": p.M, "w": p.w}
-    return {"family": "ldpc", "dl": p.dl, "dr": p.dr, "L": p.L, "M": p.M, "w": p.w}
+    return None if p is None else {"family": p.family, **asdict(p)}
 
 
 def _params_from_json(obj) -> ScRaParams | ScLdpcParams | None:
@@ -502,6 +460,8 @@ def _params_from_json(obj) -> ScRaParams | ScLdpcParams | None:
         return None
     if not isinstance(obj, dict) or "family" not in obj:
         raise DescriptorError("field 'params': expected an object with a 'family' entry")
+    if any(isinstance(v, bool) for v in obj.values()):
+        raise DescriptorError("field 'params': entries must be integers, not booleans")
     try:
         if obj["family"] == "ra":
             return ScRaParams(q=obj["q"], a=obj["a"], L=obj["L"], M=obj["M"], w=obj.get("w"))
@@ -514,18 +474,16 @@ def _params_from_json(obj) -> ScRaParams | ScLdpcParams | None:
     raise DescriptorError(f"field 'params': unknown family {obj['family']!r}")
 
 
+_DESCRIPTOR_KEYS = {"format", "version", "params", "seed", "n", "checks"}
+
+
 def descriptor_dict(c: CodeInstance) -> dict:
     return {
         "format": DESCRIPTOR_FORMAT,
         "version": DESCRIPTOR_VERSION,
-        "family": c.family,
         "params": _params_to_json(c.params),
         "seed": c.seed,
         "n": c.n,
-        "k": c.k,
-        "var_kind": c.var_kind.tolist(),
-        "var_pos": c.var_pos.tolist(),
-        "check_pos": c.check_pos.tolist(),
         "checks": [chunk.tolist() for chunk in np.split(c.check_vars, c.check_indptr[1:-1])],
     }
 
@@ -550,49 +508,34 @@ def load_descriptor(src) -> CodeInstance:
         raise DescriptorError(f"field 'format': expected {DESCRIPTOR_FORMAT!r}, got {obj.get('format')!r}")
     if obj.get("version") != DESCRIPTOR_VERSION:
         raise DescriptorError(f"field 'version': unsupported version {obj.get('version')!r}")
+    bad_keys = sorted(set(obj) ^ _DESCRIPTOR_KEYS)
+    if bad_keys:
+        name = bad_keys[0]
+        raise DescriptorError(f"field {name!r}: " + ("missing" if name in _DESCRIPTOR_KEYS else "unknown key"))
 
-    def need(name: str, kinds) -> object:
-        if name not in obj:
-            raise DescriptorError(f"field {name!r}: missing")
-        val = obj[name]
-        if not isinstance(val, kinds):
-            raise DescriptorError(f"field {name!r}: wrong type {type(val).__name__}")
-        return val
-
-    family = need("family", str)
-    n = need("n", int)
-    k = need("k", int)
-    seed = obj.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise DescriptorError("field 'seed': wrong type")
-    params = _params_from_json(obj.get("params"))
-
-    def int_array(name: str, length: int, dtype) -> np.ndarray:
-        val = need(name, list)
-        if len(val) != length or not all(isinstance(x, int) for x in val):
-            raise DescriptorError(f"field {name!r}: expected {length} integers")
-        return np.array(val, dtype=dtype)
-
-    checks = need("checks", list)
+    n, seed, checks = obj["n"], obj["seed"], obj["checks"]
+    if not _is_int(n):
+        raise DescriptorError("field 'n': expected an integer")
+    if seed is not None and not _is_int(seed):
+        raise DescriptorError("field 'seed': expected an integer or null")
+    params = _params_from_json(obj["params"])
+    if params is not None and n != code_size(params)[1]:
+        raise DescriptorError(f"field 'n': {n} disagrees with the parameters (n={code_size(params)[1]})")
+    if not isinstance(checks, list):
+        raise DescriptorError("field 'checks': expected a list of rows")
     for t, row in enumerate(checks):
-        if not isinstance(row, list) or not all(isinstance(v, int) and 0 <= v < n for v in row):
+        if not isinstance(row, list) or not all(_is_int(v) and 0 <= v < n for v in row):
             raise DescriptorError(f"field 'checks': row {t} is not a list of variable ids")
-    m = len(checks)
-    var_kind = int_array("var_kind", n, np.uint8)
-    var_pos = int_array("var_pos", n, np.int32)
-    check_pos = int_array("check_pos", m, np.int32)
-
-    indptr = np.zeros(m + 1, dtype=np.int64)
+    indptr = np.zeros(len(checks) + 1, dtype=np.int64)
     np.cumsum([len(row) for row in checks], out=indptr[1:])
+    # every variable has an edge, so n is bounded by what the file holds;
+    # a document without checks fails validation below, on field 'checks'
+    if checks and n > int(indptr[-1]):
+        raise DescriptorError(f"field 'n': {n} variables but only {int(indptr[-1])} edges")
     inst = CodeInstance(
-        family=family,
         params=params,
         seed=seed,
         n=n,
-        k=k,
-        var_kind=var_kind,
-        var_pos=var_pos,
-        check_pos=check_pos,
         check_indptr=indptr,
         check_vars=np.array([v for row in checks for v in row], dtype=np.int32),
     )

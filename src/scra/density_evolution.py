@@ -137,20 +137,12 @@ class _WModel(_Driver):
         self.parity_fields = ("y",) if self.is_ra else ()
 
     def initial_state(self, eps: float) -> DeState:
-        span = 2 * self.p.L + 1
         active = 2 * self.p.L + self.p.w
         y = np.full(active, eps) if self.is_ra else None
-        return DeState(np.full(span, eps), y, eps, 0)
+        return DeState(np.full(self.p.span, eps), y, eps, 0)
 
     def step(self, s: DeState) -> DeState:
         return de_step_ra_w(s, self.p) if self.is_ra else de_step_ldpc_w(s, self.p)
-
-
-def _mean_message_degree(width: int, combine: int, n_var_pos: int, n_chk_pos: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bundle count, mean message degree) per check position."""
-    j = np.arange(n_chk_pos)
-    n_sources = np.minimum(n_var_pos - 1, j) - np.maximum(0, j - width + 1) + 1
-    return n_sources.astype(np.float64), combine * n_sources / width
 
 
 class _ProtoModel(_Driver):
@@ -160,13 +152,12 @@ class _ProtoModel(_Driver):
         self.p = p
         self.is_ra = isinstance(p, ScRaParams)
         self.parity_fields = ("y_left", "y_right") if self.is_ra else ()
-        self.width = p.q if self.is_ra else p.dl
-        combine = p.a if self.is_ra else p.dr
-        self.span = 2 * p.L + 1
-        self.n_chk = 2 * p.L + self.width
-        self.n_sources, self.mean_deg = _mean_message_degree(
-            self.width, combine, self.span, self.n_chk
-        )
+        self.width = p.width
+        self.span = p.span
+        self.n_chk = p.n_chk_pos
+        # bundles into each check position, and its mean message degree
+        self.n_sources = p.sources_per_check_pos().astype(np.float64)
+        self.mean_deg = p.combine * self.n_sources / p.width
 
     def initial_state(self, eps: float) -> ProtoDeState:
         y = np.full(self.n_chk, eps) if self.is_ra else None

@@ -10,6 +10,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -21,8 +24,37 @@ def _require(cond: bool, msg: str) -> None:
         raise ParameterError(msg)
 
 
+class _Chain:
+    """Chain geometry shared by both families.
+
+    Variable positions run over span = 2L+1 slots and every variable at
+    position i places one edge in each check position i..i+width-1, so
+    there are 2L+width check positions of checks_per_pos checks each.
+    """
+
+    L: int
+    M: int
+
+    @property
+    def span(self) -> int:
+        return 2 * self.L + 1
+
+    @property
+    def n_chk_pos(self) -> int:
+        return 2 * self.L + self.width
+
+    @property
+    def checks_per_pos(self) -> int:
+        return self.width * self.M // self.combine
+
+    def sources_per_check_pos(self) -> np.ndarray:
+        """Number of variable positions whose window reaches each check position."""
+        j = np.arange(self.n_chk_pos)
+        return np.minimum(self.span - 1, j) - np.maximum(0, j - self.width + 1) + 1
+
+
 @dataclass(frozen=True)
-class ScRaParams:
+class ScRaParams(_Chain):
     """Coupled repeat-accumulate ensemble parameters.
 
     q: repetition factor (each message bit is copied q times), q >= 2.
@@ -34,11 +66,21 @@ class ScRaParams:
        structured (protograph) ensemble.
     """
 
+    family: ClassVar[str] = "ra"
+
     q: int
     a: int
     L: int
     M: int = 1
     w: int | None = None
+
+    @property
+    def width(self) -> int:
+        return self.q
+
+    @property
+    def combine(self) -> int:
+        return self.a
 
     def __post_init__(self) -> None:
         _require(isinstance(self.q, int) and self.q >= 2, f"q must be an integer >= 2, got {self.q!r}")
@@ -54,7 +96,7 @@ class ScRaParams:
 
 
 @dataclass(frozen=True)
-class ScLdpcParams:
+class ScLdpcParams(_Chain):
     """Coupled regular LDPC baseline parameters.
 
     dl: variable degree, dl >= 2.   dr: check degree, dr >= dl.
@@ -62,11 +104,21 @@ class ScLdpcParams:
     divide dl*M.  w: smoothing window or None for the structured ensemble.
     """
 
+    family: ClassVar[str] = "ldpc"
+
     dl: int
     dr: int
     L: int
     M: int = 1
     w: int | None = None
+
+    @property
+    def width(self) -> int:
+        return self.dl
+
+    @property
+    def combine(self) -> int:
+        return self.dr
 
     def __post_init__(self) -> None:
         _require(isinstance(self.dl, int) and self.dl >= 2, f"dl must be an integer >= 2, got {self.dl!r}")
@@ -90,8 +142,7 @@ def rate_sc_ra(p: ScRaParams) -> Fraction:
     """
     if p.w is not None:
         raise ParameterError("rate_sc_ra applies to the structured ensemble; w must be None")
-    span = 2 * p.L + 1
-    return Fraction(span * p.a, span * p.a + (2 * p.L + p.q) * p.q)
+    return Fraction(p.span * p.a, p.span * p.a + p.n_chk_pos * p.q)
 
 
 def rate_sc_ra_w(p: ScRaParams) -> float:
@@ -102,10 +153,9 @@ def rate_sc_ra_w(p: ScRaParams) -> float:
     """
     if p.w is None:
         raise ParameterError("rate_sc_ra_w needs the smoothing window w")
-    span = 2 * p.L + 1
     boundary = sum((i / p.w) ** p.a for i in range(p.w + 1))
     overhead = 2 * p.L - p.w + 2 * (p.w + 1 - boundary)
-    return span / (span + (p.q / p.a) * overhead)
+    return p.span / (p.span + (p.q / p.a) * overhead)
 
 
 def rate_sc_ldpc(p: ScLdpcParams) -> Fraction:
@@ -115,8 +165,7 @@ def rate_sc_ldpc(p: ScLdpcParams) -> Fraction:
     created by termination.  dl == dr makes this nonpositive; such a
     parameter set is flagged as degenerate but still computed.
     """
-    span = 2 * p.L + 1
-    r = 1 - Fraction(p.dl, p.dr) * Fraction(2 * p.L + p.dl, span)
+    r = 1 - Fraction(p.dl, p.dr) * Fraction(p.n_chk_pos, p.span)
     if r <= 0:
         warnings.warn(f"degenerate coupled LDPC ensemble: design rate {r} is not positive")
     return r
@@ -125,15 +174,12 @@ def rate_sc_ldpc(p: ScLdpcParams) -> Fraction:
 def code_size(p: ScRaParams | ScLdpcParams) -> tuple[int, int]:
     """(k, n) of an instance with these parameters.
 
-    For the RA family k counts the systematic message bits and there is
-    one parity bit per check.  For the LDPC baseline k = n - checks, the
-    nominal dimension at full check rank.
+    k = n - checks in both families.  For the RA family that counts the
+    systematic message bits, since there is one parity bit per check; for
+    the LDPC baseline it is the nominal dimension at full check rank.
     """
-    if isinstance(p, ScRaParams):
-        k = (2 * p.L + 1) * p.M
-        return k, k + (2 * p.L + p.q) * (p.q * p.M // p.a)
-    n = (2 * p.L + 1) * p.M
-    m = (2 * p.L + p.dl) * (p.dl * p.M // p.dr)
+    m = p.n_chk_pos * p.checks_per_pos
+    n = p.span * p.M + (m if p.family == "ra" else 0)
     return n - m, n
 
 

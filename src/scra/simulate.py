@@ -136,11 +136,15 @@ class SimResult:
 def code_build_id(c: CodeInstance) -> str:
     """Content hash of the code's identity and graph, used as the build identifier.
 
-    Hashes (family, params, seed, n, k) and the five graph arrays as int64,
-    so a saved and reloaded code keeps its id whatever the arrays' dtypes.
+    Hashes (family, params, seed, n, k) and five arrays as int64, so a saved
+    and reloaded code keeps its id whatever the arrays' dtypes.  The first
+    three arrays (variable kinds, variable and check positions) follow from
+    the parameters, yet they are still hashed, so that every build id, and
+    with it every simulate CSV, stays what it was when codes stored them.
     """
     h = hashlib.sha256(repr((c.family, c.params, c.seed, c.n, c.k)).encode())
-    for arr in (c.var_kind, c.var_pos, c.check_pos, c.check_indptr, c.check_vars):
+    var_kind = np.arange(c.n) >= c.n_msg  # 0 for message bits, 1 for parity bits
+    for arr in (var_kind, c.var_pos, c.check_pos, c.check_indptr, c.check_vars):
         h.update(np.asarray(arr, dtype=np.int64).tobytes())
     return h.hexdigest()[:12]
 
@@ -231,13 +235,12 @@ def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
         if executor is not None:
             executor.shutdown()
 
-    is_msg = code.var_kind == 0
     meta = {
         "build": code_build_id(code),
         "family": code.family,
         "n": code.n,
         "k": code.k,
-        "message_bits": int(np.count_nonzero(is_msg)),
+        "message_bits": code.n_msg,
         "construction_seed": code.seed,
         "plan_seed": plan.seed,
         "max_trials": plan.max_trials,
@@ -255,7 +258,7 @@ def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
         iteration_sum=tallies[:, 3],
         n=code.n,
         k=code.k,
-        message_bit_count=int(np.count_nonzero(is_msg)),
+        message_bit_count=code.n_msg,
         metadata=meta,
     )
 

@@ -160,7 +160,8 @@ def test_encode_rejects_broken_descriptor(tmp_path, capsys):
     construct_toy(tmp_path)
     path = tmp_path / "code.json"
     doc = json.loads(path.read_text())
-    doc["checks"][5].remove(doc["k"] + 4)  # drop one accumulator edge
+    c = load_descriptor(str(path))
+    doc["checks"][5].remove(c.k + 4)  # drop one accumulator edge
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     rc = main(["encode", "--code", str(path), "--message", "0x00", "--out", str(tmp_path / "w.txt")])

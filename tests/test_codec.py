@@ -158,14 +158,9 @@ def toy_instance(rows, n):
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=indptr[1:])
     return CodeInstance(
-        family="alist",
         params=None,
         seed=None,
         n=n,
-        k=n,
-        var_kind=np.zeros(n, dtype=np.uint8),
-        var_pos=np.zeros(n, dtype=np.int32),
-        check_pos=np.zeros(len(rows), dtype=np.int32),
         check_indptr=indptr,
         check_vars=np.array([v for r in rows for v in r], dtype=np.int32),
     )
@@ -244,14 +239,9 @@ def test_ml_oracle_stalls_on_erased_codeword_support():
 
 def test_ml_oracle_rejects_oversized_instance():
     dummy = CodeInstance(
-        family="alist",
         params=None,
         seed=None,
         n=10_001,
-        k=0,
-        var_kind=np.zeros(1, dtype=np.uint8),
-        var_pos=np.zeros(1, dtype=np.int32),
-        check_pos=np.zeros(1, dtype=np.int32),
         check_indptr=np.zeros(2, dtype=np.int64),
         check_vars=np.zeros(0, dtype=np.int32),
     )
@@ -369,19 +359,10 @@ def permuted_instance(c, perm):
     rows = [sorted(perm[c.check_neighbors(t)].tolist()) for t in range(c.m)]
     indptr = np.zeros(c.m + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=indptr[1:])
-    kind = np.empty_like(c.var_kind)
-    kind[perm] = c.var_kind
-    pos = np.empty_like(c.var_pos)
-    pos[perm] = c.var_pos
     return CodeInstance(
-        family="alist",
         params=None,
         seed=None,
         n=c.n,
-        k=c.k,
-        var_kind=kind,
-        var_pos=pos,
-        check_pos=c.check_pos,
         check_indptr=indptr,
         check_vars=np.array([v for r in rows for v in r], dtype=np.int32),
     )
@@ -427,7 +408,7 @@ def test_position_trace_rows_match_residuals():
     assert res.position_trace is not None
     assert res.position_trace.shape[1] == 2 * c.params.L + 1
     assert res.position_trace.shape[0] == res.iterations
-    is_msg = c.var_kind == 0
+    is_msg = np.arange(c.n) < c.n_msg
     totals = np.bincount(c.var_pos[is_msg])
     last = np.bincount(
         c.var_pos[is_msg & (res.word == ERASED)], minlength=len(totals)

@@ -20,7 +20,7 @@ from scra.construct import (
     save_descriptor,
     validate_instance,
 )
-from scra.ensembles import ScLdpcParams, ScRaParams, code_size
+from scra.ensembles import ParameterError, ScLdpcParams, ScRaParams, code_size
 
 
 def small_ra(seed=0):
@@ -73,6 +73,14 @@ def test_build_is_pure_function_of_params_and_seed():
     assert build_sc_ldpc(lp, 7) != build_sc_ldpc(lp, 8)
 
 
+def test_builder_rejects_other_family():
+    """The family is read off the parameters, so a mismatch must not build."""
+    with pytest.raises(ParameterError):
+        build_sc_ra(ScLdpcParams(3, 6, 1, 2), 0)
+    with pytest.raises(ParameterError):
+        build_sc_ldpc(ScRaParams(3, 3, 1, 2), 0)
+
+
 RA_GRID = [
     (q, a, L, M)
     for q in (3, 4, 6)
@@ -91,7 +99,7 @@ def test_ra_instance_invariants(q, a, L, M):
     validate_instance(c)
 
     var_deg = np.bincount(c.check_vars, minlength=c.n)
-    is_msg = c.var_kind == KIND_MESSAGE
+    is_msg = np.arange(c.n) < c.n_msg
     assert np.all(var_deg[is_msg] == q)
     par_deg = var_deg[~is_msg]
     assert np.all(par_deg[:-1] == 2) and par_deg[-1] == 1
@@ -257,6 +265,14 @@ def test_alist_rejects_empty_row():
     assert "check of degree 0" in str(err.value)
 
 
+def test_alist_rejects_empty_column():
+    """Variable 2 is in no check: refused at import, as at descriptor load."""
+    text = "3 2\n2 2\n2 0 2\n2 2\n1 2\n\n1 2\n1 3\n1 3\n"
+    with pytest.raises(AlistError) as err:
+        import_alist(io.StringIO(text))
+    assert "variable of degree 0" in str(err.value)
+
+
 def test_alist_detects_row_column_mismatch():
     # column lists claim var 1 is in check 2; rows say check 2 holds vars 2,3
     text = "3 2\n2 2\n2 1 1\n2 2\n1 2\n1\n1\n1 2\n2 3\n"
@@ -281,7 +297,15 @@ def test_descriptor_round_trip_file(tmp_path):
 
 def test_descriptor_records_message_length():
     c = build_sc_ra(ScRaParams(6, 6, 16, 100), 0)
-    assert descriptor_dict(c)["k"] == 3300
+    buf = io.StringIO()
+    save_descriptor(c, buf)
+    assert load_descriptor(io.StringIO(buf.getvalue())).k == 3300
+
+
+def _true_for_variable_one(doc):
+    """Write JSON true where a check row lists variable 1; bool is an int subclass."""
+    row = next(r for r in doc["checks"] if 1 in r)
+    row[row.index(1)] = True
 
 
 @pytest.mark.parametrize(
@@ -289,15 +313,20 @@ def test_descriptor_records_message_length():
     [
         (lambda d: d.update(format="other"), "format"),
         (lambda d: d.update(version=99), "version"),
+        pytest.param(lambda d: d.update(version=2), "version", id="v2-version"),
         (lambda d: d.pop("n"), "n"),
-        (lambda d: d.update(var_kind=d["var_kind"][:-1]), "var_kind"),
+        pytest.param(lambda d: d.update(n=d["n"] + 1), "n", id="n_plus_one-n"),
+        (lambda d: d.update(var_kind=[0] * d["n"]), "var_kind"),
+        (lambda d: d.update(seed=True), "seed"),
+        (_true_for_variable_one, "checks"),
         (lambda d: d["checks"][0].reverse(), "checks"),
         (lambda d: d["checks"].__setitem__(0, d["checks"][0] + d["checks"][0][:1]), "checks"),
         (lambda d: d.update(params={"family": "nope"}), "params"),
         (lambda d: d.update(params={"family": "ra", "q": 1, "a": 1, "L": 0, "M": 1, "w": None}), "params"),
+        (lambda d: d["params"].update(L=True), "params"),  # would load as L=1, the true value
         # well-formed rows, broken graph: check 5 loses its edge to parity bit 4
-        (lambda d: d["checks"][5].remove(d["k"] + 4), "checks"),
-        (lambda d: d.update(checks=[], check_pos=[]), "checks"),
+        (lambda d: d["checks"][5].remove(small_ra().k + 4), "checks"),
+        (lambda d: d.update(checks=[]), "checks"),
         (lambda d: d["checks"][-1].clear(), "checks"),
     ],
 )
@@ -306,6 +335,28 @@ def test_descriptor_corruption_names_field(corrupt, field):
     corrupt(doc)
     import json
 
+    with pytest.raises(DescriptorError) as err:
+        load_descriptor(io.StringIO(json.dumps(doc)))
+    assert f"field '{field}'" in str(err.value)
+
+
+ALIST_3X2 = "3 2\n1 2\n1 1 2\n2 2\n1\n2\n1 2\n1 3\n2 3\n"
+
+
+@pytest.mark.parametrize(
+    "corrupt,field",
+    [
+        # a kind label no longer exists; at version 2 [7, 7, 7] gave message_bits=0
+        (lambda d: d.update(var_kind=[7, 7, 7]), "var_kind"),
+        # no n-long list bounds n any more; the edge count must
+        (lambda d: d.update(n=2**40), "n"),
+    ],
+)
+def test_alist_descriptor_corruption_names_field(corrupt, field):
+    import json
+
+    doc = descriptor_dict(import_alist(io.StringIO(ALIST_3X2)))
+    corrupt(doc)
     with pytest.raises(DescriptorError) as err:
         load_descriptor(io.StringIO(json.dumps(doc)))
     assert f"field '{field}'" in str(err.value)

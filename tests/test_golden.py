@@ -1,8 +1,12 @@
-"""Byte-identical outputs of the alist writer, the encoder and the DE sweep CSV.
+"""Byte-identical outputs of the alist writer, the encoder and the DE sweep CSV,
+and the build ids that head every simulate CSV.
 
 The digests were captured before the descriptor moved to version 2 and the
 DE drivers and text writers were consolidated; a refactor that keeps
-behaviour keeps them.
+behaviour keeps them.  The build ids were captured while a code instance
+still stored its family, k, variable kinds and positions; now that these
+are derived from the parameters, equal ids show the derived values equal
+the stored ones.
 """
 
 import hashlib
@@ -12,9 +16,10 @@ import numpy as np
 import pytest
 
 from scra.codec import encode
-from scra.construct import build_sc_ldpc, build_sc_ra, export_alist
+from scra.construct import build_sc_ldpc, build_sc_ra, export_alist, import_alist
 from scra.density_evolution import sweep_fig4, write_fig4_csv
 from scra.ensembles import ScLdpcParams, ScRaParams
+from scra.simulate import code_build_id
 
 
 def sha256(data) -> str:
@@ -33,6 +38,7 @@ ALIST_PIN = {
     "ldpc": "cfddc33983f605ab8ba000a870ab73909215a586bfa3967f8523510f0e84f71a",
 }
 ENCODE_PIN = "d02d85dd5676ce66747c8176283edef18518406e0febe5688e37f807e86a9531"
+BUILD_ID_PIN = {"ra": "9a6c6342d0e5", "ldpc": "bd3f0cdb761d", "alist": "7a9f16feccd2"}
 FIG4_PIN = {
     "4a": "4142fc109728043ba8f23beefcf577fd86d23d03e4cd52d5e17f2aa14cdb2ac5",
     "4b": "4d8aa9e0c673844c44c2b57aed01b3ca7389173a938b8a224402685475b83398",
@@ -52,6 +58,15 @@ def test_encode_matches_pin():
     word = encode(code, message)
     assert word.dtype == np.int8
     assert sha256(word.tobytes()) == ENCODE_PIN
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_ID_PIN))
+def test_build_id_matches_pin(name):
+    codes = small_codes()
+    buf = io.StringIO()
+    export_alist(codes["ra"], buf)
+    codes["alist"] = import_alist(io.StringIO(buf.getvalue()))
+    assert code_build_id(codes[name]) == BUILD_ID_PIN[name]
 
 
 @pytest.mark.parametrize("variant", sorted(FIG4_PIN))

@@ -63,19 +63,44 @@ def _default_seed() -> int:
     return int(os.environ.get(SEED_ENV, "0"))
 
 
+# The types a --config value may have, by key, as its flag gives them; other keys take a
+# string.  JSON true is refused where an int is due (bool is an int subclass).  null stands
+# for an unset flag where the default is None, and for no stop in word_errors.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("q", "a", "L", "M", "dl", "dr", "w", "seed", "trials", "max_iters", "jobs"), (int,)),
+    "precision": (int, float),
+    "word_errors": (int, str, type(None)),
+}
+
+
+def _check_config_value(key: str, value, default) -> None:
+    if value is None and default is None:
+        return
+    types = _CONFIG_TYPES.get(key, (str,))
+    if isinstance(value, bool) or not isinstance(value, types):
+        want = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise ParameterError(f"--config key {key!r}: expected {want}, got {json.dumps(value)}")
+
+
 def _resolve(ns: argparse.Namespace, spec: dict[str, object]) -> dict:
-    """Merge CLI flags over --config values over defaults."""
+    """Merge CLI flags over --config values over defaults; a --config value must have its flag's type."""
     stored: dict = {}
     if getattr(ns, "config", None):
         with open(ns.config) as fh:
-            doc = json.load(fh)
-        stored = doc.get("args", {})
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParameterError(f"--config {ns.config}: not valid JSON ({exc})") from None
+        stored = doc.get("args", {}) if isinstance(doc, dict) else None
+        if not isinstance(stored, dict):
+            raise ParameterError(f"--config {ns.config}: expected an object with an 'args' object")
     out = {}
     for key, default in spec.items():
         cli_val = getattr(ns, key.replace("-", "_"), None)
         if cli_val is not None:
             out[key] = cli_val
         elif key in stored:
+            _check_config_value(key, stored[key], default)
             out[key] = stored[key]
         else:
             out[key] = default() if callable(default) else default
@@ -190,7 +215,10 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         cfg["trials"] = 1000 if cfg["preset"] is not None else 10_000
     word_errors = cfg["word_errors"]
     if isinstance(word_errors, str):
-        word_errors = None if word_errors.lower() == "none" else int(word_errors)
+        try:
+            word_errors = None if word_errors.lower() == "none" else int(word_errors)
+        except ValueError:
+            raise ParameterError(f"--word-errors must be an integer or 'none', got {word_errors!r}") from None
         cfg["word_errors"] = word_errors
 
     if cfg["preset"] is not None:
@@ -254,13 +282,14 @@ def _cmd_de_threshold(ns: argparse.Namespace) -> int:
     res = threshold(model, precision=cfg["precision"], max_iters=cfg["max_iters"])
     print(
         f"ensemble={cfg['ensemble']} threshold_lo={res.lo:.6f} threshold_hi={res.hi:.6f} "
-        f"probes={res.steps} iters={sum(p[2] for p in res.probes)}"
+        f"probes={res.steps} iters={res.iters}"
     )
+    print(f"capped={res.capped}", file=sys.stderr)
     if cfg["out"] is not None:
         _write_text(
             cfg["out"],
             "ensemble,threshold_lo,threshold_hi,probes,iters\n"
-            f"{cfg['ensemble']},{res.lo:.10g},{res.hi:.10g},{res.steps},{sum(p[2] for p in res.probes)}\n",
+            f"{cfg['ensemble']},{res.lo:.10g},{res.hi:.10g},{res.steps},{res.iters}\n",
         )
         _write_config("de-threshold", cfg, cfg["out"])
     return 0
@@ -277,8 +306,8 @@ def _cmd_de_sweep(ns: argparse.Namespace) -> int:
     if cfg["out"] is None:
         raise ParameterError("--out is required")
     try:
-        Ls = tuple(int(tok) for tok in str(cfg["L_values"]).split(","))
-        degrees = tuple(int(tok) for tok in str(cfg["degrees"]).split(","))
+        Ls = tuple(int(tok) for tok in cfg["L_values"].split(","))
+        degrees = tuple(int(tok) for tok in cfg["degrees"].split(","))
     except ValueError:
         raise ParameterError("--L-values and --degrees must be comma lists of integers") from None
     rows = sweep_fig4(cfg["figure"], Ls=Ls, ldpc_degrees=degrees,

@@ -10,7 +10,7 @@ a balanced, seeded socket assignment, so interior checks absorb exactly
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -190,6 +190,8 @@ def _windowed_edges(rng: np.random.Generator, p: ScRaParams | ScLdpcParams) -> t
 def _build(p: ScRaParams | ScLdpcParams, seed: int, family: str) -> CodeInstance:
     if getattr(p, "family", None) != family:
         raise ParameterError(f"build_sc_{family} needs {family} parameters, got {p!r}")
+    if p.w is not None:
+        raise ParameterError("a code instance takes w=None parameters; w is the window of the smoothed DE")
     k, n = code_size(p)
     m = n - k
     edge_chk, edge_var = _windowed_edges(np.random.default_rng(seed), p)
@@ -460,18 +462,21 @@ def _params_from_json(obj) -> ScRaParams | ScLdpcParams | None:
         return None
     if not isinstance(obj, dict) or "family" not in obj:
         raise DescriptorError("field 'params': expected an object with a 'family' entry")
+    cls = next((c for c in (ScRaParams, ScLdpcParams) if c.family == obj["family"]), None)
+    if cls is None:
+        raise DescriptorError(f"field 'params': unknown family {obj['family']!r}")
+    keys = {"family"} | {f.name for f in fields(cls)}
+    bad = sorted(set(obj) ^ keys)
+    if bad:
+        raise DescriptorError(f"field 'params': {'missing' if bad[0] in keys else 'unknown'} entry {bad[0]!r}")
+    if obj["w"] is not None:
+        raise DescriptorError("field 'params': w must be null; a code instance has no smoothing window")
     if any(isinstance(v, bool) for v in obj.values()):
         raise DescriptorError("field 'params': entries must be integers, not booleans")
     try:
-        if obj["family"] == "ra":
-            return ScRaParams(q=obj["q"], a=obj["a"], L=obj["L"], M=obj["M"], w=obj.get("w"))
-        if obj["family"] == "ldpc":
-            return ScLdpcParams(dl=obj["dl"], dr=obj["dr"], L=obj["L"], M=obj["M"], w=obj.get("w"))
-    except KeyError as exc:
-        raise DescriptorError(f"field 'params': missing entry {exc}") from None
+        return cls(**{k: v for k, v in obj.items() if k != "family"})
     except ParameterError as exc:
         raise DescriptorError(f"field 'params': {exc}") from None
-    raise DescriptorError(f"field 'params': unknown family {obj['family']!r}")
 
 
 _DESCRIPTOR_KEYS = {"format", "version", "params", "seed", "n", "checks"}

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from scra.ensembles import (
     ParameterError,
@@ -75,34 +75,18 @@ class ProtoDeState:
     iteration: int
 
 
-def _trailing_means(x: np.ndarray, w: int) -> np.ndarray:
-    """Means of x over {t-w+1..t} for every check position t, zeros outside."""
-    return np.convolve(x, np.ones(w), "full") / w
-
-
 def de_step_ra_w(s: DeState, p: ScRaParams) -> DeState:
     """One synchronous update of the smoothed coupled RA recursion.
 
     Both updates read the iteration-(l) state; the parity value on the
     right-hand side uses the same position index as the left-hand side.
     """
-    if p.w is None:
-        raise ParameterError("smoothed recursion needs the window w")
-    xbar = _trailing_means(s.x, p.w)
-    g = (1.0 - s.y) ** 2 * (1.0 - xbar) ** (p.a - 1)
-    x_new = s.eps * (1.0 - np.convolve(g, np.ones(p.w), "valid") / p.w) ** (p.q - 1)
-    y_new = s.eps * (1.0 - (1.0 - s.y) * (1.0 - xbar) ** p.a)
-    return DeState(x_new, y_new, s.eps, s.iteration + 1)
+    return make_de_model("ra-w", p).step(s)
 
 
 def de_step_ldpc_w(s: DeState, p: ScLdpcParams) -> DeState:
     """One synchronous update of the smoothed coupled LDPC recursion."""
-    if p.w is None:
-        raise ParameterError("smoothed recursion needs the window w")
-    xbar = _trailing_means(s.x, p.w)
-    g = (1.0 - xbar) ** (p.dr - 1)
-    x_new = s.eps * (1.0 - np.convolve(g, np.ones(p.w), "valid") / p.w) ** (p.dl - 1)
-    return DeState(x_new, None, s.eps, s.iteration + 1)
+    return make_de_model("ldpc-w", p).step(s)
 
 
 class _Driver:
@@ -115,34 +99,46 @@ class _Driver:
     parity_fields: tuple[str, ...]
 
     def residual(self, s, criterion: str) -> float:
-        r = float(s.x.max())
+        r = float(np.maximum.reduce(s.x, None))
         if criterion == CRITERION_ALL:
             for f in self.parity_fields:
-                r = max(r, float(getattr(s, f).max()))
+                r = max(r, float(np.maximum.reduce(getattr(s, f), None)))
         return r
 
     def change(self, old, new) -> float:
-        d = float(np.abs(new.x - old.x).max())
+        d = float(np.maximum.reduce(np.abs(new.x - old.x), None))
         for f in self.parity_fields:
-            d = max(d, float(np.abs(getattr(new, f) - getattr(old, f)).max()))
+            d = max(d, float(np.maximum.reduce(np.abs(getattr(new, f) - getattr(old, f)), None)))
         return d
 
 
 class _WModel(_Driver):
-    """Driver for the smoothed recursions."""
+    """Driver for the smoothed recursions; make_de_model and _model_for have checked the window."""
 
     def __init__(self, p: ScRaParams | ScLdpcParams):
         self.p = p
         self.is_ra = isinstance(p, ScRaParams)
         self.parity_fields = ("y",) if self.is_ra else ()
 
+    @cached_property
+    def _ones(self) -> np.ndarray:
+        return np.ones(self.p.w)
+
     def initial_state(self, eps: float) -> DeState:
-        active = 2 * self.p.L + self.p.w
-        y = np.full(active, eps) if self.is_ra else None
+        y = np.full(2 * self.p.L + self.p.w, eps) if self.is_ra else None
         return DeState(np.full(self.p.span, eps), y, eps, 0)
 
     def step(self, s: DeState) -> DeState:
-        return de_step_ra_w(s, self.p) if self.is_ra else de_step_ldpc_w(s, self.p)
+        p, ones = self.p, self._ones
+        # 1 - the mean of x over {t-w+1..t} for every check position t, zeros outside
+        omx = 1.0 - np.convolve(s.x, ones, "full") / p.w
+        if not self.is_ra:
+            x_new = s.eps * (1.0 - np.convolve(omx ** (p.dr - 1), ones, "valid") / p.w) ** (p.dl - 1)
+            return DeState(x_new, None, s.eps, s.iteration + 1)
+        omy = 1.0 - s.y
+        g = omy ** 2 * omx ** (p.a - 1)
+        x_new = s.eps * (1.0 - np.convolve(g, ones, "valid") / p.w) ** (p.q - 1)
+        return DeState(x_new, s.eps * (1.0 - omy * omx ** p.a), s.eps, s.iteration + 1)
 
 
 class _ProtoModel(_Driver):
@@ -155,9 +151,22 @@ class _ProtoModel(_Driver):
         self.width = p.width
         self.span = p.span
         self.n_chk = p.n_chk_pos
-        # bundles into each check position, and its mean message degree
-        self.n_sources = p.sources_per_check_pos().astype(np.float64)
-        self.mean_deg = p.combine * self.n_sources / p.width
+
+    @cached_property
+    def _tables(self) -> tuple:
+        """Degrees and index tables for step, built on first use so make_de_model stays cheap."""
+        w, span, n_chk = self.width, self.span, self.n_chk
+        n_sources = self.p.sources_per_check_pos().astype(np.float64)  # bundles into each check position
+        mean_deg = self.p.combine * n_sources / w  # and its mean message degree
+        window = np.arange(span)[:, None] + np.arange(w)  # [i, d] -> i + d, where bundle x[i, d] enters
+        # buf is zero but for buf[d, i + d] = diag[d, i], so its column sums add the bundles in order of d
+        flat = np.zeros(w * (n_chk + 1))
+        diag, buf = flat.reshape(w, n_chk + 1)[:, :span], flat[: w * n_chk].reshape(w, n_chk)
+        # gather indexes z with a trailing 1.0: [:, 0, i] -> (1, z[i], .., z[i+w-2]) and [:, 1, i] ->
+        # (1, z[i+w-1], .., z[i+1]); one cumprod of those gives the products before and after each bundle
+        gather = np.full((w, 2, span), n_chk)
+        gather[1:, 0], gather[1:, 1] = window.T[:-1], window.T[:0:-1]
+        return n_sources, mean_deg - 1.0, mean_deg, window, diag, buf, gather
 
     def initial_state(self, eps: float) -> ProtoDeState:
         y = np.full(self.n_chk, eps) if self.is_ra else None
@@ -170,40 +179,32 @@ class _ProtoModel(_Driver):
             0,
         )
 
-    def _xbar(self, s: ProtoDeState) -> np.ndarray:
-        tot = np.zeros(self.n_chk)
-        for d in range(self.width):
-            tot[d : d + self.span] += s.x[:, d]
-        return tot / self.n_sources
-
-    def _check_to_message(self, s: ProtoDeState) -> np.ndarray:
-        xbar = self._xbar(s)
-        clean = (1.0 - xbar) ** (self.mean_deg - 1.0)
-        if self.is_ra:
-            clean = clean * (1.0 - s.y_left) * (1.0 - s.y_right)
-        return 1.0 - clean, xbar
-
     def step(self, s: ProtoDeState) -> ProtoDeState:
-        z, xbar = self._check_to_message(s)
-        zw = sliding_window_view(z, self.width)  # zw[i, d] = z at check position i+d
-        pre = np.ones_like(zw)
-        np.cumprod(zw[:, :-1], axis=1, out=pre[:, 1:])
-        suf = np.ones_like(zw)
-        suf[:, :-1] = np.cumprod(zw[:, :0:-1], axis=1)[:, ::-1]
-        x_new = s.eps * pre * suf
+        n_sources, deg_m1, deg, _, diag, buf, gather = self._tables
+        diag[...] = s.x.T
+        omx = 1.0 - np.add.reduce(buf, 0) / n_sources  # 1 - the mean bundle into each check position
+        clean = omx ** deg_m1
         if self.is_ra:
-            through = (1.0 - xbar) ** self.mean_deg
-            y_left = s.eps * (1.0 - (1.0 - s.y_left) * through)
-            y_right = s.eps * (1.0 - (1.0 - s.y_right) * through)
+            omy_left, omy_right = 1.0 - s.y_left, 1.0 - s.y_right
+            clean = clean * omy_left * omy_right
+        z = np.empty(self.n_chk + 1)  # check-to-message erasure, then the empty product
+        z[-1] = 1.0
+        np.subtract(1.0, clean, out=z[:-1])
+        c = z.take(gather).cumprod(0)
+        x_new = (s.eps * c[:, 0] * c[::-1, 1]).T
+        if self.is_ra:
+            through = omx ** deg
+            y_left = s.eps * (1.0 - omy_left * through)
+            y_right = s.eps * (1.0 - omy_right * through)
         else:
             y_left = y_right = None
-        return ProtoDeState(x_new, y_left, y_right, z, s.eps, s.iteration + 1)
+        return ProtoDeState(x_new, y_left, y_right, z[:-1], s.eps, s.iteration + 1)
 
     def posterior_profile(self, s: ProtoDeState) -> np.ndarray:
         """A-posteriori message erasure per position after s.iteration sweeps."""
         if s.z is None:
             return np.full(self.span, s.eps)
-        return s.eps * sliding_window_view(s.z, self.width).prod(axis=1)
+        return s.eps * s.z.take(self._tables[3]).prod(axis=1)
 
 
 def _ra_uncoupled(p: ScRaParams) -> _WModel:
@@ -245,10 +246,17 @@ def _model_for(p):
 
 @dataclass
 class DeRunResult:
-    converged: bool
+    """One DE run: outcome is "converged", "stalled" (the change fell below
+    delta_stall first) or "budget" (max_iters ran out undecided)."""
+
+    outcome: str
     state: DeState | ProtoDeState
     iterations: int
     residual: float
+
+    @property
+    def converged(self) -> bool:
+        return self.outcome == "converged"
 
 
 def de_run(
@@ -276,26 +284,35 @@ def de_run(
         new = model.step(state)
         res = model.residual(new, criterion)
         if res < delta_success:
-            return DeRunResult(True, new, new.iteration, res)
+            return DeRunResult("converged", new, new.iteration, res)
         if model.change(state, new) < delta_stall:
-            return DeRunResult(False, new, new.iteration, res)
+            return DeRunResult("stalled", new, new.iteration, res)
         state = new
-    return DeRunResult(False, state, state.iteration, model.residual(state, criterion))
+    return DeRunResult("budget", state, state.iteration, model.residual(state, criterion))
 
 
 @dataclass
 class ThresholdResult:
     """Bisection bracket on the convergence threshold.
 
-    probes lists (eps, converged, DE iterations) in evaluation order;
-    the recursion converges at lo and fails at hi.
+    probes lists (eps, converged, DE iterations, outcome) in evaluation
+    order; the recursion converges at lo and fails at hi.
     """
 
     lo: float
     hi: float
     steps: int
-    probes: list[tuple[float, bool, int]]
+    probes: list[tuple[float, bool, int, str]]
     criterion: str
+
+    @property
+    def capped(self) -> int:
+        """Probes that ran out of iterations undecided."""
+        return sum(pr[3] == "budget" for pr in self.probes)
+
+    @property
+    def iters(self) -> int:
+        return sum(pr[2] for pr in self.probes)
 
 
 def threshold(
@@ -314,11 +331,11 @@ def threshold(
     the way bisection needs, and raises DensityEvolutionError.
     """
     model = _model_for(p)
-    probes: list[tuple[float, bool, int]] = []
+    probes: list[tuple[float, bool, int, str]] = []
 
     def probe(eps: float) -> bool:
         r = de_run(model, eps, max_iters, delta_success, delta_stall, criterion)
-        probes.append((eps, r.converged, r.iterations))
+        probes.append((eps, r.converged, r.iterations, r.outcome))
         return r.converged
 
     if not probe(0.0):
@@ -379,22 +396,11 @@ def sweep_fig4(
             ra_p = ScRaParams(q=q, a=q, L=L, M=1, w=q if smoothed else None)
             res = threshold(ra_p, precision=precision, max_iters=max_iters)
             ra_rate = rate_sc_ra_w(ra_p) if smoothed else float(rate_sc_ra(ScRaParams(q, q, L)))
-            rows.append(
-                Fig4Row("ra", q, L, ra_p.w, ra_rate, res.lo, res.hi, sum(p[2] for p in res.probes))
-            )
+            rows.append(Fig4Row("ra", q, L, ra_p.w, ra_rate, res.lo, res.hi, res.iters))
             ld_p = ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=dl if smoothed else None)
             res = threshold(ld_p, precision=precision, max_iters=max_iters)
             rows.append(
-                Fig4Row(
-                    "ldpc",
-                    dl,
-                    L,
-                    ld_p.w,
-                    float(rate_sc_ldpc(ld_p)),
-                    res.lo,
-                    res.hi,
-                    sum(p[2] for p in res.probes),
-                )
+                Fig4Row("ldpc", dl, L, ld_p.w, float(rate_sc_ldpc(ld_p)), res.lo, res.hi, res.iters)
             )
     return rows
 

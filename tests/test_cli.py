@@ -221,6 +221,9 @@ def test_simulate_word_error_stop_controls(tmp_path):
                "--out", str(full)])
     assert rc == 0
     assert int(read_csv_rows(full)[0][1]) == 30
+    rc = main(["simulate", "--code", str(base) + ".json", "--eps", "1.0",
+               "--word-errors", "many", "--out", str(tmp_path / "bad.csv")])
+    assert rc == 2
 
 
 def test_simulate_requires_code_and_eps(tmp_path):
@@ -263,6 +266,47 @@ def test_de_threshold_stdout_and_csv(tmp_path, capsys):
     assert lines[0] == "ensemble,threshold_lo,threshold_hi,probes,iters"
     assert lines[1].startswith("ra-w,")
     assert (tmp_path / "thr.csv.config.json").exists()
+
+
+def test_de_threshold_reports_capped_probes_on_stderr(tmp_path, capsys):
+    """Probes that ran out of iterations are counted on stderr, never in the CSV or config."""
+    argv = ["de", "threshold", "--ensemble", "ra-w", "--q", "3", "--a", "3", "--L", "4",
+            "--precision", "1e-2"]
+    assert main([*argv, "--out", str(tmp_path / "full.csv")]) == 0
+    assert capsys.readouterr().err == "capped=0\n"
+    assert main([*argv, "--max-iters", "20", "--out", str(tmp_path / "cut.csv")]) == 0
+    captured = capsys.readouterr()
+    capped = int(re.fullmatch(r"capped=(\d+)\n", captured.err).group(1))
+    assert capped > 0
+    assert "capped" not in captured.out
+    assert "capped" not in (tmp_path / "cut.csv").read_text()
+    assert "capped" not in (tmp_path / "cut.csv.config.json").read_text()
+
+
+@pytest.mark.parametrize("command,args,key", [
+    ("construct", {"family": "ra", "q": 3, "a": 3, "L": 1, "M": 2, "seed": True}, "seed"),
+    ("construct", {"family": "ra", "q": 3, "a": True, "L": 1, "M": 2, "seed": 0}, "a"),
+    ("construct", {"family": "ra", "q": "3", "a": 3, "L": 1, "M": 2, "seed": 0}, "q"),
+    ("construct", {"family": "ra", "q": 3, "a": 3, "L": 1, "M": 2, "seed": None}, "seed"),
+    ("de threshold", {"ensemble": "ra-w", "q": 3, "a": 3, "L": 4, "max_iters": True}, "max_iters"),
+    ("de threshold", {"ensemble": "ra-w", "q": 3, "a": 3, "L": 4, "precision": "x"}, "precision"),
+    ("de threshold", {"ensemble": 7, "q": 3, "a": 3, "L": 4}, "ensemble"),
+])
+def test_config_values_hold_to_flag_types(tmp_path, capsys, command, args, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"args": args}))
+    out = tmp_path / "x"
+    assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"--config key '{key}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
+
+
+def test_config_must_be_a_json_object(tmp_path, capsys):
+    for text in ("{not json", "[1, 2]", '{"args": 3}'):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["construct", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "--config" in capsys.readouterr().err
 
 
 def test_de_threshold_uncoupled_needs_no_L(capsys):

@@ -79,6 +79,8 @@ def test_builder_rejects_other_family():
         build_sc_ra(ScLdpcParams(3, 6, 1, 2), 0)
     with pytest.raises(ParameterError):
         build_sc_ldpc(ScRaParams(3, 3, 1, 2), 0)
+    with pytest.raises(ParameterError):  # a saved descriptor must hold w=null
+        build_sc_ra(ScRaParams(3, 3, 1, 2, w=3), 0)
 
 
 RA_GRID = [
@@ -324,6 +326,9 @@ def _true_for_variable_one(doc):
         (lambda d: d.update(params={"family": "nope"}), "params"),
         (lambda d: d.update(params={"family": "ra", "q": 1, "a": 1, "L": 0, "M": 1, "w": None}), "params"),
         (lambda d: d["params"].update(L=True), "params"),  # would load as L=1, the true value
+        pytest.param(lambda d: d["params"].update(junk=1), "params", id="junk_entry-params"),
+        pytest.param(lambda d: d["params"].update(w=3), "params", id="w_set-params"),
+        pytest.param(lambda d: d["params"].pop("w"), "params", id="w_missing-params"),
         # well-formed rows, broken graph: check 5 loses its edge to parity bit 4
         (lambda d: d["checks"][5].remove(small_ra().k + 4), "checks"),
         (lambda d: d.update(checks=[]), "checks"),

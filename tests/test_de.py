@@ -1,7 +1,10 @@
 """Density evolution recursions, drivers, and threshold bisection."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from scra.density_evolution import (
     DensityEvolutionError,
@@ -79,6 +82,81 @@ def test_uncoupled_convergence_flags():
     model = make_de_model("ra-uncoupled", ScRaParams(6, 6, 0, M=6))
     assert de_run(model, 0.40).converged
     assert not de_run(model, 0.42).converged
+    assert [de_run(model, 0.40).outcome, de_run(model, 0.42).outcome] == ["converged", "stalled"]
+    capped = de_run(model, 0.42, max_iters=5)
+    assert (capped.outcome, capped.converged, capped.iterations) == ("budget", False, 5)
+    assert de_run(model, 0.42, max_iters=0).outcome == "budget"
+
+
+@pytest.mark.parametrize("kind,p", [
+    ("ra-w", ScRaParams(3, 3, 4, M=3, w=3)),
+    ("ldpc-w", ScLdpcParams(3, 6, 4, 6, w=2)),
+    ("ra-proto", ScRaParams(3, 3, 4, M=3)),
+    ("ldpc-proto", ScLdpcParams(3, 6, 4, 6)),
+])
+def test_stepped_state_is_never_overwritten(kind, p):
+    """step returns fresh arrays: a state held by the caller survives later steps."""
+    model = make_de_model(kind, p)
+    s1 = model.step(model.initial_state(0.45))
+    held = {k: v.copy() for k, v in vars(s1).items() if isinstance(v, np.ndarray)}
+    model.step(model.step(s1))
+    for k, v in held.items():
+        np.testing.assert_array_equal(getattr(s1, k), v, err_msg=k)
+
+
+def _reference_proto_step(model, s):
+    """The structured step as a loop over the coupling width, with sliding windows."""
+    p = model.p
+    n_sources = p.sources_per_check_pos().astype(np.float64)
+    mean_deg = p.combine * n_sources / p.width
+    tot = np.zeros(p.n_chk_pos)
+    for d in range(p.width):
+        tot[d : d + p.span] += s.x[:, d]
+    xbar = tot / n_sources
+    clean = (1.0 - xbar) ** (mean_deg - 1.0)
+    if s.y_left is not None:
+        clean = clean * (1.0 - s.y_left) * (1.0 - s.y_right)
+    z = 1.0 - clean
+    zw = sliding_window_view(z, p.width)
+    pre = np.ones_like(zw)
+    np.cumprod(zw[:, :-1], axis=1, out=pre[:, 1:])
+    suf = np.ones_like(zw)
+    suf[:, :-1] = np.cumprod(zw[:, :0:-1], axis=1)[:, ::-1]
+    x = s.eps * pre * suf
+    if s.y_left is None:
+        return x, None, None, z
+    through = (1.0 - xbar) ** mean_deg
+    return x, s.eps * (1.0 - (1.0 - s.y_left) * through), s.eps * (1.0 - (1.0 - s.y_right) * through), z
+
+
+@pytest.mark.parametrize("kind,p", [
+    ("ra-proto", ScRaParams(2, 1, 0, M=1)),
+    ("ra-proto", ScRaParams(3, 3, 1, M=3)),
+    ("ra-proto", ScRaParams(6, 6, 5, M=6)),
+    ("ra-proto", ScRaParams(9, 3, 3, M=3)),
+    ("ldpc-proto", ScLdpcParams(2, 4, 0, M=2)),
+    ("ldpc-proto", ScLdpcParams(4, 8, 3, M=8)),
+    ("ldpc-proto", ScLdpcParams(8, 16, 2, M=16)),
+])
+def test_proto_step_matches_loop_reference(kind, p):
+    """Same arithmetic in the same order as the loop: equal to the last bit, not to a tolerance."""
+    model = make_de_model(kind, p)
+    rng = np.random.default_rng(p.width)
+    s = model.initial_state(0.47)
+    s.x = rng.random(s.x.shape) * 0.47
+    if s.y_left is not None:
+        s.y_left, s.y_right = rng.random(s.y_left.shape) * 0.47, rng.random(s.y_left.shape) * 0.47
+    for _ in range(3):
+        new = model.step(s)
+        x, y_left, y_right, z = _reference_proto_step(model, s)
+        np.testing.assert_array_equal(new.x, x)
+        np.testing.assert_array_equal(new.z, z)
+        posterior = s.eps * sliding_window_view(z, p.width).prod(axis=1)
+        np.testing.assert_array_equal(model.posterior_profile(new), posterior)
+        if y_left is not None:
+            np.testing.assert_array_equal(new.y_left, y_left)
+            np.testing.assert_array_equal(new.y_right, y_right)
+        s = new
 
 
 def random_w_state(model, rng, eps):
@@ -178,6 +256,18 @@ PINNED_THRESHOLDS = [
     ("ldpc-proto", ScLdpcParams(4, 8, 16, M=8), 0.497665),
 ]
 
+# sha256 of repr((lo, hi, [(eps, converged, iters) of each probe])) at the default precision
+# and budget.  A change to the DE code that keeps its arithmetic keeps every probe bit for
+# bit; one that moves a probe must say why and pin anew.
+PROBE_DIGESTS = {
+    ("ra-uncoupled", ScRaParams(6, 6, 0, M=6)): "c32df4abd31fabd4e0a6ed8e4ecb31c1625c0fafa36a8d4ffb84e718b304a2b2",
+    ("ra-w", ScRaParams(6, 6, 16, M=6, w=6)): "285506c3090b39d5769d119129379ef831ee8c2b9cd1267ce8851622a5bf27fc",
+    ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4)): "b86ec2c489972d5200091f38e44427b5f9755b13c6d18865f7914c527bae8f95",
+    ("ra-proto", ScRaParams(6, 6, 16, M=6)): "eaa66115d38a317889ead61bdf4cda1cd00d1078d1a6984fe61f950b1cdefdf6",
+    ("ra-proto", ScRaParams(6, 6, 8, M=6)): "abe7ae5ef5027b407e9c378b820ba9fb7eb8e85ad74b1d884498145e30e2309a",
+    ("ldpc-proto", ScLdpcParams(4, 8, 16, M=8)): "c05ffdd77d3513bfc4ac6caac6c1208f4a72d80eb2fa4c7b260d555ff940810f",
+}
+
 
 @pytest.mark.parametrize("kind,p,pinned", PINNED_THRESHOLDS)
 def test_threshold_regression_values(kind, p, pinned):
@@ -185,6 +275,8 @@ def test_threshold_regression_values(kind, p, pinned):
     mid = 0.5 * (res.lo + res.hi)
     assert abs(mid - pinned) < 2e-4
     assert res.hi - res.lo <= 1e-4 + 1e-12
+    probes = repr((res.lo, res.hi, [pr[:3] for pr in res.probes]))
+    assert hashlib.sha256(probes.encode()).hexdigest() == PROBE_DIGESTS[kind, p]
 
 
 def test_threshold_bracket_contract():
@@ -196,6 +288,12 @@ def test_threshold_bracket_contract():
     evaluated = [pr[0] for pr in res.probes]
     assert 0.0 in evaluated and 1.0 in evaluated
     assert res.criterion == "message"
+    assert res.iters == sum(pr[2] for pr in res.probes) and res.capped == 0
+    cut = threshold(p, precision=1e-3, max_iters=20)
+    budget = [pr for pr in cut.probes if pr[3] == "budget"]
+    assert cut.capped == len(budget) > 0
+    assert all(not pr[1] and pr[2] == 20 for pr in budget)
+    assert {pr[3] for pr in cut.probes} <= {"converged", "stalled", "budget"}
 
 
 def test_coupling_never_hurts():

@@ -13,6 +13,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,12 +35,14 @@ from scra.construct import (
 from scra.density_evolution import (
     BISECT_PRECISION,
     MAX_ITERS,
+    MODELS,
     make_de_model,
     sweep_fig4,
     threshold,
     write_fig4_csv,
 )
 from scra.ensembles import (
+    FAMILY_PARAMS,
     ParameterError,
     ScLdpcParams,
     ScRaParams,
@@ -56,6 +60,7 @@ USAGE_ERRORS = (
     AlistError,
     DescriptorError,
     SimulationError,
+    OSError,
 )
 
 
@@ -63,48 +68,98 @@ def _default_seed() -> int:
     return int(os.environ.get(SEED_ENV, "0"))
 
 
-# The types a --config value may have, by key, as its flag gives them; other keys take a
-# string.  JSON true is refused where an int is due (bool is an int subclass).  null stands
-# for an unset flag where the default is None, and for no stop in word_errors.
-_CONFIG_TYPES = {
-    **dict.fromkeys(("q", "a", "L", "M", "dl", "dr", "w", "seed", "trials", "max_iters", "jobs"), (int,)),
-    "precision": (int, float),
-    "word_errors": (int, str, type(None)),
-}
+def _stop_count(text: str) -> int | None:
+    """--word-errors: a word-error count, or 'none' for no stop."""
+    if text.lower() == "none":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"--word-errors must be an integer or 'none', got {text!r}") from None
 
 
-def _check_config_value(key: str, value, default) -> None:
-    if value is None and default is None:
-        return
-    types = _CONFIG_TYPES.get(key, (str,))
-    if isinstance(value, bool) or not isinstance(value, types):
-        want = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-        raise ParameterError(f"--config key {key!r}: expected {want}, got {json.dumps(value)}")
+class Flag(NamedTuple):
+    """One flag of a command.  type reads the flag's text: argparse applies int
+    and float, _resolve any other, so that its errors exit 2.  A callable
+    default is called at resolve time.  A required flag must be set by the
+    command line or by --config."""
+
+    type: Callable = str
+    default: object = None
+    choices: tuple | None = None
+    required: bool = False
+    help: str | None = None
 
 
-def _resolve(ns: argparse.Namespace, spec: dict[str, object]) -> dict:
-    """Merge CLI flags over --config values over defaults; a --config value must have its flag's type."""
-    stored: dict = {}
-    if getattr(ns, "config", None):
-        with open(ns.config) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParameterError(f"--config {ns.config}: not valid JSON ({exc})") from None
-        stored = doc.get("args", {}) if isinstance(doc, dict) else None
-        if not isinstance(stored, dict):
-            raise ParameterError(f"--config {ns.config}: expected an object with an 'args' object")
-    out = {}
-    for key, default in spec.items():
-        cli_val = getattr(ns, key.replace("-", "_"), None)
-        if cli_val is not None:
-            out[key] = cli_val
+# The JSON types a --config value may take, by flag type; JSON true is no int (bool
+# is an int subclass), and null is also taken where the default is None.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), _stop_count: (int, str, type(None))}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _read_config(path: str) -> dict:
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"--config {path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("args"), dict):
+        raise ParameterError(f"--config {path}: expected an object with an 'args' object")
+    return doc["args"]
+
+
+def _resolve(ns: argparse.Namespace, command: str) -> dict:
+    """Merge flags over --config values over defaults.
+
+    Both sources are held to the flag's type, choices and need, and every
+    --config key must name a flag of the command.
+    """
+    flags = _COMMANDS[command][2]
+    stored = _read_config(ns.config) if "config" in ns else {}
+    unknown = sorted(stored.keys() - flags.keys())
+    if unknown:
+        raise ParameterError(f"--config key {unknown[0]!r}: {command} has no such flag")
+    cfg = {}
+    for key, f in flags.items():
+        if key in ns:
+            value = getattr(ns, key)
         elif key in stored:
-            _check_config_value(key, stored[key], default)
-            out[key] = stored[key]
+            value = stored[key]
+            types = _JSON_TYPES[f.type] + ((type(None),) if f.default is None else ())
+            if isinstance(value, bool) or not isinstance(value, types) or (
+                f.choices and value is not None and value not in f.choices
+            ):
+                want = " or ".join(f.choices or ["null" if t is type(None) else t.__name__ for t in types])
+                raise ParameterError(f"--config key {key!r}: expected {want}, got {json.dumps(value)}")
         else:
-            out[key] = default() if callable(default) else default
-    return out
+            value = f.default() if callable(f.default) else f.default
+        if isinstance(value, str):
+            value = f.type(value)
+        if f.required and value is None:
+            raise ParameterError(f"{_flag(key)} is required")
+        cfg[key] = value
+    return cfg
+
+
+# every flag that names a field of a parameter class: q, a, L, M, w, dl and dr
+_PARAM_FLAGS = {f.name for cls in FAMILY_PARAMS.values() for f in fields(cls)}
+
+
+def _params(cfg: dict, cls, user: str, skip=(), optional=()) -> dict:
+    """The entries of parameter class cls that cfg sets.  A flag naming a field
+    of cls (and not skipped) is required unless optional; every other
+    parameter flag must be unset."""
+    names = [f.name for f in fields(cls) if f.name in cfg and f.name not in skip]
+    unused = [key for key in cfg if key in _PARAM_FLAGS and key not in names and cfg[key] is not None]
+    if unused:
+        raise ParameterError(f"{_flag(unused[0])} is not used by {user}")
+    missing = [key for key in names if cfg[key] is None and key not in optional]
+    if missing:
+        raise ParameterError(f"{_flag(missing[0])} is required for {user}")
+    return {key: cfg[key] for key in names if cfg[key] is not None}
 
 
 def _write_config(command: str, cfg: dict, out_path: str) -> None:
@@ -124,30 +179,13 @@ def _parse_eps(spec: str) -> tuple[float, ...]:
         raise SimulationError(f"bad eps value in {spec!r}") from None
 
 
-def _build_from_cfg(cfg: dict):
-    family = cfg["family"]
-    if family == "ra":
-        for key in ("q", "a", "L", "M"):
-            if cfg.get(key) is None:
-                raise ParameterError(f"--{key} is required for the ra family")
-        return build_sc_ra(ScRaParams(q=cfg["q"], a=cfg["a"], L=cfg["L"], M=cfg["M"]), cfg["seed"])
-    if family == "ldpc":
-        for key in ("dl", "dr", "L", "M"):
-            if cfg.get(key) is None:
-                raise ParameterError(f"--{key} is required for the ldpc family")
-        return build_sc_ldpc(ScLdpcParams(dl=cfg["dl"], dr=cfg["dr"], L=cfg["L"], M=cfg["M"]), cfg["seed"])
-    raise ParameterError(f"unknown family {family!r}; expected ra or ldpc")
+def _build(p: ScRaParams | ScLdpcParams, seed: int):
+    return (build_sc_ra if p.family == "ra" else build_sc_ldpc)(p, seed)
 
 
-def _cmd_construct(ns: argparse.Namespace) -> int:
-    spec = {
-        "family": None, "q": None, "a": None, "L": None, "M": None,
-        "dl": None, "dr": None, "seed": _default_seed, "out": None,
-    }
-    cfg = _resolve(ns, spec)
-    if cfg["out"] is None:
-        raise ParameterError("--out is required")
-    code = _build_from_cfg(cfg)
+def _cmd_construct(cfg: dict) -> int:
+    cls = FAMILY_PARAMS[cfg["family"]]
+    code = _build(cls(**_params(cfg, cls, f"the {cfg['family']} family")), cfg["seed"])
     save_descriptor(code, cfg["out"] + ".json")
     export_alist(code, cfg["out"] + ".alist")
     _write_config("construct", cfg, cfg["out"])
@@ -157,12 +195,7 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_encode(ns: argparse.Namespace) -> int:
-    spec = {"code": None, "message": None, "out": None}
-    cfg = _resolve(ns, spec)
-    for key in spec:
-        if cfg[key] is None:
-            raise ParameterError(f"--{key} is required")
+def _cmd_encode(cfg: dict) -> int:
     code = load_descriptor(cfg["code"])
     bits = _read_message(cfg["message"], code.k)
     word = encode(code, bits)
@@ -195,42 +228,22 @@ def _read_message(spec: str, k: int) -> np.ndarray:
 
 
 _FIG5_CODES = (
-    ("ra_M100", dict(family="ra", q=6, a=6, L=16, M=100)),
-    ("ra_M300", dict(family="ra", q=6, a=6, L=16, M=300)),
-    ("ldpc_M220", dict(family="ldpc", dl=4, dr=8, L=16, M=220)),
-    ("ldpc_M660", dict(family="ldpc", dl=4, dr=8, L=16, M=660)),
+    ("ra_M100", ScRaParams(6, 6, 16, M=100)),
+    ("ra_M300", ScRaParams(6, 6, 16, M=300)),
+    ("ldpc_M220", ScLdpcParams(4, 8, 16, M=220)),
+    ("ldpc_M660", ScLdpcParams(4, 8, 16, M=660)),
 )
 
 
-def _cmd_simulate(ns: argparse.Namespace) -> int:
-    spec = {
-        "code": None, "preset": None, "eps": None, "trials": None,
-        "word_errors": 100, "max_iters": 1000, "seed": _default_seed,
-        "jobs": 1, "out": None,
-    }
-    cfg = _resolve(ns, spec)
-    if cfg["out"] is None:
-        raise ParameterError("--out is required")
+def _cmd_simulate(cfg: dict) -> int:
     if cfg["trials"] is None:
         cfg["trials"] = 1000 if cfg["preset"] is not None else 10_000
-    word_errors = cfg["word_errors"]
-    if isinstance(word_errors, str):
-        try:
-            word_errors = None if word_errors.lower() == "none" else int(word_errors)
-        except ValueError:
-            raise ParameterError(f"--word-errors must be an integer or 'none', got {word_errors!r}") from None
-        cfg["word_errors"] = word_errors
-
     if cfg["preset"] is not None:
-        if cfg["preset"] != "fig5":
-            raise ParameterError(f"unknown preset {cfg['preset']!r}")
         os.makedirs(cfg["out"], exist_ok=True)
         eps = _parse_eps(cfg["eps"]) if cfg["eps"] else eps_range(0.43, 0.50, 0.005)
-        trials = cfg["trials"]
-        for name, code_cfg in _FIG5_CODES:
-            code = _build_from_cfg({**code_cfg, "seed": cfg["seed"]})
-            plan = SweepPlan(eps, trials, word_errors, cfg["max_iters"], cfg["seed"])
-            result = run_sweep(code, plan, jobs=cfg["jobs"])
+        plan = SweepPlan(eps, cfg["trials"], cfg["word_errors"], cfg["max_iters"], cfg["seed"])
+        for name, p in _FIG5_CODES:
+            result = run_sweep(_build(p, cfg["seed"]), plan, jobs=cfg["jobs"])
             result.to_csv(os.path.join(cfg["out"], name + ".csv"))
             print(f"{name}: wrote {os.path.join(cfg['out'], name + '.csv')}")
         _write_config("simulate", cfg, os.path.join(cfg["out"], "fig5"))
@@ -239,7 +252,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     if cfg["code"] is None or cfg["eps"] is None:
         raise ParameterError("--code and --eps are required without a preset")
     code = load_descriptor(cfg["code"])
-    plan = SweepPlan(_parse_eps(cfg["eps"]), cfg["trials"], word_errors, cfg["max_iters"], cfg["seed"])
+    plan = SweepPlan(_parse_eps(cfg["eps"]), cfg["trials"], cfg["word_errors"], cfg["max_iters"], cfg["seed"])
     result = run_sweep(code, plan, jobs=cfg["jobs"])
     result.to_csv(cfg["out"])
     _write_config("simulate", cfg, cfg["out"])
@@ -247,39 +260,19 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _de_params(cfg: dict):
+def _de_model(cfg: dict):
+    """The DE driver of --ensemble; the flags it takes follow from its MODELS entry."""
     kind = cfg["ensemble"]
-    if kind in ("ra-w", "ra-proto", "ra-uncoupled"):
-        if cfg["q"] is None or cfg["a"] is None:
-            raise ParameterError("--q and --a are required for RA ensembles")
-        L = cfg["L"] if kind != "ra-uncoupled" else 0
-        if L is None:
-            raise ParameterError("--L is required")
-        w = None
-        if kind == "ra-w":
-            w = cfg["w"] if cfg["w"] is not None else cfg["q"]
-        return make_de_model(kind, ScRaParams(q=cfg["q"], a=cfg["a"], L=L, M=cfg["a"], w=w))
-    if kind in ("ldpc-w", "ldpc-proto"):
-        if cfg["dl"] is None or cfg["dr"] is None or cfg["L"] is None:
-            raise ParameterError("--dl, --dr and --L are required for LDPC ensembles")
-        w = None
-        if kind == "ldpc-w":
-            w = cfg["w"] if cfg["w"] is not None else cfg["dl"]
-        return make_de_model(kind, ScLdpcParams(dl=cfg["dl"], dr=cfg["dr"], L=cfg["L"], M=cfg["dr"], w=w))
-    raise ParameterError(f"unknown ensemble {kind!r}")
+    cls, windowed, _ = MODELS[kind]
+    skip = {True: (), False: ("w",), None: ("L", "w")}[windowed]
+    entries = _params(cfg, cls, f"ensemble {kind}", skip, optional=("w",))
+    # DE reads no M; M equal to the second field, a (or dr), keeps the check count whole
+    p = cls(**{"L": 0, **entries, "M": entries[fields(cls)[1].name]})
+    return make_de_model(kind, replace(p, w=p.width) if windowed and p.w is None else p)
 
 
-def _cmd_de_threshold(ns: argparse.Namespace) -> int:
-    spec = {
-        "ensemble": None, "q": None, "a": None, "dl": None, "dr": None,
-        "L": None, "w": None, "precision": BISECT_PRECISION,
-        "max_iters": MAX_ITERS, "out": None,
-    }
-    cfg = _resolve(ns, spec)
-    if cfg["ensemble"] is None:
-        raise ParameterError("--ensemble is required")
-    model = _de_params(cfg)
-    res = threshold(model, precision=cfg["precision"], max_iters=cfg["max_iters"])
+def _cmd_de_threshold(cfg: dict) -> int:
+    res = threshold(_de_model(cfg), precision=cfg["precision"], max_iters=cfg["max_iters"])
     print(
         f"ensemble={cfg['ensemble']} threshold_lo={res.lo:.6f} threshold_hi={res.hi:.6f} "
         f"probes={res.steps} iters={res.iters}"
@@ -295,16 +288,7 @@ def _cmd_de_threshold(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_de_sweep(ns: argparse.Namespace) -> int:
-    spec = {
-        "figure": None, "L_values": "4,8,16,32,64", "degrees": "3,4,5,6",
-        "precision": BISECT_PRECISION, "max_iters": MAX_ITERS, "out": None,
-    }
-    cfg = _resolve(ns, spec)
-    if cfg["figure"] not in ("4a", "4b"):
-        raise ParameterError("--figure must be 4a or 4b")
-    if cfg["out"] is None:
-        raise ParameterError("--out is required")
+def _cmd_de_sweep(cfg: dict) -> int:
     try:
         Ls = tuple(int(tok) for tok in cfg["L_values"].split(","))
         degrees = tuple(int(tok) for tok in cfg["degrees"].split(","))
@@ -318,75 +302,72 @@ def _cmd_de_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
+# command -> (handler, help, flags).  Each flag is declared here once; the parser,
+# the --config checks and the written .config.json follow from it.
+_COMMANDS = {
+    "construct": (_cmd_construct, "build an instance and write descriptor + alist", {
+        "family": Flag(choices=tuple(FAMILY_PARAMS), required=True),
+        **dict.fromkeys(("q", "a", "L", "M", "dl", "dr"), Flag(int)),
+        "seed": Flag(int, _default_seed),
+        "out": Flag(required=True),
+    }),
+    "encode": (_cmd_encode, "encode a message on a stored RA instance", {
+        "code": Flag(required=True),
+        "message": Flag(required=True, help="path to a 0/1 text file, or 0xHEX"),
+        "out": Flag(required=True),
+    }),
+    "simulate": (_cmd_simulate, "Monte Carlo sweep over erasure rates", {
+        "code": Flag(),
+        "preset": Flag(choices=("fig5",)),
+        "eps": Flag(help="start:stop:step or comma list"),
+        "trials": Flag(int),
+        "word_errors": Flag(_stop_count, 100, help="stop after this many word errors per point; 'none' disables"),
+        "max_iters": Flag(int, 1000),
+        "seed": Flag(int, _default_seed),
+        "jobs": Flag(int, 1),
+        "out": Flag(required=True),
+    }),
+    "de-threshold": (_cmd_de_threshold, "bisect one ensemble threshold", {
+        "ensemble": Flag(choices=tuple(MODELS), required=True),
+        **dict.fromkeys(("q", "a", "dl", "dr", "L", "w"), Flag(int)),
+        "precision": Flag(float, BISECT_PRECISION),
+        "max_iters": Flag(int, MAX_ITERS),
+        "out": Flag(),
+    }),
+    "de-sweep": (_cmd_de_sweep, "threshold table over degree families", {
+        "figure": Flag(choices=("4a", "4b"), required=True),
+        "L_values": Flag(default="4,8,16,32,64"),
+        "degrees": Flag(default="3,4,5,6"),
+        "precision": Flag(float, BISECT_PRECISION),
+        "max_iters": Flag(int, MAX_ITERS),
+        "out": Flag(required=True),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="scra", description=__doc__)
     ap.add_argument("--version", action="version", version=f"scra {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct", help="build an instance and write descriptor + alist")
-    c.add_argument("--family", choices=("ra", "ldpc"))
-    for flag in ("--q", "--a", "--L", "--M", "--dl", "--dr", "--seed"):
-        c.add_argument(flag, type=int)
-    c.add_argument("--out")
-    c.add_argument("--config")
-    c.set_defaults(func=_cmd_construct)
-
-    e = sub.add_parser("encode", help="encode a message on a stored RA instance")
-    e.add_argument("--code")
-    e.add_argument("--message", help="path to a 0/1 text file, or 0xHEX")
-    e.add_argument("--out")
-    e.add_argument("--config")
-    e.set_defaults(func=_cmd_encode)
-
-    s = sub.add_parser("simulate", help="Monte Carlo sweep over erasure rates")
-    s.add_argument("--code")
-    s.add_argument("--preset", choices=("fig5",))
-    s.add_argument("--eps", help="start:stop:step or comma list")
-    s.add_argument("--trials", type=int)
-    s.add_argument("--word-errors", dest="word_errors",
-                   help="stop after this many word errors per point; 'none' disables")
-    s.add_argument("--max-iters", type=int, dest="max_iters")
-    s.add_argument("--seed", type=int)
-    s.add_argument("--jobs", type=int)
-    s.add_argument("--out")
-    s.add_argument("--config")
-    s.set_defaults(func=_cmd_simulate)
-
-    d = sub.add_parser("de", help="density evolution")
-    dsub = d.add_subparsers(dest="de_command", required=True)
-
-    dt = dsub.add_parser("threshold", help="bisect one ensemble threshold")
-    dt.add_argument("--ensemble", choices=("ra-w", "ra-proto", "ldpc-w", "ldpc-proto", "ra-uncoupled"))
-    for flag in ("--q", "--a", "--dl", "--dr", "--L", "--w"):
-        dt.add_argument(flag, type=int)
-    dt.add_argument("--precision", type=float)
-    dt.add_argument("--max-iters", type=int, dest="max_iters")
-    dt.add_argument("--out")
-    dt.add_argument("--config")
-    dt.set_defaults(func=_cmd_de_threshold)
-
-    dw = dsub.add_parser("sweep", help="threshold table over degree families")
-    dw.add_argument("--figure", choices=("4a", "4b"))
-    dw.add_argument("--L-values", dest="L_values")
-    dw.add_argument("--degrees")
-    dw.add_argument("--precision", type=float)
-    dw.add_argument("--max-iters", type=int, dest="max_iters")
-    dw.add_argument("--out")
-    dw.add_argument("--config")
-    dw.set_defaults(func=_cmd_de_sweep)
-
+    groups = {"": ap.add_subparsers(dest="command", required=True)}
+    for command, (func, text, flags) in _COMMANDS.items():
+        group, _, name = command.rpartition("-")  # de-threshold is "scra de threshold"
+        if group not in groups:
+            de = groups[""].add_parser(group, help="density evolution")
+            groups[group] = de.add_subparsers(dest="de_command", required=True)
+        # an absent flag stays out of the namespace, so _resolve can tell it from a given one
+        p = groups[group].add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for key, f in flags.items():
+            p.add_argument(_flag(key), type=f.type if f.type in (int, float) else None, choices=f.choices, help=f.help)
+        p.add_argument("--config")
+        p.set_defaults(func=func, cmd=command)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        return ns.func(_resolve(ns, ns.cmd))
     except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

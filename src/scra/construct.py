@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from scra.ensembles import ParameterError, ScLdpcParams, ScRaParams, code_size
+from scra.ensembles import FAMILY_PARAMS, ParameterError, ScLdpcParams, ScRaParams, code_size, is_int
 
 KIND_MESSAGE = 0
 KIND_PARITY = 1
@@ -448,11 +448,6 @@ def import_alist(src) -> CodeInstance:
 
 # -- descriptor persistence --------------------------------------------------
 
-def _is_int(x) -> bool:
-    """A JSON integer; JSON true and false load as bool, a subclass of int."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _params_to_json(p: ScRaParams | ScLdpcParams | None):
     return None if p is None else {"family": p.family, **asdict(p)}
 
@@ -462,7 +457,7 @@ def _params_from_json(obj) -> ScRaParams | ScLdpcParams | None:
         return None
     if not isinstance(obj, dict) or "family" not in obj:
         raise DescriptorError("field 'params': expected an object with a 'family' entry")
-    cls = next((c for c in (ScRaParams, ScLdpcParams) if c.family == obj["family"]), None)
+    cls = FAMILY_PARAMS.get(obj["family"]) if isinstance(obj["family"], str) else None
     if cls is None:
         raise DescriptorError(f"field 'params': unknown family {obj['family']!r}")
     keys = {"family"} | {f.name for f in fields(cls)}
@@ -471,8 +466,6 @@ def _params_from_json(obj) -> ScRaParams | ScLdpcParams | None:
         raise DescriptorError(f"field 'params': {'missing' if bad[0] in keys else 'unknown'} entry {bad[0]!r}")
     if obj["w"] is not None:
         raise DescriptorError("field 'params': w must be null; a code instance has no smoothing window")
-    if any(isinstance(v, bool) for v in obj.values()):
-        raise DescriptorError("field 'params': entries must be integers, not booleans")
     try:
         return cls(**{k: v for k, v in obj.items() if k != "family"})
     except ParameterError as exc:
@@ -519,9 +512,9 @@ def load_descriptor(src) -> CodeInstance:
         raise DescriptorError(f"field {name!r}: " + ("missing" if name in _DESCRIPTOR_KEYS else "unknown key"))
 
     n, seed, checks = obj["n"], obj["seed"], obj["checks"]
-    if not _is_int(n):
+    if not is_int(n):
         raise DescriptorError("field 'n': expected an integer")
-    if seed is not None and not _is_int(seed):
+    if seed is not None and not is_int(seed):
         raise DescriptorError("field 'seed': expected an integer or null")
     params = _params_from_json(obj["params"])
     if params is not None and n != code_size(params)[1]:
@@ -529,7 +522,7 @@ def load_descriptor(src) -> CodeInstance:
     if not isinstance(checks, list):
         raise DescriptorError("field 'checks': expected a list of rows")
     for t, row in enumerate(checks):
-        if not isinstance(row, list) or not all(_is_int(v) and 0 <= v < n for v in row):
+        if not isinstance(row, list) or not all(is_int(v) and 0 <= v < n for v in row):
             raise DescriptorError(f"field 'checks': row {t} is not a list of variable ids")
     indptr = np.zeros(len(checks) + 1, dtype=np.int64)
     np.cumsum([len(row) for row in checks], out=indptr[1:])

@@ -212,22 +212,22 @@ def _ra_uncoupled(p: ScRaParams) -> _WModel:
     return _WModel(ScRaParams(q=p.q, a=p.a, L=0, M=p.a, w=1))
 
 
-# kind -> (parameter type, window w required (True), forbidden (False) or ignored (None), factory)
-_MODELS = {
+# kind -> (parameter type, window w required (True), forbidden (False) or ignored (None), factory);
+# the uncoupled view, which ignores w, has no chain and ignores L too
+MODELS = {
     "ra-w": (ScRaParams, True, _WModel),
-    "ldpc-w": (ScLdpcParams, True, _WModel),
     "ra-proto": (ScRaParams, False, _ProtoModel),
+    "ldpc-w": (ScLdpcParams, True, _WModel),
     "ldpc-proto": (ScLdpcParams, False, _ProtoModel),
     "ra-uncoupled": (ScRaParams, None, _ra_uncoupled),
 }
-MODEL_KINDS = tuple(_MODELS)
 
 
 def make_de_model(kind: str, p: ScRaParams | ScLdpcParams):
     """Build the DE driver for one ensemble view."""
-    if kind not in _MODELS:
-        raise ParameterError(f"unknown ensemble kind {kind!r}; expected one of {MODEL_KINDS}")
-    ptype, windowed, factory = _MODELS[kind]
+    if kind not in MODELS:
+        raise ParameterError(f"unknown ensemble kind {kind!r}; expected one of {tuple(MODELS)}")
+    ptype, windowed, factory = MODELS[kind]
     if not isinstance(p, ptype):
         raise ParameterError(f"{kind} needs {ptype.__name__}")
     if windowed is True and p.w is None:
@@ -272,7 +272,9 @@ def de_run(
     Success: the maximum tracked message erasure falls below
     delta_success (criterion "all" also tracks the parity values).
     Stall: the maximum per-iteration change falls below delta_stall
-    first, reporting non-convergence.
+    first, reporting non-convergence; a NaN change counts as a stall, so
+    a recursion that breaks down stops at once rather than running out
+    the budget.
     """
     if not 0.0 <= eps <= 1.0:
         raise ParameterError(f"eps must lie in [0, 1], got {eps}")
@@ -285,7 +287,7 @@ def de_run(
         res = model.residual(new, criterion)
         if res < delta_success:
             return DeRunResult("converged", new, new.iteration, res)
-        if model.change(state, new) < delta_stall:
+        if not model.change(state, new) >= delta_stall:
             return DeRunResult("stalled", new, new.iteration, res)
         state = new
     return DeRunResult("budget", state, state.iteration, model.residual(state, criterion))

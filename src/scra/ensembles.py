@@ -24,6 +24,11 @@ def _require(cond: bool, msg: str) -> None:
         raise ParameterError(msg)
 
 
+def is_int(x) -> bool:
+    """An integer, not a bool; JSON true and false load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class _Chain:
     """Chain geometry shared by both families.
 
@@ -83,16 +88,16 @@ class ScRaParams(_Chain):
         return self.a
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.q, int) and self.q >= 2, f"q must be an integer >= 2, got {self.q!r}")
-        _require(isinstance(self.a, int) and self.a >= 1, f"a must be an integer >= 1, got {self.a!r}")
-        _require(isinstance(self.L, int) and self.L >= 0, f"L must be an integer >= 0, got {self.L!r}")
-        _require(isinstance(self.M, int) and self.M >= 1, f"M must be an integer >= 1, got {self.M!r}")
+        _require(is_int(self.q) and self.q >= 2, f"q must be an integer >= 2, got {self.q!r}")
+        _require(is_int(self.a) and self.a >= 1, f"a must be an integer >= 1, got {self.a!r}")
+        _require(is_int(self.L) and self.L >= 0, f"L must be an integer >= 0, got {self.L!r}")
+        _require(is_int(self.M) and self.M >= 1, f"M must be an integer >= 1, got {self.M!r}")
         _require(
             (self.q * self.M) % self.a == 0,
             f"a={self.a} must divide q*M={self.q * self.M} for an integer check count per position",
         )
         if self.w is not None:
-            _require(isinstance(self.w, int) and self.w >= 1, f"w must be an integer >= 1, got {self.w!r}")
+            _require(is_int(self.w) and self.w >= 1, f"w must be an integer >= 1, got {self.w!r}")
 
 
 @dataclass(frozen=True)
@@ -121,16 +126,20 @@ class ScLdpcParams(_Chain):
         return self.dr
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.dl, int) and self.dl >= 2, f"dl must be an integer >= 2, got {self.dl!r}")
-        _require(isinstance(self.dr, int) and self.dr >= self.dl, f"dr must be an integer >= dl, got {self.dr!r}")
-        _require(isinstance(self.L, int) and self.L >= 0, f"L must be an integer >= 0, got {self.L!r}")
-        _require(isinstance(self.M, int) and self.M >= 1, f"M must be an integer >= 1, got {self.M!r}")
+        _require(is_int(self.dl) and self.dl >= 2, f"dl must be an integer >= 2, got {self.dl!r}")
+        _require(is_int(self.dr) and self.dr >= self.dl, f"dr must be an integer >= dl, got {self.dr!r}")
+        _require(is_int(self.L) and self.L >= 0, f"L must be an integer >= 0, got {self.L!r}")
+        _require(is_int(self.M) and self.M >= 1, f"M must be an integer >= 1, got {self.M!r}")
         _require(
             (self.dl * self.M) % self.dr == 0,
             f"dr={self.dr} must divide dl*M={self.dl * self.M} for an integer check count per position",
         )
         if self.w is not None:
-            _require(isinstance(self.w, int) and self.w >= 1, f"w must be an integer >= 1, got {self.w!r}")
+            _require(is_int(self.w) and self.w >= 1, f"w must be an integer >= 1, got {self.w!r}")
+
+
+# family name -> parameter class
+FAMILY_PARAMS = {cls.family: cls for cls in (ScRaParams, ScLdpcParams)}
 
 
 def rate_sc_ra(p: ScRaParams) -> Fraction:
@@ -190,7 +199,7 @@ def density_matched_q(dl: int, rate: Fraction | float | int | str) -> int:
     The rate is taken exactly (strings like "1/2" are accepted); a
     non-integral result raises ParameterError.
     """
-    _require(isinstance(dl, int) and dl >= 2, f"dl must be an integer >= 2, got {dl!r}")
+    _require(is_int(dl) and dl >= 2, f"dl must be an integer >= 2, got {dl!r}")
     r = Fraction(rate)
     _require(r > 0, f"rate must be positive, got {rate!r}")
     q = Fraction(dl - 2, 1) / r + 2

@@ -79,9 +79,20 @@ def test_construct_rejects_bad_parameters(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_construct_incomplete_family_flags(tmp_path):
+def test_construct_incomplete_family_flags(tmp_path, capsys):
     argv = ["construct", "--family", "ldpc", "--dl", "3", "--out", str(tmp_path / "x")]
     assert main(argv) == 2
+    # a flag the family has no field for is refused, not dropped and recorded
+    for argv, flag in [
+        ([*TOY, "--dl", "4"], "--dl"),
+        ([*TOY, "--dr", "6"], "--dr"),
+        (["--family", "ldpc", "--dl", "3", "--dr", "6", "--L", "1", "--M", "2", "--q", "3"], "--q"),
+        (["--family", "ldpc", "--dl", "3", "--dr", "6", "--L", "1", "--M", "2", "--a", "3"], "--a"),
+    ]:
+        capsys.readouterr()
+        assert main(["construct", *argv, "--out", str(tmp_path / "x")]) == 2
+        assert f"error: {flag} " in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
 
 
 def test_construct_unknown_family_is_parser_error(tmp_path):
@@ -207,6 +218,36 @@ def test_simulate_config_reruns_byte_identical(tmp_path):
     assert cfg["args"]["trials"] == 25 and cfg["args"]["word_errors"] == 7
 
 
+@pytest.mark.parametrize("command,argv,outputs", [
+    ("construct", [*TOY, "--seed", "6"], (".json", ".alist")),
+    ("encode", ["--code", "code.json", "--message", "0x2A"], ("",)),
+    ("simulate", ["--code", "code.json", "--eps", "0.3:0.5:0.1", "--trials", "20",
+                  "--word-errors", "3", "--jobs", "2"], ("",)),
+    ("simulate", ["--code", "code.json", "--eps", "1.0", "--trials", "20",
+                  "--word-errors", "none"], ("",)),
+    ("de threshold", ["--ensemble", "ra-proto", "--q", "3", "--a", "3", "--L", "2",
+                      "--precision", "1e-2"], ("",)),
+    ("de threshold", ["--ensemble", "ra-uncoupled", "--q", "6", "--a", "6",
+                      "--precision", "1e-2"], ("",)),
+    ("de sweep", ["--figure", "4a", "--L-values", "2", "--degrees", "3",
+                  "--precision", "5e-3"], ("",)),
+], ids=["construct", "encode", "simulate", "simulate-no-stop", "de-threshold",
+        "de-threshold-uncoupled", "de-sweep"])
+def test_config_reruns_byte_identical(tmp_path, monkeypatch, command, argv, outputs):
+    """Every command run again from its .config.json writes the same bytes and config."""
+    monkeypatch.chdir(tmp_path)
+    construct_toy(tmp_path)
+    assert main([*command.split(), *argv, "--out", "first"]) == 0
+    first = json.loads((tmp_path / "first.config.json").read_text())
+    assert main([*command.split(), "--config", "first.config.json", "--out", "second"]) == 0
+    for suffix in outputs:
+        assert (tmp_path / ("first" + suffix)).read_bytes() == (tmp_path / ("second" + suffix)).read_bytes()
+    second = json.loads((tmp_path / "second.config.json").read_text())
+    assert second == {**first, "args": {**first["args"], "out": "second"}}
+    if "--word-errors" in argv:
+        assert first["args"]["word_errors"] == (None if "none" in argv else 3)
+
+
 def test_simulate_word_error_stop_controls(tmp_path):
     base = construct_toy(tmp_path)
     stop = tmp_path / "stop.csv"
@@ -291,6 +332,14 @@ def test_de_threshold_reports_capped_probes_on_stderr(tmp_path, capsys):
     ("de threshold", {"ensemble": "ra-w", "q": 3, "a": 3, "L": 4, "max_iters": True}, "max_iters"),
     ("de threshold", {"ensemble": "ra-w", "q": 3, "a": 3, "L": 4, "precision": "x"}, "precision"),
     ("de threshold", {"ensemble": 7, "q": 3, "a": 3, "L": 4}, "ensemble"),
+    # misspelt keys name no flag; dropped, they would let the run go on at the defaults
+    ("de threshold", {"ensemble": "ra-w", "q": 3, "a": 3, "L": 4, "max_iter": 5}, "max_iter"),
+    ("de threshold", {"ensemble": "ra-w", "q": 3, "a": 3, "L": 4, "precison": 0.1}, "precison"),
+    ("construct", {"family": "ra", "q": 3, "a": 3, "L": 1, "M": 2, "preset": "fig5"}, "preset"),
+    # a value outside the flag's choices
+    ("de sweep", {"figure": "4c", "L_values": "2", "degrees": "3"}, "figure"),
+    ("construct", {"family": "turbo", "q": 3, "a": 3, "L": 1, "M": 2}, "family"),
+    ("simulate", {"code": "c.json", "eps": "0.4", "word_errors": True}, "word_errors"),
 ])
 def test_config_values_hold_to_flag_types(tmp_path, capsys, command, args, key):
     cfg = tmp_path / "cfg.json"
@@ -302,7 +351,7 @@ def test_config_values_hold_to_flag_types(tmp_path, capsys, command, args, key):
 
 
 def test_config_must_be_a_json_object(tmp_path, capsys):
-    for text in ("{not json", "[1, 2]", '{"args": 3}'):
+    for text in ("{not json", "[1, 2]", '{"args": 3}', '{"format": "sc-code-descriptor", "n": 16}'):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         assert main(["construct", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
@@ -325,6 +374,22 @@ def test_de_threshold_flag_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["de", "threshold", "--ensemble", "mystery"])
     assert exc.value.code == 2
+    # a flag the ensemble does not use is refused, not dropped and recorded
+    ra, ldpc = ["--q", "3", "--a", "3"], ["--dl", "3", "--dr", "6"]
+    for kind, argv, flag in [
+        ("ra-proto", [*ra, "--L", "2", "--w", "5"], "--w"),
+        ("ldpc-proto", [*ldpc, "--L", "2", "--w", "3"], "--w"),
+        ("ra-uncoupled", [*ra, "--w", "3"], "--w"),
+        ("ra-uncoupled", [*ra, "--L", "2"], "--L"),
+        ("ra-w", [*ra, "--L", "2", "--dl", "3"], "--dl"),
+        ("ra-proto", [*ra, "--L", "2", "--dr", "6"], "--dr"),
+        ("ra-uncoupled", [*ra, "--dl", "3"], "--dl"),
+        ("ldpc-w", [*ldpc, "--L", "2", "--q", "3"], "--q"),
+        ("ldpc-proto", [*ldpc, "--L", "2", "--a", "3"], "--a"),
+    ]:
+        capsys.readouterr()
+        assert main(["de", "threshold", "--ensemble", kind, *argv, "--precision", "1e-2"]) == 2
+        assert f"error: {flag} " in capsys.readouterr().err
 
 
 def test_de_sweep_writes_table(tmp_path, capsys):

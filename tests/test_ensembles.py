@@ -125,6 +125,8 @@ def test_density_matched_q_rejects_non_integral():
         dict(q=3, a=3, L=1, M=0),
         dict(q=5, a=3, L=1, M=1),  # a does not divide q*M
         dict(q=3, a=3, L=1, M=3, w=0),
+        dict(q=3, a=True, L=1, M=2),  # bool is an int subclass; a=True would differ from a=1 in repr
+        dict(q=3, a=3, L=1, M=3, w=True),
     ],
 )
 def test_ra_params_rejected(kwargs):
@@ -141,6 +143,7 @@ def test_ra_params_rejected(kwargs):
         dict(dl=4, dr=8, L=1, M=0),
         dict(dl=4, dr=8, L=1, M=3),  # dr does not divide dl*M
         dict(dl=4, dr=8, L=1, M=2, w=0),
+        dict(dl=4, dr=8, L=True, M=2),
     ],
 )
 def test_ldpc_params_rejected(kwargs):

@@ -42,8 +42,6 @@ from scra.density_evolution import (
     DeState,
     DeRunResult,
     ThresholdResult,
-    de_step_ra_w,
-    de_step_ldpc_w,
     de_run,
     make_de_model,
     threshold,

@@ -65,7 +65,14 @@ USAGE_ERRORS = (
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV, "0"))
+    text = os.environ.get(SEED_ENV, "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ParameterError(f"{SEED_ENV} must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _stop_count(text: str) -> int | None:
@@ -239,6 +246,8 @@ def _cmd_simulate(cfg: dict) -> int:
     if cfg["trials"] is None:
         cfg["trials"] = 1000 if cfg["preset"] is not None else 10_000
     if cfg["preset"] is not None:
+        if cfg["code"] is not None:
+            raise ParameterError(f"--code is not used by --preset {cfg['preset']}")
         os.makedirs(cfg["out"], exist_ok=True)
         eps = _parse_eps(cfg["eps"]) if cfg["eps"] else eps_range(0.43, 0.50, 0.005)
         plan = SweepPlan(eps, cfg["trials"], cfg["word_errors"], cfg["max_iters"], cfg["seed"])
@@ -275,14 +284,14 @@ def _cmd_de_threshold(cfg: dict) -> int:
     res = threshold(_de_model(cfg), precision=cfg["precision"], max_iters=cfg["max_iters"])
     print(
         f"ensemble={cfg['ensemble']} threshold_lo={res.lo:.6f} threshold_hi={res.hi:.6f} "
-        f"probes={res.steps} iters={res.iters}"
+        f"probes={len(res.probes)} iters={res.iters}"
     )
     print(f"capped={res.capped}", file=sys.stderr)
     if cfg["out"] is not None:
         _write_text(
             cfg["out"],
             "ensemble,threshold_lo,threshold_hi,probes,iters\n"
-            f"{cfg['ensemble']},{res.lo:.10g},{res.hi:.10g},{res.steps},{res.iters}\n",
+            f"{cfg['ensemble']},{res.lo:.10g},{res.hi:.10g},{len(res.probes)},{res.iters}\n",
         )
         _write_config("de-threshold", cfg, cfg["out"])
     return 0

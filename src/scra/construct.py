@@ -192,6 +192,8 @@ def _build(p: ScRaParams | ScLdpcParams, seed: int, family: str) -> CodeInstance
         raise ParameterError(f"build_sc_{family} needs {family} parameters, got {p!r}")
     if p.w is not None:
         raise ParameterError("a code instance takes w=None parameters; w is the window of the smoothed DE")
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     k, n = code_size(p)
     m = n - k
     edge_chk, edge_var = _windowed_edges(np.random.default_rng(seed), p)

@@ -32,9 +32,6 @@ DELTA_STALL = 1e-12
 MAX_ITERS = 20000
 BISECT_PRECISION = 1e-4
 
-CRITERION_MESSAGE = "message"
-CRITERION_ALL = "all"
-
 
 class DensityEvolutionError(RuntimeError):
     """Raised for inconsistent convergence behavior or bad model setup."""
@@ -75,35 +72,17 @@ class ProtoDeState:
     iteration: int
 
 
-def de_step_ra_w(s: DeState, p: ScRaParams) -> DeState:
-    """One synchronous update of the smoothed coupled RA recursion.
-
-    Both updates read the iteration-(l) state; the parity value on the
-    right-hand side uses the same position index as the left-hand side.
-    """
-    return make_de_model("ra-w", p).step(s)
-
-
-def de_step_ldpc_w(s: DeState, p: ScLdpcParams) -> DeState:
-    """One synchronous update of the smoothed coupled LDPC recursion."""
-    return make_de_model("ldpc-w", p).step(s)
-
-
 class _Driver:
     """Residual and change shared by the DE drivers.
 
-    Every state tracks the message values x; parity_fields names the
-    state's parity arrays, empty for the LDPC baseline.
+    The residual is the largest message erasure x; parity_fields names the
+    state's parity arrays, which the change also tracks (none for LDPC).
     """
 
     parity_fields: tuple[str, ...]
 
-    def residual(self, s, criterion: str) -> float:
-        r = float(np.maximum.reduce(s.x, None))
-        if criterion == CRITERION_ALL:
-            for f in self.parity_fields:
-                r = max(r, float(np.maximum.reduce(getattr(s, f), None)))
-        return r
+    def residual(self, s) -> float:
+        return float(np.maximum.reduce(s.x, None))
 
     def change(self, old, new) -> float:
         d = float(np.maximum.reduce(np.abs(new.x - old.x), None))
@@ -113,7 +92,7 @@ class _Driver:
 
 
 class _WModel(_Driver):
-    """Driver for the smoothed recursions; make_de_model and _model_for have checked the window."""
+    """Driver for the smoothed recursions; make_de_model has checked the window."""
 
     def __init__(self, p: ScRaParams | ScLdpcParams):
         self.p = p
@@ -129,6 +108,7 @@ class _WModel(_Driver):
         return DeState(np.full(self.p.span, eps), y, eps, 0)
 
     def step(self, s: DeState) -> DeState:
+        """One synchronous update from the iteration-(l) state; each new y[t] reads the old y[t]."""
         p, ones = self.p, self._ones
         # 1 - the mean of x over {t-w+1..t} for every check position t, zeros outside
         omx = 1.0 - np.convolve(s.x, ones, "full") / p.w
@@ -237,20 +217,12 @@ def make_de_model(kind: str, p: ScRaParams | ScLdpcParams):
     return factory(p)
 
 
-def _model_for(p):
-    """The driver for a parameter set, smoothed iff it has a window; a driver passes through."""
-    if isinstance(p, (ScRaParams, ScLdpcParams)):
-        return _WModel(p) if p.w is not None else _ProtoModel(p)
-    return p
-
-
 @dataclass
 class DeRunResult:
     """One DE run: outcome is "converged", "stalled" (the change fell below
-    delta_stall first) or "budget" (max_iters ran out undecided)."""
+    DELTA_STALL first) or "budget" (max_iters ran out undecided)."""
 
     outcome: str
-    state: DeState | ProtoDeState
     iterations: int
     residual: float
 
@@ -259,38 +231,28 @@ class DeRunResult:
         return self.outcome == "converged"
 
 
-def de_run(
-    p,
-    eps: float,
-    max_iters: int = MAX_ITERS,
-    delta_success: float = DELTA_SUCCESS,
-    delta_stall: float = DELTA_STALL,
-    criterion: str = CRITERION_MESSAGE,
-) -> DeRunResult:
-    """Iterate the recursion at fixed eps until success, stall, or budget.
+def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
+    """Iterate a driver's recursion at fixed eps until success, stall, or budget.
 
-    Success: the maximum tracked message erasure falls below
-    delta_success (criterion "all" also tracks the parity values).
-    Stall: the maximum per-iteration change falls below delta_stall
-    first, reporting non-convergence; a NaN change counts as a stall, so
-    a recursion that breaks down stops at once rather than running out
-    the budget.
+    model is a driver from make_de_model, or any object with its
+    initial_state, step, residual and change.  Success: the residual (the
+    largest message erasure) falls below DELTA_SUCCESS.  Stall: the
+    largest per-iteration change falls below DELTA_STALL first, reporting
+    non-convergence; a NaN change counts as a stall, so a recursion that
+    breaks down stops at once rather than running out the budget.
     """
     if not 0.0 <= eps <= 1.0:
         raise ParameterError(f"eps must lie in [0, 1], got {eps}")
-    if criterion not in (CRITERION_MESSAGE, CRITERION_ALL):
-        raise ParameterError(f"unknown success criterion {criterion!r}")
-    model = _model_for(p)
     state = model.initial_state(eps)
     for _ in range(max_iters):
         new = model.step(state)
-        res = model.residual(new, criterion)
-        if res < delta_success:
-            return DeRunResult("converged", new, new.iteration, res)
-        if not model.change(state, new) >= delta_stall:
-            return DeRunResult("stalled", new, new.iteration, res)
+        res = model.residual(new)
+        if res < DELTA_SUCCESS:
+            return DeRunResult("converged", new.iteration, res)
+        if not model.change(state, new) >= DELTA_STALL:
+            return DeRunResult("stalled", new.iteration, res)
         state = new
-    return DeRunResult("budget", state, state.iteration, model.residual(state, criterion))
+    return DeRunResult("budget", state.iteration, model.residual(state))
 
 
 @dataclass
@@ -303,9 +265,7 @@ class ThresholdResult:
 
     lo: float
     hi: float
-    steps: int
     probes: list[tuple[float, bool, int, str]]
-    criterion: str
 
     @property
     def capped(self) -> int:
@@ -317,26 +277,23 @@ class ThresholdResult:
         return sum(pr[2] for pr in self.probes)
 
 
-def threshold(
-    p,
-    precision: float = BISECT_PRECISION,
-    max_iters: int = MAX_ITERS,
-    delta_success: float = DELTA_SUCCESS,
-    delta_stall: float = DELTA_STALL,
-    criterion: str = CRITERION_MESSAGE,
-) -> ThresholdResult:
-    """Bisect the erasure threshold of one ensemble view.
+def threshold(model, precision: float = BISECT_PRECISION, max_iters: int = MAX_ITERS) -> ThresholdResult:
+    """Bisect the erasure threshold of one driver (see de_run).
 
-    The bracket narrows to `precision`; the returned lo converged and hi
-    failed, each verified by an actual run.  A failure at eps=0 or a
-    success at eps=1 means the convergence predicate is not monotone in
-    the way bisection needs, and raises DensityEvolutionError.
+    The bracket narrows to `precision`, or until lo and hi are adjacent
+    doubles; the returned lo converged and hi failed, each verified by an
+    actual run.  A failure at eps=0 or a success at eps=1 means the
+    convergence predicate is not monotone in the way bisection needs, and
+    raises DensityEvolutionError.
     """
-    model = _model_for(p)
+    if not precision > 0:
+        raise ParameterError(f"precision must be > 0, got {precision}")
+    if max_iters < 1:
+        raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     probes: list[tuple[float, bool, int, str]] = []
 
     def probe(eps: float) -> bool:
-        r = de_run(model, eps, max_iters, delta_success, delta_stall, criterion)
+        r = de_run(model, eps, max_iters)
         probes.append((eps, r.converged, r.iterations, r.outcome))
         return r.converged
 
@@ -347,11 +304,13 @@ def threshold(
     lo, hi = 0.0, 1.0
     while hi - lo > precision:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            break
         if probe(mid):
             lo = mid
         else:
             hi = mid
-    return ThresholdResult(lo, hi, len(probes), probes, criterion)
+    return ThresholdResult(lo, hi, probes)
 
 
 @dataclass
@@ -386,6 +345,7 @@ def sweep_fig4(
     if variant not in ("4a", "4b"):
         raise ParameterError(f"variant must be '4a' or '4b', got {variant!r}")
     smoothed = variant == "4a"
+    ra_kind, ldpc_kind = ("ra-w", "ldpc-w") if smoothed else ("ra-proto", "ldpc-proto")
     dr_frac = {dl: Fraction(dl) / (1 - rate) for dl in ldpc_degrees}
     for dl, dr in dr_frac.items():
         if dr.denominator != 1:
@@ -396,11 +356,11 @@ def sweep_fig4(
         dr = int(dr_frac[dl])
         for L in Ls:
             ra_p = ScRaParams(q=q, a=q, L=L, M=1, w=q if smoothed else None)
-            res = threshold(ra_p, precision=precision, max_iters=max_iters)
+            res = threshold(make_de_model(ra_kind, ra_p), precision=precision, max_iters=max_iters)
             ra_rate = rate_sc_ra_w(ra_p) if smoothed else float(rate_sc_ra(ScRaParams(q, q, L)))
             rows.append(Fig4Row("ra", q, L, ra_p.w, ra_rate, res.lo, res.hi, res.iters))
             ld_p = ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=dl if smoothed else None)
-            res = threshold(ld_p, precision=precision, max_iters=max_iters)
+            res = threshold(make_de_model(ldpc_kind, ld_p), precision=precision, max_iters=max_iters)
             rows.append(
                 Fig4Row("ldpc", dl, L, ld_p.w, float(rate_sc_ldpc(ld_p)), res.lo, res.hi, res.iters)
             )

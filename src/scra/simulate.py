@@ -52,6 +52,8 @@ class SweepPlan:
             raise SimulationError("max_trials must be >= 1")
         if self.max_word_errors is not None and self.max_word_errors < 1:
             raise SimulationError("max_word_errors must be >= 1 or None")
+        if self.seed < 0:
+            raise SimulationError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def eps_range(start: float, stop: float, step: float) -> tuple[float, ...]:

@@ -39,12 +39,12 @@ def mid(res):
 
 @pytest.fixture(scope="module")
 def thr_ra_w():
-    return threshold(ScRaParams(6, 6, 16, w=6), precision=1e-4)
+    return threshold(make_de_model("ra-w", ScRaParams(6, 6, 16, w=6)), precision=1e-4)
 
 
 @pytest.fixture(scope="module")
 def thr_ldpc_w():
-    return threshold(ScLdpcParams(4, 8, 16, M=2, w=4), precision=1e-4)
+    return threshold(make_de_model("ldpc-w", ScLdpcParams(4, 8, 16, M=2, w=4)), precision=1e-4)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ def thr_uncoupled():
 
 @pytest.fixture(scope="module")
 def thr_proto():
-    return threshold(ScRaParams(6, 6, 16), precision=1e-4)
+    return threshold(make_de_model("ra-proto", ScRaParams(6, 6, 16)), precision=1e-4)
 
 
 def test_c01_exact_rates():
@@ -217,10 +217,9 @@ def test_c09_peel_implies_ml():
 
 
 def test_c10_de_matches_simulation():
-    p = ScRaParams(6, 6, 8)
-    thr = threshold(p, precision=1e-4)
+    model = make_de_model("ra-proto", ScRaParams(6, 6, 8))
+    thr = threshold(model, precision=1e-4)
     eps = mid(thr) - 0.03
-    model = make_de_model("ra-proto", p)
     state = model.initial_state(eps)
     profiles = []
     for _ in range(10):

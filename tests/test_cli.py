@@ -110,6 +110,26 @@ def test_construct_seed_from_environment(tmp_path, monkeypatch):
     assert load_descriptor(str(base) + ".json") == build_sc_ra(ScRaParams(3, 3, 1, 2), 9)
 
 
+@pytest.mark.parametrize("value", ["x", "-2", ""])
+def test_construct_refuses_bad_seed_from_environment(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("SCRA_SEED", value)
+    assert main(["construct", *TOY, "--out", str(tmp_path / "envcode")]) == 2
+    assert "error: SCRA_SEED " in capsys.readouterr().err
+    assert not (tmp_path / "envcode.json").exists()
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    base = construct_toy(tmp_path)
+    assert main(["construct", *TOY, "--seed", "-1", "--out", str(tmp_path / "neg")]) == 2
+    assert "error: seed " in capsys.readouterr().err
+    assert main(["simulate", "--code", str(base) + ".json", "--eps", "0.4", "--trials", "5",
+                 "--seed", "-1", "--out", str(tmp_path / "neg.csv")]) == 2
+    assert "error: seed " in capsys.readouterr().err
+    assert main(["simulate", "--preset", "fig5", "--eps", "0.4", "--trials", "1",
+                 "--seed", "-1", "--out", str(tmp_path / "neg_fig5")]) == 2
+    assert "error: seed " in capsys.readouterr().err
+
+
 def test_encode_hex_and_file_agree(tmp_path, capsys):
     base = construct_toy(tmp_path)
     capsys.readouterr()
@@ -272,6 +292,15 @@ def test_simulate_requires_code_and_eps(tmp_path):
     assert main(["simulate", "--eps", "0.4", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_simulate_preset_refuses_code(tmp_path, capsys):
+    """The preset runs its own codes; a --code beside it is refused, not dropped and recorded."""
+    out = tmp_path / "fig5"
+    assert main(["simulate", "--preset", "fig5", "--code", "x.json", "--eps", "0.45",
+                 "--trials", "2", "--out", str(out)]) == 2
+    assert "error: --code " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_malformed_eps(tmp_path, capsys):
     base = construct_toy(tmp_path)
     rc = main(["simulate", "--code", str(base) + ".json", "--eps", "0.4,oops",
@@ -390,6 +419,25 @@ def test_de_threshold_flag_errors(capsys):
         capsys.readouterr()
         assert main(["de", "threshold", "--ensemble", kind, *argv, "--precision", "1e-2"]) == 2
         assert f"error: {flag} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,key", [
+    ("--precision", "0", "precision"),
+    ("--precision", "-1", "precision"),
+    ("--precision", "nan", "precision"),
+    ("--max-iters", "0", "max_iters"),
+])
+def test_de_refuses_bad_bisection_flags(tmp_path, capsys, flag, value, key):
+    """A precision that is not > 0 would bisect forever (or, as NaN, not at all), and a
+    budget below one fails every probe; each is a usage error naming its key."""
+    threshold_argv = ["de", "threshold", "--ensemble", "ra-uncoupled", "--q", "6", "--a", "6"]
+    sweep_argv = ["de", "sweep", "--figure", "4b", "--L-values", "2", "--degrees", "3",
+                  "--out", str(tmp_path / "sweep.csv")]
+    for argv in (threshold_argv, sweep_argv):
+        capsys.readouterr()
+        assert main([*argv, flag, value]) == 2
+        assert f"error: {key} " in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_de_sweep_writes_table(tmp_path, capsys):

@@ -10,8 +10,6 @@ from scra.density_evolution import (
     DensityEvolutionError,
     DeState,
     de_run,
-    de_step_ldpc_w,
-    de_step_ra_w,
     make_de_model,
     sweep_fig4,
     threshold,
@@ -32,7 +30,9 @@ def test_step_at_eps_zero_clears_state():
     for model in (w_model(), proto_model(), make_de_model("ldpc-w", ScLdpcParams(3, 6, 4, 6, w=3))):
         s = model.initial_state(0.0)
         s = model.step(s)
-        assert model.residual(s, "all") == 0.0
+        for k, v in vars(s).items():
+            if isinstance(v, np.ndarray):
+                assert not v.any(), k
 
 
 def test_all_ones_is_fixed_point_at_eps_one():
@@ -54,12 +54,12 @@ def test_all_ones_is_fixed_point_at_eps_one():
 
 @pytest.mark.parametrize("q,a", [(3, 3), (6, 6)])
 def test_w1_L0_reduces_to_scalar_recursion(q, a):
-    p = ScRaParams(q, a, 0, M=a, w=1)
+    model = make_de_model("ra-w", ScRaParams(q, a, 0, M=a, w=1))
     eps = 0.4
     s = DeState(np.array([eps]), np.array([eps]), eps, 0)
     x, y = eps, eps
     for _ in range(60):
-        s = de_step_ra_w(s, p)
+        s = model.step(s)
         x, y = (
             eps * (1 - (1 - y) ** 2 * (1 - x) ** (a - 1)) ** (q - 1),
             eps * (1 - (1 - y) * (1 - x) ** a),
@@ -226,22 +226,19 @@ def test_values_stay_in_unit_interval(eps):
 
 
 def test_convergence_monotone_in_eps():
-    p = ScRaParams(3, 3, 8, M=3, w=3)
+    p = make_de_model("ra-w", ScRaParams(3, 3, 8, M=3, w=3))
     flags = [de_run(p, eps).converged for eps in np.arange(0.05, 1.0, 0.05)]
     assert flags[0] and not flags[-1]
     assert flags == sorted(flags, reverse=True), "a failure below a success"
 
 
 def test_run_examples_and_guards():
-    p = ScRaParams(3, 3, 16, M=3, w=3)
+    p = make_de_model("ra-w", ScRaParams(3, 3, 16, M=3, w=3))
     assert de_run(p, 0.2).converged
     res = de_run(p, 0.9)
     assert not res.converged and res.iterations < 20000  # stalls fast
-    assert de_run(p, 0.2, criterion="all").converged
     with pytest.raises(ParameterError):
         de_run(p, 1.5)
-    with pytest.raises(ParameterError):
-        de_run(p, 0.5, criterion="bogus")
 
 
 def test_structured_matches_smoothed_in_pristine_interior():
@@ -294,14 +291,13 @@ def test_threshold_regression_values(kind, p, pinned):
 
 
 def test_threshold_bracket_contract():
-    p = ScRaParams(3, 3, 4, M=3, w=3)
+    p = make_de_model("ra-w", ScRaParams(3, 3, 4, M=3, w=3))
     res = threshold(p, precision=1e-3)
     assert res.hi - res.lo <= 1e-3 + 1e-12
     assert de_run(p, res.lo).converged
     assert not de_run(p, res.hi).converged
     evaluated = [pr[0] for pr in res.probes]
     assert 0.0 in evaluated and 1.0 in evaluated
-    assert res.criterion == "message"
     assert res.iters == sum(pr[2] for pr in res.probes) and res.capped == 0
     cut = threshold(p, precision=1e-3, max_iters=20)
     budget = [pr for pr in cut.probes if pr[3] == "budget"]
@@ -313,7 +309,7 @@ def test_threshold_bracket_contract():
 def test_coupling_never_hurts():
     uncoupled = threshold(make_de_model("ra-uncoupled", ScRaParams(3, 3, 0, M=3)), precision=1e-3)
     for L in (4, 8):
-        coupled = threshold(ScRaParams(3, 3, L, M=3, w=3), precision=1e-3)
+        coupled = threshold(make_de_model("ra-w", ScRaParams(3, 3, L, M=3, w=3)), precision=1e-3)
         assert coupled.lo >= uncoupled.hi
 
 
@@ -326,7 +322,7 @@ class _Stuck:
     def step(self, s):
         return DeState(s.x.copy(), None, s.eps, s.iteration + 1)
 
-    def residual(self, s, criterion):
+    def residual(self, s):
         return 1.0
 
     def change(self, old, new):
@@ -342,7 +338,7 @@ class _Instant:
     def step(self, s):
         return DeState(s.x.copy(), None, s.eps, s.iteration + 1)
 
-    def residual(self, s, criterion):
+    def residual(self, s):
         return 0.0
 
     def change(self, old, new):
@@ -370,12 +366,31 @@ def test_make_de_model_guards():
 
 
 def test_step_dispatch_guards():
-    s = DeState(np.array([0.1]), np.array([0.1]), 0.1, 0)
-    with pytest.raises(ParameterError):
-        de_step_ra_w(s, ScRaParams(3, 3, 0, M=3))
-    with pytest.raises(ParameterError):
-        de_step_ldpc_w(DeState(np.array([0.1]), None, 0.1, 0), ScLdpcParams(3, 6, 0, 6))
+    with pytest.raises(ParameterError, match="window"):
+        make_de_model("ra-w", ScRaParams(3, 3, 0, M=3))
+    with pytest.raises(ParameterError, match="window"):
+        make_de_model("ldpc-w", ScLdpcParams(3, 6, 0, 6))
 
+
+@pytest.mark.parametrize("kwargs,key", [
+    ({"precision": 0.0}, "precision"),
+    ({"precision": -1.0}, "precision"),
+    ({"precision": float("nan")}, "precision"),
+    ({"max_iters": 0}, "max_iters"),
+])
+def test_threshold_refuses_bad_bisection_args(kwargs, key):
+    with pytest.raises(ParameterError, match=key):
+        threshold(make_de_model("ra-uncoupled", ScRaParams(6, 6, 0, M=6)), **kwargs)
+
+
+def test_threshold_ends_on_adjacent_doubles():
+    """A precision finer than the spacing of doubles near the threshold stops
+    the bisection once the midpoint rounds onto an end of the bracket."""
+    model = make_de_model("ra-uncoupled", ScRaParams(3, 3, 0, M=3))
+    res = threshold(model, precision=1e-300, max_iters=200)
+    assert 0.0 < res.lo < res.hi == np.nextafter(res.lo, 1.0)
+    assert de_run(model, res.lo, max_iters=200).converged
+    assert len({pr[0] for pr in res.probes}) == len(res.probes) < 70
 
 def test_sweep_rows_and_csv(tmp_path):
     rows = sweep_fig4("4b", Ls=(2,), ldpc_degrees=(3,), precision=5e-3)

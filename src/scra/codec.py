@@ -84,7 +84,7 @@ def encode(c, message) -> np.ndarray:
         raise CodecError(f"message length {msg.shape} does not match k={c.k}")
     if ((msg < 0) | (msg > 1)).any():
         raise CodecError("message entries must be 0 or 1")
-    edge_chk = c.edge_checks()
+    edge_chk = c.edge_checks
     is_msg_edge = c.check_vars < c.k
     ones = msg[c.check_vars[is_msg_edge]] == 1
     per_check = np.bincount(edge_chk[is_msg_edge][ones], minlength=c.m)
@@ -97,7 +97,7 @@ def syndrome(c, word) -> np.ndarray:
     arr = _as_word(c, word)
     if (arr == ERASED).any():
         raise CodecError("syndrome needs a fully known word")
-    edge_chk = c.edge_checks()
+    edge_chk = c.edge_checks
     ones = arr[c.check_vars] == 1
     return (np.bincount(edge_chk[ones], minlength=c.m) & 1).astype(np.uint8)
 
@@ -157,7 +157,7 @@ def decode_peel(c, word, max_iters: int = 1000, record_positions: bool = False) 
                              np.empty((0, 0)) if record_positions else None)
 
     m = c.m
-    var_chk = c.padded_var_checks()
+    var_chk = c.padded_var_checks
     dmax = var_chk.shape[1]
     # per check: count and id sum of its erased neighbors, count of its ones;
     # pad entries land on the sentinel check m, which is zeroed after each update
@@ -229,7 +229,7 @@ def decode_ml_oracle(c, word) -> DecodeOutcome:
     words = (e + 1 + 63) // 64  # one extra bit for the right-hand side
     rows = np.zeros((c.m, words), dtype=np.uint64)
 
-    edge_chk = c.edge_checks()
+    edge_chk = c.edge_checks
     edge_col = col_of[c.check_vars]
     sel = edge_col >= 0
     flat_idx = edge_chk[sel] * words + (edge_col[sel] >> 6)

@@ -10,7 +10,8 @@ a balanced, seeded socket assignment, so interior checks absorb exactly
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +54,6 @@ class CodeInstance:
     n: int
     check_indptr: np.ndarray
     check_vars: np.ndarray
-    _tables: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def family(self) -> str:
@@ -72,79 +72,55 @@ class CodeInstance:
         """Number of message variables, which are numbered first."""
         return self.k if self.family == "ra" else self.n
 
-    @property
+    @cached_property
     def check_pos(self) -> np.ndarray:
         """Chain position of every check, cached; all zero without params."""
-        if "check_pos" not in self._tables:
-            p = self.params
-            self._tables["check_pos"] = (
-                np.zeros(self.m, dtype=np.int32)
-                if p is None
-                else np.repeat(np.arange(p.n_chk_pos, dtype=np.int32), p.checks_per_pos)
-            )
-        return self._tables["check_pos"]
+        p = self.params
+        if p is None:
+            return np.zeros(self.m, dtype=np.int32)
+        return np.repeat(np.arange(p.n_chk_pos, dtype=np.int32), p.checks_per_pos)
 
-    @property
+    @cached_property
     def var_pos(self) -> np.ndarray:
         """Chain position of every variable, cached; all zero without params.
 
         A parity bit sits at the position of its check.
         """
-        if "var_pos" not in self._tables:
-            p = self.params
-            self._tables["var_pos"] = (
-                np.zeros(self.n, dtype=np.int32)
-                if p is None
-                else np.concatenate([
-                    np.repeat(np.arange(p.span, dtype=np.int32), p.M),
-                    self.check_pos[: self.n - self.n_msg],
-                ])
-            )
-        return self._tables["var_pos"]
+        p = self.params
+        if p is None:
+            return np.zeros(self.n, dtype=np.int32)
+        return np.concatenate([
+            np.repeat(np.arange(p.span, dtype=np.int32), p.M),
+            self.check_pos[: self.n - self.n_msg],
+        ])
 
     def check_neighbors(self, t: int) -> np.ndarray:
         return self.check_vars[self.check_indptr[t] : self.check_indptr[t + 1]]
 
-    def var_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, check ids) of the transposed adjacency, cached."""
-        if "var_checks" not in self._tables:
-            edge_var = self.check_vars
-            edge_chk = np.repeat(
-                np.arange(self.m, dtype=np.int32), np.diff(self.check_indptr)
-            )
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(edge_var, minlength=self.n), out=indptr[1:])
-            self._tables["var_indptr"] = indptr
-            self._tables["var_checks"] = edge_chk[np.lexsort((edge_chk, edge_var))]
-        return self._tables["var_indptr"], self._tables["var_checks"]
-
+    @cached_property
     def edge_checks(self) -> np.ndarray:
         """Check id of every edge in check_vars order, cached."""
-        if "edge_checks" not in self._tables:
-            self._tables["edge_checks"] = np.repeat(
-                np.arange(self.m, dtype=np.intp), np.diff(self.check_indptr)
-            )
-        return self._tables["edge_checks"]
+        return np.repeat(np.arange(self.m, dtype=np.intp), np.diff(self.check_indptr))
 
+    @cached_property
     def padded_var_checks(self) -> np.ndarray:
         """(n, max variable degree) table of each variable's checks, cached.
 
         Rows are ascending; unused entries hold the sentinel check id m.
         """
-        if "padded_var_checks" not in self._tables:
-            indptr, var_chk = self.var_adjacency()
-            deg = np.diff(indptr)
-            padded = np.full((self.n, int(deg.max(initial=0))), self.m, dtype=np.intp)
-            rows = np.repeat(np.arange(self.n), deg)
-            padded[rows, np.arange(len(var_chk)) - indptr[rows]] = var_chk
-            self._tables["padded_var_checks"] = padded
-        return self._tables["padded_var_checks"]
+        edge_chk = self.edge_checks
+        order = np.lexsort((edge_chk, self.check_vars))
+        var = self.check_vars[order]
+        deg = np.bincount(var, minlength=self.n)
+        first = np.cumsum(deg) - deg
+        padded = np.full((self.n, int(deg.max(initial=0))), self.m, dtype=np.intp)
+        padded[var, np.arange(len(var)) - first[var]] = edge_chk[order]
+        return padded
 
     def h_dense(self) -> np.ndarray:
         """Dense 0/1 parity-check matrix; intended for small instances."""
         h = np.zeros((self.m, self.n), dtype=np.uint8)
-        for t in range(self.m):
-            h[t, self.check_neighbors(t)] = 1
+        h[self.edge_checks, self.check_vars] = 1
         return h
 
     def __eq__(self, other: object) -> bool:
@@ -247,66 +223,79 @@ def validate_instance(c: CodeInstance) -> None:
     (interior checks absorb exactly the combiner degree), and the
     bidiagonal parity chain for the RA family.
     """
-    def fail(msg: str) -> None:
-        raise ConstructionError(msg)
-
     if c.m == 0:
-        fail("code has no checks")
+        raise ConstructionError("code has no checks")
     starts = c.check_indptr[:-1]
     ends = c.check_indptr[1:]
     # boundary checks may carry few message edges, but never none at all
     if np.any(ends - starts < 1):
-        fail("check of degree 0")
+        raise ConstructionError("check of degree 0")
     # tested before any n-sized allocation: n may come from an untrusted file
     if c.n > len(c.check_vars):
-        fail("variable of degree 0")
+        raise ConstructionError("variable of degree 0")
+    edge_chk = np.repeat(np.arange(c.m, dtype=np.int64), ends - starts)
     # strictly ascending neighbor lists <=> no parallel edges
-    interior_steps = np.diff(c.check_vars)
-    boundary = ends[:-1]  # last index of each check's slice except final
-    keep = np.ones(len(c.check_vars) - 1, dtype=bool)
-    keep[boundary - 1] = False
-    if np.any(interior_steps[keep] <= 0):
-        fail("parallel or unsorted edges in check adjacency")
+    same_check = edge_chk[1:] == edge_chk[:-1]
+    if np.any(np.diff(c.check_vars)[same_check] <= 0):
+        raise ConstructionError("parallel or unsorted edges in check adjacency")
 
     var_deg = np.bincount(c.check_vars, minlength=c.n)
     if np.any(var_deg == 0):
-        fail("variable of degree 0")
+        raise ConstructionError("variable of degree 0")
     n_msg = c.n_msg
     msg_edge = c.check_vars < n_msg
-    edge_chk = np.repeat(np.arange(c.m, dtype=np.int64), ends - starts)
 
     if c.params is not None:
         p = c.params
         k, n = code_size(p)
         if (c.n, c.m) != (n, n - k):
-            fail(f"n={c.n}, m={c.m} disagree with the parameters (n={n}, m={n - k})")
+            raise ConstructionError(f"n={c.n}, m={c.m} disagree with the parameters (n={n}, m={n - k})")
         if np.any(var_deg[:n_msg] != p.width):
-            fail(f"message variable degree != {p.width}")
+            raise ConstructionError(f"message variable degree != {p.width}")
         # every message edge lies inside the one-sided window of its source
         offs = c.check_pos[edge_chk[msg_edge]] - c.var_pos[c.check_vars[msg_edge]]
         if np.any(offs < 0) or np.any(offs >= p.width):
-            fail("message edge outside its coupling window")
+            raise ConstructionError("message edge outside its coupling window")
         msg_deg = np.bincount(edge_chk[msg_edge], minlength=c.m)
         if np.any(msg_deg > p.combine):
-            fail(f"check absorbs more than {p.combine} message edges")
+            raise ConstructionError(f"check absorbs more than {p.combine} message edges")
         # checks whose window of source positions is not cut by a chain end
         full = (p.sources_per_check_pos() == p.width)[c.check_pos]
         if np.any(msg_deg[full] != p.combine):
-            fail("interior check does not absorb exactly the combiner degree")
+            raise ConstructionError("interior check does not absorb exactly the combiner degree")
 
     if c.family == "ra":
         par_deg = var_deg[n_msg:]
         if np.any(par_deg[:-1] != 2) or par_deg[-1] != 1:
-            fail("parity degrees must be 2 with a final degree-1 bit")
+            raise ConstructionError("parity degrees must be 2 with a final degree-1 bit")
         for t in (0, c.m - 1):  # spot ends; the bulk is covered by the degree check
             nbrs = set(int(v) for v in c.check_neighbors(t) if v >= n_msg)
             want = {n_msg + t} | ({n_msg + t - 1} if t > 0 else set())
             if nbrs != want:
-                fail(f"parity chain broken at check {t}")
+                raise ConstructionError(f"parity chain broken at check {t}")
         sel = ~msg_edge
         band = edge_chk[sel] - (c.check_vars[sel] - n_msg)
         if np.any(band < 0) or np.any(band > 1):
-            fail("parity edge outside the bidiagonal band")
+            raise ConstructionError("parity edge outside the bidiagonal band")
+
+
+def _from_rows(
+    rows: list[list[int]], n: int, params: ScRaParams | ScLdpcParams | None, seed: int | None, error
+) -> CodeInstance:
+    """A validated instance from per-check rows of variable ids.
+
+    A broken graph invariant raises error(message), the caller's own
+    error type and wording.
+    """
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    check_vars = np.array([v for r in rows for v in r], dtype=np.int32)
+    inst = CodeInstance(params=params, seed=seed, n=n, check_indptr=indptr, check_vars=check_vars)
+    try:
+        validate_instance(inst)
+    except ConstructionError as exc:
+        raise error(str(exc)) from None
+    return inst
 
 
 # -- degree bookkeeping ------------------------------------------------------
@@ -362,8 +351,7 @@ def export_alist(c: CodeInstance, dest) -> None:
     Header is "n m"; neighbor lists are 1-based and ascending; no zero
     padding is emitted.
     """
-    indptr, var_chk = c.var_adjacency()
-    col_deg = np.diff(indptr)
+    col_deg = np.bincount(c.check_vars, minlength=c.n)
     row_deg = np.diff(c.check_indptr)
     lines = [
         f"{c.n} {c.m}",
@@ -371,8 +359,10 @@ def export_alist(c: CodeInstance, dest) -> None:
         " ".join(str(int(d)) for d in col_deg),
         " ".join(str(int(d)) for d in row_deg),
     ]
-    for v in range(c.n):
-        lines.append(" ".join(str(int(t) + 1) for t in var_chk[indptr[v] : indptr[v + 1]]))
+    col_chk = c.edge_checks[np.lexsort((c.edge_checks, c.check_vars))]
+    ends = np.cumsum(col_deg).tolist()
+    for lo, hi in zip([0, *ends], ends):
+        lines.append(" ".join(str(int(t) + 1) for t in col_chk[lo:hi]))
     for t in range(c.m):
         lines.append(" ".join(str(int(v) + 1) for v in c.check_neighbors(t)))
     _write_text(dest, "\n".join(lines) + "\n")
@@ -400,8 +390,7 @@ def import_alist(src) -> CodeInstance:
             raise AlistError(f"line {line_no + 1}: expected {expect} integers, got {len(vals)}")
         return vals
 
-    header = ints(0, 2)
-    n, m = header
+    n, m = ints(0, 2)
     if n <= 0 or m <= 0:
         raise AlistError("line 1: dimensions must be positive")
     ints(1, 2)  # maximum degrees; informational
@@ -429,22 +418,10 @@ def import_alist(src) -> CodeInstance:
         if len(set(r)) != len(r):
             raise AlistError(f"line {4 + n + t + 1}: duplicate neighbor in row {t + 1}")
 
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    check_vars = np.array([v for r in rows for v in r], dtype=np.int32)
+    inst = _from_rows(rows, n, None, None, lambda msg: AlistError(f"invalid graph: {msg}"))
     # cross-check the column lists against the rows
-    rebuilt = [[] for _ in range(n)]
-    for t, r in enumerate(rows):
-        for v in r:
-            rebuilt[v].append(t)
-    if rebuilt != cols:
+    if [row[row < m].tolist() for row in inst.padded_var_checks] != cols:
         raise AlistError("line 1: column lists inconsistent with row lists")
-
-    inst = CodeInstance(params=None, seed=None, n=n, check_indptr=indptr, check_vars=check_vars)
-    try:
-        validate_instance(inst)
-    except ConstructionError as exc:
-        raise AlistError(f"invalid graph: {exc}") from None
     return inst
 
 
@@ -526,21 +503,9 @@ def load_descriptor(src) -> CodeInstance:
     for t, row in enumerate(checks):
         if not isinstance(row, list) or not all(is_int(v) and 0 <= v < n for v in row):
             raise DescriptorError(f"field 'checks': row {t} is not a list of variable ids")
-    indptr = np.zeros(len(checks) + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in checks], out=indptr[1:])
+    edges = sum(len(row) for row in checks)
     # every variable has an edge, so n is bounded by what the file holds;
     # a document without checks fails validation below, on field 'checks'
-    if checks and n > int(indptr[-1]):
-        raise DescriptorError(f"field 'n': {n} variables but only {int(indptr[-1])} edges")
-    inst = CodeInstance(
-        params=params,
-        seed=seed,
-        n=n,
-        check_indptr=indptr,
-        check_vars=np.array([v for row in checks for v in row], dtype=np.int32),
-    )
-    try:
-        validate_instance(inst)
-    except ConstructionError as exc:
-        raise DescriptorError(f"field 'checks': {exc}") from None
-    return inst
+    if checks and n > edges:
+        raise DescriptorError(f"field 'n': {n} variables but only {edges} edges")
+    return _from_rows(checks, n, params, seed, lambda msg: DescriptorError(f"field 'checks': {msg}"))

@@ -31,6 +31,7 @@ DELTA_SUCCESS = 1e-8
 DELTA_STALL = 1e-12
 MAX_ITERS = 20000
 BISECT_PRECISION = 1e-4
+FIG4_RATE = Fraction(1, 2)  # uncoupled design rate of the Fig. 4 degree families
 
 
 class DensityEvolutionError(RuntimeError):
@@ -331,7 +332,6 @@ def sweep_fig4(
     variant: str,
     Ls: tuple[int, ...] = (4, 8, 16, 32, 64),
     ldpc_degrees: tuple[int, ...] = (3, 4, 5, 6),
-    rate: Fraction = Fraction(1, 2),
     precision: float = BISECT_PRECISION,
     max_iters: int = MAX_ITERS,
 ) -> list[Fig4Row]:
@@ -340,20 +340,16 @@ def sweep_fig4(
     variant "4a" uses the smoothed ensembles (RA with w=q, LDPC with
     w=dl); variant "4b" uses the structured ensembles.  Each LDPC degree
     dl is paired with the RA repetition factor of equal edge density at
-    the given uncoupled rate.
+    the uncoupled rate FIG4_RATE.
     """
     if variant not in ("4a", "4b"):
         raise ParameterError(f"variant must be '4a' or '4b', got {variant!r}")
     smoothed = variant == "4a"
     ra_kind, ldpc_kind = ("ra-w", "ldpc-w") if smoothed else ("ra-proto", "ldpc-proto")
-    dr_frac = {dl: Fraction(dl) / (1 - rate) for dl in ldpc_degrees}
-    for dl, dr in dr_frac.items():
-        if dr.denominator != 1:
-            raise ParameterError(f"dl={dl} at rate {rate} gives non-integral dr={dr}")
     rows: list[Fig4Row] = []
     for dl in ldpc_degrees:
-        q = density_matched_q(dl, rate)
-        dr = int(dr_frac[dl])
+        q = density_matched_q(dl, FIG4_RATE)
+        dr = int(dl / (1 - FIG4_RATE))
         for L in Ls:
             ra_p = ScRaParams(q=q, a=q, L=L, M=1, w=q if smoothed else None)
             res = threshold(make_de_model(ra_kind, ra_p), precision=precision, max_iters=max_iters)

@@ -52,6 +52,8 @@ class SweepPlan:
             raise SimulationError("max_trials must be >= 1")
         if self.max_word_errors is not None and self.max_word_errors < 1:
             raise SimulationError("max_word_errors must be >= 1 or None")
+        if self.max_iters < 1:
+            raise SimulationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.seed < 0:
             raise SimulationError(f"seed must be a non-negative integer, got {self.seed}")
 

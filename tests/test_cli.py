@@ -128,6 +128,7 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     assert main(["simulate", "--preset", "fig5", "--eps", "0.4", "--trials", "1",
                  "--seed", "-1", "--out", str(tmp_path / "neg_fig5")]) == 2
     assert "error: seed " in capsys.readouterr().err
+    assert not (tmp_path / "neg_fig5").exists()
 
 
 def test_encode_hex_and_file_agree(tmp_path, capsys):
@@ -298,6 +299,17 @@ def test_simulate_preset_refuses_code(tmp_path, capsys):
     assert main(["simulate", "--preset", "fig5", "--code", "x.json", "--eps", "0.45",
                  "--trials", "2", "--out", str(out)]) == 2
     assert "error: --code " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_simulate_refuses_max_iters_below_one(tmp_path, capsys, value):
+    """With no peeling sweep every trial counted as a word error, and the run exited 0."""
+    base = construct_toy(tmp_path)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--code", str(base) + ".json", "--eps", "0.4", "--trials", "5",
+                 "--max-iters", value, "--out", str(out)]) == 2
+    assert "error: max_iters " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -145,23 +145,27 @@ def test_ldpc_instance_invariants(dl, dr, L, M):
 
 
 def test_var_adjacency_matches_dense_transpose():
-    c = small_ra(3)
-    indptr, vchk = c.var_adjacency()
-    h = c.h_dense()
-    for v in range(c.n):
-        np.testing.assert_array_equal(vchk[indptr[v] : indptr[v + 1]], np.flatnonzero(h[:, v]))
+    # the imported matrix is irregular: column degrees 1, 1, 2
+    for c in (small_ra(3), build_sc_ldpc(ScLdpcParams(3, 6, 1, 4), 5), import_alist(io.StringIO(ALIST_3X2))):
+        padded = c.padded_var_checks
+        h = c.h_dense()
+        assert padded.shape == (c.n, h.sum(axis=0).max())
+        for v in range(c.n):
+            col = np.flatnonzero(h[:, v])
+            np.testing.assert_array_equal(padded[v, : col.size], col)
+            assert (padded[v, col.size :] == c.m).all()
 
 
 def test_cached_tables_match_adjacency():
     c = small_ra(3)
-    np.testing.assert_array_equal(c.edge_checks(), np.repeat(np.arange(c.m), np.diff(c.check_indptr)))
-    padded = c.padded_var_checks()
-    indptr, vchk = c.var_adjacency()
-    deg = np.diff(indptr)
+    np.testing.assert_array_equal(c.edge_checks, np.repeat(np.arange(c.m), np.diff(c.check_indptr)))
+    padded = c.padded_var_checks
+    deg = np.bincount(c.check_vars, minlength=c.n)
     assert padded.shape == (c.n, deg.max())
     for v in range(c.n):
-        np.testing.assert_array_equal(padded[v, : deg[v]], vchk[indptr[v] : indptr[v + 1]])
+        np.testing.assert_array_equal(padded[v, : deg[v]], sorted(c.edge_checks[c.check_vars == v]))
         assert (padded[v, deg[v] :] == c.m).all()
+    assert c.padded_var_checks is padded and c.edge_checks is c.edge_checks  # computed once
     assert c == small_ra(3)  # cached tables take no part in equality
 
 
@@ -222,6 +226,10 @@ def test_alist_accepts_zero_padding():
     assert (c.n, c.m) == (3, 2)
     assert c.check_neighbors(0).tolist() == [0, 2]
     assert c.check_neighbors(1).tolist() == [1, 2]
+    # a graph without parameters re-exports canonically: padding dropped, maxima line recomputed
+    buf = io.StringIO()
+    export_alist(c, buf)
+    assert buf.getvalue() == "3 2\n2 2\n1 1 2\n2 2\n1\n2\n1 2\n1 3\n2 3\n"
 
 
 def test_alist_hand_written_small():

@@ -35,6 +35,9 @@ def test_plan_validation():
         SweepPlan((0.5,), max_trials=0)
     with pytest.raises(SimulationError):
         SweepPlan((0.5,), max_word_errors=0)
+    for bad in (0, -3):
+        with pytest.raises(SimulationError, match="max_iters"):
+            SweepPlan((0.5,), max_iters=bad)
     with pytest.raises(SimulationError):
         run_sweep(toy_code(), SweepPlan((0.5,), max_trials=1), jobs=0)
 

@@ -250,9 +250,9 @@ def _cmd_simulate(cfg: dict) -> int:
             raise ParameterError(f"--code is not used by --preset {cfg['preset']}")
         eps = _parse_eps(cfg["eps"]) if cfg["eps"] else eps_range(0.43, 0.50, 0.005)
         plan = SweepPlan(eps, cfg["trials"], cfg["word_errors"], cfg["max_iters"], cfg["seed"])
-        os.makedirs(cfg["out"], exist_ok=True)
         for name, p in _FIG5_CODES:
             result = run_sweep(_build(p, cfg["seed"]), plan, jobs=cfg["jobs"])
+            os.makedirs(cfg["out"], exist_ok=True)  # after run_sweep, so none of its checks leaves a directory
             result.to_csv(os.path.join(cfg["out"], name + ".csv"))
             print(f"{name}: wrote {os.path.join(cfg['out'], name + '.csv')}")
         _write_config("simulate", cfg, os.path.join(cfg["out"], "fig5"))

@@ -4,8 +4,8 @@ Two ensemble views are tracked.  The smoothed (window-w) recursions
 follow the randomized ensemble with one erasure value per position.  The
 structured view follows the protograph instance: one value per (message
 position -> check position) edge bundle, plus left/right accumulator
-neighbor values per check position, with boundary checks modeled through
-their mean message degree (a real-valued exponent).
+neighbor values per check position as the two rows of y, with boundary
+checks modeled through their mean message degree (a real-valued exponent).
 """
 
 from __future__ import annotations
@@ -40,55 +40,36 @@ class DensityEvolutionError(RuntimeError):
 
 @dataclass
 class DeState:
-    """Erasure probabilities of the smoothed coupled recursion.
+    """Erasure probabilities of one DE recursion after `iteration` steps.
 
-    x: message-to-check erasure per message position, index 0 at the left
-       termination (length 2L+1).
-    y: parity-to-check erasure per active check position (length 2L+w) for
-       the RA family; None for the LDPC baseline.
+    x: message-to-check erasure; per message position, index 0 at the left
+       termination (smoothed), or x[i, d] for the bundle from message
+       position i into check position i+d (structured).
+    y: parity-to-check erasure, None for LDPC; per active check position
+       (smoothed), or shape (2, n_chk_pos) with rows from the left and the
+       right accumulator neighbor (structured).
+    z: check-to-message erasure of the structured step that produced this
+       state, so a-posteriori profiles align with decoder sweeps; else None.
     """
 
     x: np.ndarray
     y: np.ndarray | None
     eps: float
     iteration: int
-
-
-@dataclass
-class ProtoDeState:
-    """Erasure probabilities of the structured (protograph) recursion.
-
-    x[i, d] is the bundle from message position i into check position
-    i+d.  y_left / y_right are the accumulator-neighbor values per check
-    position (None for LDPC).  z stores the check-to-message erasure used
-    by the step that produced this state, so a-posteriori profiles align
-    with decoder sweeps.
-    """
-
-    x: np.ndarray
-    y_left: np.ndarray | None
-    y_right: np.ndarray | None
-    z: np.ndarray | None
-    eps: float
-    iteration: int
+    z: np.ndarray | None = None
 
 
 class _Driver:
-    """Residual and change shared by the DE drivers.
+    """Residual and change shared by the DE drivers: the residual is the largest
+    message erasure x, and the change also tracks y where there is one."""
 
-    The residual is the largest message erasure x; parity_fields names the
-    state's parity arrays, which the change also tracks (none for LDPC).
-    """
-
-    parity_fields: tuple[str, ...]
-
-    def residual(self, s) -> float:
+    def residual(self, s: DeState) -> float:
         return float(np.maximum.reduce(s.x, None))
 
-    def change(self, old, new) -> float:
+    def change(self, old: DeState, new: DeState) -> float:
         d = float(np.maximum.reduce(np.abs(new.x - old.x), None))
-        for f in self.parity_fields:
-            d = max(d, float(np.maximum.reduce(np.abs(getattr(new, f) - getattr(old, f)), None)))
+        if new.y is not None:
+            d = max(d, float(np.maximum.reduce(np.abs(new.y - old.y), None)))
         return d
 
 
@@ -98,7 +79,6 @@ class _WModel(_Driver):
     def __init__(self, p: ScRaParams | ScLdpcParams):
         self.p = p
         self.is_ra = isinstance(p, ScRaParams)
-        self.parity_fields = ("y",) if self.is_ra else ()
 
     @cached_property
     def _ones(self) -> np.ndarray:
@@ -128,7 +108,6 @@ class _ProtoModel(_Driver):
     def __init__(self, p: ScRaParams | ScLdpcParams):
         self.p = p
         self.is_ra = isinstance(p, ScRaParams)
-        self.parity_fields = ("y_left", "y_right") if self.is_ra else ()
         self.width = p.width
         self.span = p.span
         self.n_chk = p.n_chk_pos
@@ -149,39 +128,27 @@ class _ProtoModel(_Driver):
         gather[1:, 0], gather[1:, 1] = window.T[:-1], window.T[:0:-1]
         return n_sources, mean_deg - 1.0, mean_deg, window, diag, buf, gather
 
-    def initial_state(self, eps: float) -> ProtoDeState:
-        y = np.full(self.n_chk, eps) if self.is_ra else None
-        return ProtoDeState(
-            np.full((self.span, self.width), eps),
-            y,
-            None if y is None else y.copy(),
-            None,
-            eps,
-            0,
-        )
+    def initial_state(self, eps: float) -> DeState:
+        y = np.full((2, self.n_chk), eps) if self.is_ra else None
+        return DeState(np.full((self.span, self.width), eps), y, eps, 0)
 
-    def step(self, s: ProtoDeState) -> ProtoDeState:
+    def step(self, s: DeState) -> DeState:
         n_sources, deg_m1, deg, _, diag, buf, gather = self._tables
         diag[...] = s.x.T
         omx = 1.0 - np.add.reduce(buf, 0) / n_sources  # 1 - the mean bundle into each check position
         clean = omx ** deg_m1
         if self.is_ra:
-            omy_left, omy_right = 1.0 - s.y_left, 1.0 - s.y_right
-            clean = clean * omy_left * omy_right
+            omy = 1.0 - s.y
+            clean = clean * omy[0] * omy[1]  # left, then right: the rounding the digests pin
         z = np.empty(self.n_chk + 1)  # check-to-message erasure, then the empty product
         z[-1] = 1.0
         np.subtract(1.0, clean, out=z[:-1])
         c = z.take(gather).cumprod(0)
         x_new = (s.eps * c[:, 0] * c[::-1, 1]).T
-        if self.is_ra:
-            through = omx ** deg
-            y_left = s.eps * (1.0 - omy_left * through)
-            y_right = s.eps * (1.0 - omy_right * through)
-        else:
-            y_left = y_right = None
-        return ProtoDeState(x_new, y_left, y_right, z[:-1], s.eps, s.iteration + 1)
+        y = s.eps * (1.0 - omy * omx ** deg) if self.is_ra else None
+        return DeState(x_new, y, s.eps, s.iteration + 1, z[:-1])
 
-    def posterior_profile(self, s: ProtoDeState) -> np.ndarray:
+    def posterior_profile(self, s: DeState) -> np.ndarray:
         """A-posteriori message erasure per position after s.iteration sweeps."""
         if s.z is None:
             return np.full(self.span, s.eps)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from scra.codec import decode_peel, transmit_bec
 from scra.construct import CodeInstance, _write_text
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
+BATCH = 50  # trials per task; a wave is one task per job
 
 
 class SimulationError(RuntimeError):
@@ -99,7 +101,6 @@ class SimResult:
     bit_errors_all: np.ndarray
     iteration_sum: np.ndarray
     n: int
-    k: int
     message_bit_count: int
     metadata: dict = field(default_factory=dict)
 
@@ -207,37 +208,24 @@ def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
     trials = np.zeros(n_eps, dtype=np.int64)
     tallies = np.zeros((n_eps, 4), dtype=np.int64)
 
-    batch = 50
-    executor = None
-    try:
-        if jobs > 1:
-            executor = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(code,))
+    with (ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(code,))
+          if jobs > 1 else nullcontext()) as pool:
         for ei, eps in enumerate(plan.eps_grid):
-            rows: list[np.ndarray] = []
-            done = 0
-            stop_at: int | None = None
-            while done < plan.max_trials and stop_at is None:
-                wave = []
-                for _ in range(max(1, jobs)):
-                    if done >= plan.max_trials:
-                        break
-                    hi = min(done + batch, plan.max_trials)
-                    wave.append((eps, ei, done, hi, plan.max_iters, plan.seed))
-                    done = hi
-                if executor is None:
-                    results = [_trial_rows(code, *w) for w in wave]
-                else:
-                    results = list(executor.map(_worker_entry, wave))
-                rows.extend(results)
-                flags = np.concatenate([r[:, 0] for r in rows])
-                stop_at = _stop_index(flags, plan.max_word_errors)
-            all_rows = np.concatenate(rows)
-            keep = all_rows if stop_at is None else all_rows[:stop_at]
-            trials[ei] = len(keep)
-            tallies[ei] = keep.sum(axis=0)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            tasks = [(eps, ei, lo, min(lo + BATCH, plan.max_trials), plan.max_iters, plan.seed)
+                     for lo in range(0, plan.max_trials, BATCH)]
+            to_go = plan.max_word_errors  # word errors still to go before the stop rule fires
+            for start in range(0, len(tasks), jobs):
+                wave = tasks[start : start + jobs]
+                rows = np.concatenate([_trial_rows(code, *t) for t in wave] if pool is None
+                                      else list(pool.map(_worker_entry, wave)))
+                stop_at = _stop_index(rows[:, 0], to_go)
+                kept = rows[:stop_at]
+                trials[ei] += len(kept)
+                tallies[ei] += kept.sum(axis=0)
+                if stop_at is not None:
+                    break
+                if to_go is not None:
+                    to_go -= int(kept[:, 0].sum())
 
     meta = {
         "build": code_build_id(code),
@@ -261,7 +249,6 @@ def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
         bit_errors_all=tallies[:, 2],
         iteration_sum=tallies[:, 3],
         n=code.n,
-        k=code.k,
         message_bit_count=code.n_msg,
         metadata=meta,
     )

@@ -131,6 +131,14 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "neg_fig5").exists()
 
 
+def test_preset_refusing_jobs_leaves_no_directory(tmp_path, capsys):
+    out = tmp_path / "jobs0"
+    assert main(["simulate", "--preset", "fig5", "--eps", "0.4", "--trials", "1",
+                 "--jobs", "0", "--out", str(out)]) == 2
+    assert "error: jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_encode_hex_and_file_agree(tmp_path, capsys):
     base = construct_toy(tmp_path)
     capsys.readouterr()

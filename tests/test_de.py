@@ -1,6 +1,7 @@
 """Density evolution recursions, drivers, and threshold bisection."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from scra.density_evolution import (
     DensityEvolutionError,
+    MODELS,
     DeState,
     de_run,
     make_de_model,
@@ -49,7 +51,7 @@ def test_all_ones_is_fixed_point_at_eps_one():
     ps = pm.initial_state(1.0)
     ps = pm.step(ps)
     np.testing.assert_array_equal(ps.x, np.ones_like(ps.x))
-    np.testing.assert_array_equal(ps.y_left, np.ones_like(ps.y_left))
+    np.testing.assert_array_equal(ps.y, np.ones_like(ps.y))
 
 
 @pytest.mark.parametrize("q,a", [(3, 3), (6, 6)])
@@ -128,8 +130,9 @@ def _reference_proto_step(model, s):
         tot[d : d + p.span] += s.x[:, d]
     xbar = tot / n_sources
     clean = (1.0 - xbar) ** (mean_deg - 1.0)
-    if s.y_left is not None:
-        clean = clean * (1.0 - s.y_left) * (1.0 - s.y_right)
+    if s.y is not None:
+        y_left, y_right = s.y
+        clean = clean * (1.0 - y_left) * (1.0 - y_right)
     z = 1.0 - clean
     zw = sliding_window_view(z, p.width)
     pre = np.ones_like(zw)
@@ -137,10 +140,10 @@ def _reference_proto_step(model, s):
     suf = np.ones_like(zw)
     suf[:, :-1] = np.cumprod(zw[:, :0:-1], axis=1)[:, ::-1]
     x = s.eps * pre * suf
-    if s.y_left is None:
+    if s.y is None:
         return x, None, None, z
     through = (1.0 - xbar) ** mean_deg
-    return x, s.eps * (1.0 - (1.0 - s.y_left) * through), s.eps * (1.0 - (1.0 - s.y_right) * through), z
+    return x, s.eps * (1.0 - (1.0 - y_left) * through), s.eps * (1.0 - (1.0 - y_right) * through), z
 
 
 @pytest.mark.parametrize("kind,p", [
@@ -158,8 +161,8 @@ def test_proto_step_matches_loop_reference(kind, p):
     rng = np.random.default_rng(p.width)
     s = model.initial_state(0.47)
     s.x = rng.random(s.x.shape) * 0.47
-    if s.y_left is not None:
-        s.y_left, s.y_right = rng.random(s.y_left.shape) * 0.47, rng.random(s.y_left.shape) * 0.47
+    if s.y is not None:
+        s.y = rng.random(s.y.shape) * 0.47
     for _ in range(3):
         new = model.step(s)
         x, y_left, y_right, z = _reference_proto_step(model, s)
@@ -168,8 +171,8 @@ def test_proto_step_matches_loop_reference(kind, p):
         posterior = s.eps * sliding_window_view(z, p.width).prod(axis=1)
         np.testing.assert_array_equal(model.posterior_profile(new), posterior)
         if y_left is not None:
-            np.testing.assert_array_equal(new.y_left, y_left)
-            np.testing.assert_array_equal(new.y_right, y_right)
+            np.testing.assert_array_equal(new.y[0], y_left)
+            np.testing.assert_array_equal(new.y[1], y_right)
         s = new
 
 
@@ -203,15 +206,13 @@ def test_proto_step_componentwise_monotone():
     for _ in range(50):
         lo = model.initial_state(0.6)
         lo.x = rng.random(lo.x.shape) * 0.6
-        lo.y_left = rng.random(lo.y_left.shape) * 0.6
-        lo.y_right = rng.random(lo.y_right.shape) * 0.6
+        lo.y = rng.random(lo.y.shape) * 0.6
         hi = model.initial_state(0.6)
         hi.x = lo.x + rng.random(lo.x.shape) * (1 - lo.x)
-        hi.y_left = lo.y_left + rng.random(lo.y_left.shape) * (1 - lo.y_left)
-        hi.y_right = lo.y_right + rng.random(lo.y_right.shape) * (1 - lo.y_right)
+        hi.y = lo.y + rng.random(lo.y.shape) * (1 - lo.y)
         slo, shi = model.step(lo), model.step(hi)
         assert np.all(slo.x <= shi.x + 1e-12)
-        assert np.all(slo.y_left <= shi.y_left + 1e-12)
+        assert np.all(slo.y <= shi.y + 1e-12)
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.5, 0.8, 1.0])
@@ -221,7 +222,7 @@ def test_values_stay_in_unit_interval(eps):
         for _ in range(50):
             s = model.step(s)
             assert 0.0 <= s.x.min() and s.x.max() <= 1.0
-            if getattr(s, "y", None) is not None:
+            if s.y is not None:
                 assert 0.0 <= s.y.min() and s.y.max() <= 1.0
 
 
@@ -278,6 +279,60 @@ PROBE_DIGESTS = {
     ("ra-proto", ScRaParams(6, 6, 8, M=6)): "abe7ae5ef5027b407e9c378b820ba9fb7eb8e85ad74b1d884498145e30e2309a",
     ("ldpc-proto", ScLdpcParams(4, 8, 16, M=8)): "c05ffdd77d3513bfc4ac6caac6c1208f4a72d80eb2fa4c7b260d555ff940810f",
 }
+
+
+# sha256 of the bytes of x, then y, then z (those that are not None) after 500 steps from eps
+# 0.4976, near the threshold of each coupled search in the benchmark; in the structured RA view
+# y holds the left accumulator neighbors, then the right ones.  PROBE_DIGESTS sees only outcomes
+# and iteration counts; these pin every value of the state, so a restructured step that moves
+# one rounding shows here.
+STATE_DIGESTS = {
+    ("ra-w", ScRaParams(6, 6, 16, M=6, w=6)): "5ddb6a9b9f35474fb202387d1b394b09633dae84feaffb3bc9bbfedc14f526c0",
+    ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4)): "53cacd96b0c9c4a1d67c3bfb5b7862132f8fa25f5f1efb81bf181d174c9ecf7a",
+    ("ra-proto", ScRaParams(6, 6, 16, M=6)): "530c390a9f6bcd68a7402822cd190f767caaa0c7129bde02a81c7afda61ce106",
+    ("ldpc-proto", ScLdpcParams(4, 8, 16, M=8)): "d7810936768e2707200db6a8ea2e3e54d4a4b4334fd203e6caabd4ab0badf29b",
+}
+
+
+@pytest.mark.parametrize("kind,p", list(STATE_DIGESTS))
+def test_state_digests(kind, p):
+    model = make_de_model(kind, p)
+    s = model.initial_state(0.4976)
+    for _ in range(500):
+        s = model.step(s)
+    h = hashlib.sha256()
+    for a in (s.x, s.y, s.z):
+        if a is not None:
+            h.update(a.tobytes())
+    assert h.hexdigest() == STATE_DIGESTS[kind, p]
+
+
+CHANGE_PARAMS = {
+    "ra-w": ScRaParams(3, 3, 4, M=3, w=3),
+    "ldpc-w": ScLdpcParams(3, 6, 4, 6, w=3),
+    "ra-proto": ScRaParams(3, 3, 4, M=3),
+    "ldpc-proto": ScLdpcParams(3, 6, 4, 6),
+    "ra-uncoupled": ScRaParams(6, 6, 0, M=6),
+}
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_change_tracks_every_parity_value(kind):
+    """Every kind steps DeState to DeState, and change sees one raised value of x or of y."""
+    model = make_de_model(kind, CHANGE_PARAMS[kind])
+    s0 = model.initial_state(0.45)
+    s = model.step(s0)
+    assert type(s0) is DeState and type(s) is DeState
+    x, i = s.x.copy(), s.x.size // 2
+    x.flat[i] += 1e-3
+    assert model.change(s, replace(s, x=x)) == pytest.approx(x.flat[i] - s.x.flat[i], abs=1e-15)
+    if kind.startswith("ldpc"):
+        assert s.y is None  # change reads x only
+        return
+    y = s.y.copy()
+    at = (1, y.shape[1] // 2) if y.ndim == 2 else y.size // 2  # structured view: row 1, a right neighbor
+    y[at] += 1e-3
+    assert model.change(s, replace(s, y=y)) == pytest.approx(y[at] - s.y[at], abs=1e-15)
 
 
 @pytest.mark.parametrize("kind,p,pinned", PINNED_THRESHOLDS)

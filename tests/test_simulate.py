@@ -186,7 +186,6 @@ def test_waterfall_crossing_interpolation():
         bit_errors_all=np.zeros(5, dtype=np.int64),
         iteration_sum=np.zeros(5, dtype=np.int64),
         n=10,
-        k=5,
         message_bit_count=5,
     )
     got = waterfall_crossing(res)
@@ -203,7 +202,6 @@ def test_waterfall_crossing_zero_floor_and_missing():
         bit_errors_all=np.zeros(2, dtype=np.int64),
         iteration_sum=np.zeros(2, dtype=np.int64),
         n=10,
-        k=5,
         message_bit_count=5,
     )
     assert 0.1 < waterfall_crossing(res) < 0.2
@@ -215,7 +213,6 @@ def test_waterfall_crossing_zero_floor_and_missing():
         bit_errors_all=np.zeros(2, dtype=np.int64),
         iteration_sum=np.zeros(2, dtype=np.int64),
         n=10,
-        k=5,
         message_bit_count=5,
     )
     with pytest.raises(SimulationError):

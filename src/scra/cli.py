@@ -186,6 +186,20 @@ def _parse_eps(spec: str) -> tuple[float, ...]:
         raise SimulationError(f"bad eps value in {spec!r}") from None
 
 
+def _refuse_unwritable(out: str, creates: bool) -> None:
+    """Refuse an --out that cannot be written, before any work and creating nothing.
+
+    With creates, out is a directory made on demand, so its nearest existing
+    ancestor must be a writable directory; otherwise out is a file, whose
+    directory must already be one.
+    """
+    d = out if creates else os.path.dirname(out) or "."
+    while creates and not os.path.exists(d):
+        d = os.path.dirname(d) or "."
+    if not (os.path.isdir(d) and os.access(d, os.W_OK)):
+        raise ParameterError(f"--out {out}: {d} is not a writable directory")
+
+
 def _build(p: ScRaParams | ScLdpcParams, seed: int):
     return (build_sc_ra if p.family == "ra" else build_sc_ldpc)(p, seed)
 
@@ -248,6 +262,7 @@ def _cmd_simulate(cfg: dict) -> int:
     if cfg["preset"] is not None:
         if cfg["code"] is not None:
             raise ParameterError(f"--code is not used by --preset {cfg['preset']}")
+        _refuse_unwritable(cfg["out"], creates=True)
         eps = _parse_eps(cfg["eps"]) if cfg["eps"] else eps_range(0.43, 0.50, 0.005)
         plan = SweepPlan(eps, cfg["trials"], cfg["word_errors"], cfg["max_iters"], cfg["seed"])
         for name, p in _FIG5_CODES:
@@ -260,6 +275,7 @@ def _cmd_simulate(cfg: dict) -> int:
 
     if cfg["code"] is None or cfg["eps"] is None:
         raise ParameterError("--code and --eps are required without a preset")
+    _refuse_unwritable(cfg["out"], creates=False)
     code = load_descriptor(cfg["code"])
     plan = SweepPlan(_parse_eps(cfg["eps"]), cfg["trials"], cfg["word_errors"], cfg["max_iters"], cfg["seed"])
     result = run_sweep(code, plan, jobs=cfg["jobs"])
@@ -281,7 +297,10 @@ def _de_model(cfg: dict):
 
 
 def _cmd_de_threshold(cfg: dict) -> int:
-    res = threshold(_de_model(cfg), precision=cfg["precision"], max_iters=cfg["max_iters"])
+    model = _de_model(cfg)
+    if cfg["out"] is not None:
+        _refuse_unwritable(cfg["out"], creates=False)
+    res = threshold(model, precision=cfg["precision"], max_iters=cfg["max_iters"])
     print(
         f"ensemble={cfg['ensemble']} threshold_lo={res.lo:.6f} threshold_hi={res.hi:.6f} "
         f"probes={len(res.probes)} iters={res.iters}"
@@ -303,6 +322,7 @@ def _cmd_de_sweep(cfg: dict) -> int:
         degrees = tuple(int(tok) for tok in cfg["degrees"].split(","))
     except ValueError:
         raise ParameterError("--L-values and --degrees must be comma lists of integers") from None
+    _refuse_unwritable(cfg["out"], creates=False)
     rows = sweep_fig4(cfg["figure"], Ls=Ls, ldpc_degrees=degrees,
                       precision=cfg["precision"], max_iters=cfg["max_iters"])
     write_fig4_csv(rows, cfg["out"], {"figure": cfg["figure"], "precision": cfg["precision"]})

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -288,8 +289,8 @@ def _from_rows(
     error type and wording.
     """
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    check_vars = np.array([v for r in rows for v in r], dtype=np.int32)
+    np.cumsum(list(map(len, rows)), out=indptr[1:])
+    check_vars = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=int(indptr[-1]))
     inst = CodeInstance(params=params, seed=seed, n=n, check_indptr=indptr, check_vars=check_vars)
     try:
         validate_instance(inst)
@@ -345,6 +346,34 @@ def _read_text(src) -> str:
 
 # -- alist interchange -------------------------------------------------------
 
+def _id_lines(ids: np.ndarray, ends: np.ndarray) -> str:
+    """Text of rows of ids, written 1-based, one line per row; row r holds
+    ids[ends[r - 1]:ends[r]], from 0 for the first row.
+
+    Formatted in bulk, with no object per id: each id is written in ASCII
+    digits into a fixed-width cell of bytes followed by a space, each row
+    ends in a cell holding its newline, and the zero bytes that pad the
+    cells are dropped.  An empty row gives an empty line.
+    """
+    v = ids.astype(np.int32)  # ids < n < 2**31, as check_vars are int32
+    v += 1
+    width = len(str(int(v.max(initial=1))))
+    digits = np.zeros((len(v), width + 1), dtype=np.uint8)
+    for col in range(width - 1, -1, -1):  # leading zeros stay 0
+        digits[:, col] = np.where(v > 0, v % 10 + ord("0"), 0)
+        v //= 10
+    digits[:, width] = ord(" ")
+    newline = ends + np.arange(len(ends))  # row r's newline cell follows its ids
+    cells = np.zeros((len(digits) + len(ends), width + 1), dtype=np.uint8)
+    is_id = np.ones(len(cells), dtype=bool)
+    is_id[newline] = False
+    cells[is_id] = digits
+    cells[newline - 1, width] = 0  # no space before a newline; a newline cell has none anyway
+    cells[newline, 0] = ord("\n")
+    text = cells.ravel()
+    return text[text != 0].tobytes().decode("ascii")
+
+
 def export_alist(c: CodeInstance, dest) -> None:
     """Write the adjacency in alist text form.
 
@@ -353,19 +382,18 @@ def export_alist(c: CodeInstance, dest) -> None:
     """
     col_deg = np.bincount(c.check_vars, minlength=c.n)
     row_deg = np.diff(c.check_indptr)
-    lines = [
+    # check_vars runs in ascending check order, so a stable sort by variable
+    # lists each column's checks ascending
+    col_chk = c.edge_checks[np.argsort(c.check_vars, kind="stable")]
+    head = [
         f"{c.n} {c.m}",
         f"{int(col_deg.max(initial=0))} {int(row_deg.max(initial=0))}",
-        " ".join(str(int(d)) for d in col_deg),
-        " ".join(str(int(d)) for d in row_deg),
+        " ".join(map(str, col_deg.tolist())),
+        " ".join(map(str, row_deg.tolist())),
+        "",
     ]
-    col_chk = c.edge_checks[np.lexsort((c.edge_checks, c.check_vars))]
-    ends = np.cumsum(col_deg).tolist()
-    for lo, hi in zip([0, *ends], ends):
-        lines.append(" ".join(str(int(t) + 1) for t in col_chk[lo:hi]))
-    for t in range(c.m):
-        lines.append(" ".join(str(int(v) + 1) for v in c.check_neighbors(t)))
-    _write_text(dest, "\n".join(lines) + "\n")
+    _write_text(dest, "".join(["\n".join(head), _id_lines(col_chk, np.cumsum(col_deg)),
+                               _id_lines(c.check_vars, c.check_indptr[1:])]))
 
 
 def import_alist(src) -> CodeInstance:
@@ -455,13 +483,14 @@ _DESCRIPTOR_KEYS = {"format", "version", "params", "seed", "n", "checks"}
 
 
 def descriptor_dict(c: CodeInstance) -> dict:
+    ids, ptr = c.check_vars.tolist(), c.check_indptr.tolist()
     return {
         "format": DESCRIPTOR_FORMAT,
         "version": DESCRIPTOR_VERSION,
         "params": _params_to_json(c.params),
         "seed": c.seed,
         "n": c.n,
-        "checks": [chunk.tolist() for chunk in np.split(c.check_vars, c.check_indptr[1:-1])],
+        "checks": [ids[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])],
     }
 
 
@@ -500,12 +529,28 @@ def load_descriptor(src) -> CodeInstance:
         raise DescriptorError(f"field 'n': {n} disagrees with the parameters (n={code_size(params)[1]})")
     if not isinstance(checks, list):
         raise DescriptorError("field 'checks': expected a list of rows")
-    for t, row in enumerate(checks):
-        if not isinstance(row, list) or not all(is_int(v) and 0 <= v < n for v in row):
-            raise DescriptorError(f"field 'checks': row {t} is not a list of variable ids")
-    edges = sum(len(row) for row in checks)
+    bad = _first_bad_row(checks, n)
+    if bad is not None:
+        raise DescriptorError(f"field 'checks': row {bad} is not a list of variable ids")
+    edges = sum(map(len, checks))
     # every variable has an edge, so n is bounded by what the file holds;
     # a document without checks fails validation below, on field 'checks'
     if checks and n > edges:
         raise DescriptorError(f"field 'n': {n} variables but only {edges} edges")
     return _from_rows(checks, n, params, seed, lambda msg: DescriptorError(f"field 'checks': {msg}"))
+
+
+def _first_bad_row(checks: list, n: int) -> int | None:
+    """Index of the first row that is not a list of int ids in [0, n), or None.
+
+    All rows and ids are tested in whole passes; only a bad document is
+    walked row by row, to find the row to name.  JSON true is no int.
+    """
+    if set(map(type, checks)) <= {list} and set(map(type, chain.from_iterable(checks))) <= {int}:
+        lo = min(chain.from_iterable(checks), default=0)
+        if lo >= 0 and max(chain.from_iterable(checks), default=n - 1) < n:
+            return None
+    return next(
+        t for t, row in enumerate(checks)
+        if not (isinstance(row, list) and all(is_int(v) and 0 <= v < n for v in row))
+    )

@@ -3,7 +3,9 @@
 perfbench/ wraps module attributes by name and drives the public entry
 points directly, so a rename that the rest of the suite survives would
 break only a benchmark run.  This installs the tracer and runs one
-set-up of the smallest sweep workload to catch that in the test suite.
+set-up of each sweep workload to catch that in the test suite: build,
+save, alist export, reload, equality with the built code and encoding,
+on the large fig5 codes too.
 """
 
 import sys
@@ -22,8 +24,9 @@ def test_benchmark_entry_points_exist(tmp_path):
         layers.install(tracer)
     finally:
         tracer.unwrap()
-    workload = WORKLOADS["waterfall"]
-    state, sizes, errors = workload.setup(0, str(tmp_path))
-    assert errors == []
-    assert sizes["descriptor_bytes"] > 0 and sizes["alist_bytes"] > 0
-    assert [key for key, _ in workload.units(state, 0, str(tmp_path))] == ["ra_M100"]
+    for name, codes in (("waterfall", ["ra_M100"]), ("fig5_pool", ["ra_M300", "ldpc_M660"])):
+        workload = WORKLOADS[name]
+        state, sizes, errors = workload.setup(0, str(tmp_path))
+        assert errors == []
+        assert sizes["descriptor_bytes"] > 0 and sizes["alist_bytes"] > 0
+        assert [key for key, _ in workload.units(state, 0, str(tmp_path))] == codes

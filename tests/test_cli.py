@@ -139,6 +139,42 @@ def test_preset_refusing_jobs_leaves_no_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("run_sweep called for an --out that cannot be written")
+
+
+@pytest.mark.parametrize("mode", ["preset", "code"])
+def test_simulate_refuses_unwritable_out_before_any_work(tmp_path, monkeypatch, capsys, mode):
+    base = construct_toy(tmp_path)
+    (tmp_path / "afile").write_text("")
+    monkeypatch.setattr("scra.cli.run_sweep", _no_sweep)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    if mode == "preset":
+        argv, out, parent = ["--preset", "fig5"], "afile/sub", "afile"
+    else:
+        argv, out, parent = ["--code", str(base) + ".json", "--eps", "0.4"], "missing_dir/x.csv", "missing_dir"
+    assert main(["simulate", *argv, "--out", out]) == 2
+    assert f"error: --out {out}: {parent} is not a writable directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["de", "sweep", "--figure", "4b", "--L-values", "2", "--degrees", "3"],
+    ["de", "threshold", "--ensemble", "ra-uncoupled", "--q", "3", "--a", "3"],
+], ids=["sweep", "threshold"])
+def test_de_refuses_unwritable_out_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    def no_search(*args, **kwargs):
+        raise AssertionError("DE ran for an --out that cannot be written")
+
+    monkeypatch.setattr("scra.cli.sweep_fig4", no_search)
+    monkeypatch.setattr("scra.cli.threshold", no_search)
+    out = tmp_path / "missing_dir" / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "is not a writable directory" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_encode_hex_and_file_agree(tmp_path, capsys):
     base = construct_toy(tmp_path)
     capsys.readouterr()

@@ -7,6 +7,7 @@ import pytest
 
 from scra.construct import (
     AlistError,
+    CodeInstance,
     DescriptorError,
     KIND_MESSAGE,
     KIND_PARITY,
@@ -318,6 +319,25 @@ def _true_for_variable_one(doc):
     row[row.index(1)] = True
 
 
+def _set_row_3(value):
+    """Put value in place of the first id of row 3."""
+    return lambda d: d["checks"][3].__setitem__(0, value)
+
+
+# Rows that are no list of variable ids, all at row 3; loading tests all ids
+# in whole passes, so these guard that it still names the row.
+BAD_ROW_3 = {
+    "float_id": _set_row_3(3.0),
+    "huge_id": _set_row_3(2**70),  # beyond int64: a DescriptorError, not an OverflowError
+    "negative_id": _set_row_3(-1),
+    "id_n": lambda d: d["checks"][3].__setitem__(0, d["n"]),
+    "string_id": _set_row_3("3"),
+    "null_id": _set_row_3(None),
+    "int_row": lambda d: d["checks"].__setitem__(3, 7),
+    "object_row": lambda d: d["checks"].__setitem__(3, {"0": 1}),
+}
+
+
 @pytest.mark.parametrize(
     "corrupt,field",
     [
@@ -341,6 +361,7 @@ def _true_for_variable_one(doc):
         (lambda d: d["checks"][5].remove(small_ra().k + 4), "checks"),
         (lambda d: d.update(checks=[]), "checks"),
         (lambda d: d["checks"][-1].clear(), "checks"),
+        *(pytest.param(corrupt, "checks", id=f"{name}-checks") for name, corrupt in BAD_ROW_3.items()),
     ],
 )
 def test_descriptor_corruption_names_field(corrupt, field):
@@ -351,6 +372,36 @@ def test_descriptor_corruption_names_field(corrupt, field):
     with pytest.raises(DescriptorError) as err:
         load_descriptor(io.StringIO(json.dumps(doc)))
     assert f"field '{field}'" in str(err.value)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ROW_3))
+def test_descriptor_bad_ids_name_the_first_bad_row(name):
+    import json
+
+    doc = descriptor_dict(small_ra())
+    BAD_ROW_3[name](doc)
+    doc["checks"][5][0] = -1  # a later bad row, not to be named
+    with pytest.raises(DescriptorError, match=r"^field 'checks': row 3 is not a list of variable ids$"):
+        load_descriptor(io.StringIO(json.dumps(doc)))
+
+
+def test_alist_lines_byte_for_byte_with_empty_rows():
+    """export_alist writes one line per row, an empty line for an empty row,
+    whatever the width of the ids."""
+    rng = np.random.default_rng(3)
+    n = 12345
+    rows = [sorted(rng.choice(n, size=d, replace=False).tolist()) for d in rng.integers(0, 4, 40)]
+    rows[0] = rows[-1] = []
+    rows[5] = [0, 8, 9, 98, 99, 998, 999, 9998, 9999, n - 1]  # 1 to 5 digits once 1-based
+    c = CodeInstance(params=None, seed=None, n=n, check_indptr=np.cumsum([0, *map(len, rows)]),
+                     check_vars=np.array([v for r in rows for v in r], dtype=np.int32))
+    cols = [[t for t, r in enumerate(rows) if v in r] for v in range(n)]
+    head = [f"{n} {len(rows)}", f"{max(map(len, cols))} {max(map(len, rows))}",
+            " ".join(str(len(col)) for col in cols), " ".join(str(len(r)) for r in rows)]
+    lines = [" ".join(str(i + 1) for i in line) for line in cols + rows]
+    buf = io.StringIO()
+    export_alist(c, buf)
+    assert buf.getvalue() == "\n".join(head + lines) + "\n"
 
 
 ALIST_3X2 = "3 2\n1 2\n1 1 2\n2 2\n1\n2\n1 2\n1 3\n2 3\n"

@@ -1,15 +1,18 @@
-"""Byte-identical outputs of the alist writer, the encoder and the DE sweep CSV,
-the build ids that head every simulate CSV, and the stdout and files of one
-run of each command line command.
+"""Byte-identical outputs of the alist and descriptor writers, the encoder and
+the DE sweep CSV, the build ids that head every simulate CSV, and the stdout
+and files of one run of each command line command.
 
 The digests were captured before the descriptor moved to version 2 and the
 DE drivers and text writers were consolidated; a refactor that keeps
 behaviour keeps them.  The build ids were captured while a code instance
 still stored its family, k, variable kinds and positions; now that these
 are derived from the parameters, equal ids show the derived values equal
-the stored ones.  The command line digests were captured while each flag
-was still declared three times over (argparse, a defaults dict and a config
-type table); one flag table per command must give the same bytes.
+the stored ones.  The descriptor pins, and the alist pins of the two
+fig5-sized codes, whose ids run to four and five digits, were captured
+while both writers still formatted one id at a time.  The command line
+digests were captured while each flag was still declared three times over
+(argparse, a defaults dict and a config type table); one flag table per
+command must give the same bytes.
 """
 
 import contextlib
@@ -22,7 +25,7 @@ import pytest
 
 from scra.cli import main
 from scra.codec import encode
-from scra.construct import build_sc_ldpc, build_sc_ra, export_alist, import_alist
+from scra.construct import build_sc_ldpc, build_sc_ra, export_alist, import_alist, save_descriptor
 from scra.density_evolution import sweep_fig4, write_fig4_csv
 from scra.ensembles import ScLdpcParams, ScRaParams
 from scra.simulate import code_build_id
@@ -39,9 +42,26 @@ def small_codes():
     }
 
 
+def pinned_code(name):
+    """A small code, or one of two codes whose ids run to 4 and 5 digits."""
+    if name == "ra_M100":
+        return build_sc_ra(ScRaParams(6, 6, 16, M=100), 0)
+    if name == "ldpc_M660":
+        return build_sc_ldpc(ScLdpcParams(4, 8, 16, M=660), 0)
+    return small_codes()[name]
+
+
 ALIST_PIN = {
     "ra": "0b9b1ae21b55b538d6a3b41781f24b98ee9eb5de13e840abef52024766bf17b9",
     "ldpc": "cfddc33983f605ab8ba000a870ab73909215a586bfa3967f8523510f0e84f71a",
+    "ra_M100": "a75015ff6a723cd7cb1e7d7349f750616a02e601e9caa41e9ac0abe241aea5e5",
+    "ldpc_M660": "fd2e4235e523a6fa32e565a92b2d007dc79ca4f027c81203a79a74b1f5d0b6a5",
+}
+DESCRIPTOR_PIN = {
+    "ra": "fd8f1829e94a2adbc9d2f1c5ca2c71d1df2e156c8d75640783e04e5fa2aadbca",
+    "ldpc": "c30281720dfe2d84af43c9cce665f7c325ecc50c762914fa702cfcd60e356244",
+    "ra_M100": "1c02f213f04211ee34ee377e8bf1d2e6120f9f11b2e77671db89d380bcb9e436",
+    "ldpc_M660": "3902d5f23d9fa0dba5f502630a222931af658abdcf621f07426a85d7ed8b785c",
 }
 ENCODE_PIN = "d02d85dd5676ce66747c8176283edef18518406e0febe5688e37f807e86a9531"
 BUILD_ID_PIN = {"ra": "9a6c6342d0e5", "ldpc": "bd3f0cdb761d", "alist": "7a9f16feccd2"}
@@ -54,8 +74,15 @@ FIG4_PIN = {
 @pytest.mark.parametrize("family", sorted(ALIST_PIN))
 def test_alist_text_matches_pin(family):
     buf = io.StringIO()
-    export_alist(small_codes()[family], buf)
+    export_alist(pinned_code(family), buf)
     assert sha256(buf.getvalue()) == ALIST_PIN[family]
+
+
+@pytest.mark.parametrize("name", sorted(DESCRIPTOR_PIN))
+def test_descriptor_text_matches_pin(name):
+    buf = io.StringIO()
+    save_descriptor(pinned_code(name), buf)
+    assert sha256(buf.getvalue()) == DESCRIPTOR_PIN[name]
 
 
 def test_encode_matches_pin():

@@ -36,7 +36,6 @@ from scra.codec import (
     syndrome,
     transmit_bec,
     decode_peel,
-    decode_ml_oracle,
 )
 from scra.density_evolution import (
     DeState,

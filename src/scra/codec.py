@@ -5,8 +5,6 @@ runs synchronous sweeps: every check with exactly one erased neighbor at
 the start of a sweep resolves it by XOR of its known neighbors.  A sweep
 fans the resolved bits out through the code's padded variable adjacency,
 whose pad entries land on a sentinel check m that is reset every sweep.
-The ML oracle solves the erased columns exactly over GF(2) and fills every
-uniquely determined bit.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ ERASED = -1
 FULLY_RECOVERED = "fully-recovered"
 STALLED = "stalled"
 
-_ML_SIZE_LIMIT = 10_000
-
 
 class CodecError(ValueError):
     """Raised for words or instances a codec operation cannot accept."""
@@ -32,9 +28,7 @@ class DecodeOutcome:
     """Result of one decoding attempt.
 
     word holds the partially or fully recovered values with ERASED at
-    unresolved indices; residual counts split by variable kind.  For the
-    peeling decoder, position_trace (when requested) holds the fraction of
-    still-erased message bits per position after each sweep.
+    unresolved indices; residual counts split by variable kind.
     """
 
     status: str
@@ -42,7 +36,6 @@ class DecodeOutcome:
     iterations: int
     residual_message_bits: int
     residual_all_bits: int
-    position_trace: np.ndarray | None = None
 
     @property
     def recovered(self) -> bool:
@@ -114,11 +107,7 @@ def transmit_bec(codeword, eps: float, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _residuals(c, unknown: np.ndarray) -> tuple[int, int]:
-    return int(np.count_nonzero(unknown[: c.n_msg])), int(np.count_nonzero(unknown))
-
-
-def decode_peel(c, word, max_iters: int = 1000, record_positions: bool = False) -> DecodeOutcome:
+def decode_peel(c, word, max_iters: int = 1000) -> DecodeOutcome:
     """Peel a received erasure word with synchronous sweeps.
 
     One iteration is a full sweep: the set of checks with exactly one
@@ -134,9 +123,6 @@ def decode_peel(c, word, max_iters: int = 1000, record_positions: bool = False) 
         Length-n int8 word over {0, 1, ERASED}.
     max_iters : int
         Sweep budget.
-    record_positions : bool
-        Record the per-position erased fraction of message bits after
-        every sweep (position_trace row t is the state after sweep t+1).
 
     Returns
     -------
@@ -145,16 +131,8 @@ def decode_peel(c, word, max_iters: int = 1000, record_positions: bool = False) 
     work = _as_word(c, word).copy()
     erased = np.flatnonzero(work == ERASED)
     n_unknown = erased.size
-
-    trace: list[np.ndarray] = []
-    if record_positions:
-        n_msg = c.n_msg
-        msg_pos = c.var_pos[:n_msg]
-        pos_totals = np.bincount(msg_pos)
-
     if n_unknown == 0:
-        return DecodeOutcome(FULLY_RECOVERED, work, 0, 0, 0,
-                             np.empty((0, 0)) if record_positions else None)
+        return DecodeOutcome(FULLY_RECOVERED, work, 0, 0, 0)
 
     m = c.m
     var_chk = c.padded_var_checks
@@ -184,8 +162,6 @@ def decode_peel(c, word, max_iters: int = 1000, record_positions: bool = False) 
         work[bits] = vals
         n_unknown -= bits.size
         iters += 1
-        if record_positions:
-            trace.append(np.bincount(msg_pos[work[:n_msg] == ERASED], minlength=pos_totals.size) / pos_totals)
 
         touched = var_chk[bits].ravel()
         np.subtract.at(cnt, touched, 1)
@@ -195,83 +171,5 @@ def decode_peel(c, word, max_iters: int = 1000, record_positions: bool = False) 
         cnt[m] = isum[m] = acc[m] = 0
         candidates = touched
 
-    res_m, res_a = _residuals(c, work == ERASED)
     status = FULLY_RECOVERED if n_unknown == 0 else STALLED
-    return DecodeOutcome(
-        status,
-        work,
-        iters,
-        res_m,
-        res_a,
-        np.array(trace) if record_positions else None,
-    )
-
-
-def decode_ml_oracle(c, word) -> DecodeOutcome:
-    """Exact erasure recovery by GF(2) elimination on the erased columns.
-
-    Every bit whose value agrees across all codeword completions is
-    filled; the rest stay erased.  Full recovery iff the erased columns
-    have full rank.  Intended as a correctness oracle for small codes;
-    guarded to n <= 10_000.
-    """
-    if c.n > _ML_SIZE_LIMIT:
-        raise CodecError(f"ML oracle is limited to n <= {_ML_SIZE_LIMIT}, got n={c.n}")
-    work = _as_word(c, word).copy()
-    unknown_idx = np.flatnonzero(work == ERASED)
-    e = len(unknown_idx)
-    if e == 0:
-        res_m, res_a = _residuals(c, work == ERASED)
-        return DecodeOutcome(FULLY_RECOVERED, work, 0, res_m, res_a)
-
-    col_of = np.full(c.n, -1, dtype=np.int64)
-    col_of[unknown_idx] = np.arange(e)
-    words = (e + 1 + 63) // 64  # one extra bit for the right-hand side
-    rows = np.zeros((c.m, words), dtype=np.uint64)
-
-    edge_chk = c.edge_checks
-    edge_col = col_of[c.check_vars]
-    sel = edge_col >= 0
-    flat_idx = edge_chk[sel] * words + (edge_col[sel] >> 6)
-    np.bitwise_or.at(
-        rows.reshape(-1), flat_idx, np.uint64(1) << (edge_col[sel] & 63).astype(np.uint64)
-    )
-    known_one = (~sel) & (work[c.check_vars] == 1)
-    rhs = np.bincount(edge_chk[known_one], minlength=c.m) & 1
-    rhs_word, rhs_bit = e >> 6, np.uint64(1) << np.uint64(e & 63)
-    rows[rhs == 1, rhs_word] |= rhs_bit
-
-    rank = 0
-    pivot_cols = []
-    for col in range(e):
-        w, b = col >> 6, np.uint64(1) << np.uint64(col & 63)
-        below = np.flatnonzero(rows[rank:, w] & b)
-        if below.size == 0:
-            continue  # free column
-        piv = rank + below[0]
-        if piv != rank:
-            rows[[rank, piv]] = rows[[piv, rank]]
-        hit = (rows[:, w] & b) != 0
-        hit[rank] = False
-        rows[hit] ^= rows[rank]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == c.m:
-            break
-    if np.any(rows[rank:, rhs_word] & rhs_bit):
-        raise CodecError("inconsistent erasure word: no codeword completion exists")
-
-    filled = 0
-    for r, col in enumerate(pivot_cols):
-        row = rows[r].copy()
-        row[col >> 6] &= ~(np.uint64(1) << np.uint64(col & 63))
-        value = int(row[rhs_word] & rhs_bit != 0)
-        row[rhs_word] &= ~rhs_bit
-        if not row.any():  # support is the pivot alone: uniquely determined
-            work[unknown_idx[col]] = value
-            filled += 1
-
-    unknown = work == ERASED
-    res_m, res_a = _residuals(c, unknown)
-    status = FULLY_RECOVERED if filled == e else STALLED
-    return DecodeOutcome(status, work, 0, res_m, res_a)
+    return DecodeOutcome(status, work, iters, int(np.count_nonzero(work[: c.n_msg] == ERASED)), n_unknown)

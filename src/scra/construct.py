@@ -118,12 +118,6 @@ class CodeInstance:
         padded[var, np.arange(len(var)) - first[var]] = edge_chk[order]
         return padded
 
-    def h_dense(self) -> np.ndarray:
-        """Dense 0/1 parity-check matrix; intended for small instances."""
-        h = np.zeros((self.m, self.n), dtype=np.uint8)
-        h[self.edge_checks, self.check_vars] = 1
-        return h
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CodeInstance):
             return NotImplemented

@@ -126,14 +126,14 @@ class _ProtoModel(_Driver):
         # (1, z[i+w-1], .., z[i+1]); one cumprod of those gives the products before and after each bundle
         gather = np.full((w, 2, span), n_chk)
         gather[1:, 0], gather[1:, 1] = window.T[:-1], window.T[:0:-1]
-        return n_sources, mean_deg - 1.0, mean_deg, window, diag, buf, gather
+        return n_sources, mean_deg - 1.0, mean_deg, diag, buf, gather
 
     def initial_state(self, eps: float) -> DeState:
         y = np.full((2, self.n_chk), eps) if self.is_ra else None
         return DeState(np.full((self.span, self.width), eps), y, eps, 0)
 
     def step(self, s: DeState) -> DeState:
-        n_sources, deg_m1, deg, _, diag, buf, gather = self._tables
+        n_sources, deg_m1, deg, diag, buf, gather = self._tables
         diag[...] = s.x.T
         omx = 1.0 - np.add.reduce(buf, 0) / n_sources  # 1 - the mean bundle into each check position
         clean = omx ** deg_m1
@@ -147,12 +147,6 @@ class _ProtoModel(_Driver):
         x_new = (s.eps * c[:, 0] * c[::-1, 1]).T
         y = s.eps * (1.0 - omy * omx ** deg) if self.is_ra else None
         return DeState(x_new, y, s.eps, s.iteration + 1, z[:-1])
-
-    def posterior_profile(self, s: DeState) -> np.ndarray:
-        """A-posteriori message erasure per position after s.iteration sweeps."""
-        if s.z is None:
-            return np.full(self.span, s.eps)
-        return s.eps * s.z.take(self._tables[3]).prod(axis=1)
 
 
 def _ra_uncoupled(p: ScRaParams) -> _WModel:

@@ -198,12 +198,14 @@ def _stop_index(word_err_flags: np.ndarray, max_word_errors: int | None) -> int 
 def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
     """Run the sweep; tallies are reduced in (eps index, trial index) order.
 
-    With jobs > 1, trial batches run in a process pool; batches beyond the
-    deterministic stop point are discarded, so the result is identical for
-    any jobs value.
+    With jobs > 1, trial batches run in a process pool of at most one
+    worker per batch of a rate, and inline when that is one; batches beyond
+    the deterministic stop point are discarded, so the result is identical
+    for any jobs value.
     """
     if jobs < 1:
         raise SimulationError("jobs must be >= 1")
+    jobs = min(jobs, -(-plan.max_trials // BATCH))  # a fork pool starts every worker at once
     n_eps = len(plan.eps_grid)
     trials = np.zeros(n_eps, dtype=np.int64)
     tallies = np.zeros((n_eps, 4), dtype=np.int64)

@@ -1,0 +1,122 @@
+"""Reference decoders and views that only the tests use.
+
+The exact ML erasure oracle, the dense parity-check matrix and the
+per-sweep peeling trace.  They check the library from outside, so they
+live with the tests; pytest does not collect this module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from scra.codec import (
+    ERASED,
+    FULLY_RECOVERED,
+    STALLED,
+    CodecError,
+    DecodeOutcome,
+    _as_word,
+    decode_peel,
+)
+
+_ML_SIZE_LIMIT = 10_000
+
+
+def h_dense(c) -> np.ndarray:
+    """Dense 0/1 parity-check matrix; intended for small instances."""
+    h = np.zeros((c.m, c.n), dtype=np.uint8)
+    h[c.edge_checks, c.check_vars] = 1
+    return h
+
+
+def _residuals(c, unknown: np.ndarray) -> tuple[int, int]:
+    return int(np.count_nonzero(unknown[: c.n_msg])), int(np.count_nonzero(unknown))
+
+
+def decode_ml_oracle(c, word) -> DecodeOutcome:
+    """Exact erasure recovery by GF(2) elimination on the erased columns.
+
+    Every bit whose value agrees across all codeword completions is
+    filled; the rest stay erased.  Full recovery iff the erased columns
+    have full rank.  Intended as a correctness oracle for small codes;
+    guarded to n <= 10_000.
+    """
+    if c.n > _ML_SIZE_LIMIT:
+        raise CodecError(f"ML oracle is limited to n <= {_ML_SIZE_LIMIT}, got n={c.n}")
+    work = _as_word(c, word).copy()
+    unknown_idx = np.flatnonzero(work == ERASED)
+    e = len(unknown_idx)
+    if e == 0:
+        res_m, res_a = _residuals(c, work == ERASED)
+        return DecodeOutcome(FULLY_RECOVERED, work, 0, res_m, res_a)
+
+    col_of = np.full(c.n, -1, dtype=np.int64)
+    col_of[unknown_idx] = np.arange(e)
+    words = (e + 1 + 63) // 64  # one extra bit for the right-hand side
+    rows = np.zeros((c.m, words), dtype=np.uint64)
+
+    edge_chk = c.edge_checks
+    edge_col = col_of[c.check_vars]
+    sel = edge_col >= 0
+    flat_idx = edge_chk[sel] * words + (edge_col[sel] >> 6)
+    np.bitwise_or.at(
+        rows.reshape(-1), flat_idx, np.uint64(1) << (edge_col[sel] & 63).astype(np.uint64)
+    )
+    known_one = (~sel) & (work[c.check_vars] == 1)
+    rhs = np.bincount(edge_chk[known_one], minlength=c.m) & 1
+    rhs_word, rhs_bit = e >> 6, np.uint64(1) << np.uint64(e & 63)
+    rows[rhs == 1, rhs_word] |= rhs_bit
+
+    rank = 0
+    pivot_cols = []
+    for col in range(e):
+        w, b = col >> 6, np.uint64(1) << np.uint64(col & 63)
+        below = np.flatnonzero(rows[rank:, w] & b)
+        if below.size == 0:
+            continue  # free column
+        piv = rank + below[0]
+        if piv != rank:
+            rows[[rank, piv]] = rows[[piv, rank]]
+        hit = (rows[:, w] & b) != 0
+        hit[rank] = False
+        rows[hit] ^= rows[rank]
+        pivot_cols.append(col)
+        rank += 1
+        if rank == c.m:
+            break
+    if np.any(rows[rank:, rhs_word] & rhs_bit):
+        raise CodecError("inconsistent erasure word: no codeword completion exists")
+
+    filled = 0
+    for r, col in enumerate(pivot_cols):
+        row = rows[r].copy()
+        row[col >> 6] &= ~(np.uint64(1) << np.uint64(col & 63))
+        value = int(row[rhs_word] & rhs_bit != 0)
+        row[rhs_word] &= ~rhs_bit
+        if not row.any():  # support is the pivot alone: uniquely determined
+            work[unknown_idx[col]] = value
+            filled += 1
+
+    unknown = work == ERASED
+    res_m, res_a = _residuals(c, unknown)
+    status = FULLY_RECOVERED if filled == e else STALLED
+    return DecodeOutcome(status, work, 0, res_m, res_a)
+
+
+def peel_trace(c, word, max_iters: int) -> np.ndarray:
+    """Fraction of still-erased message bits per position after each peeling sweep.
+
+    Steps decode_peel one sweep at a time, each from the previous word, so
+    row t is the state after sweep t+1.  Stops at max_iters or at the
+    first sweep that resolves nothing, as one call of decode_peel does.
+    """
+    msg_pos = c.var_pos[: c.n_msg]
+    totals = np.bincount(msg_pos)
+    rows = []
+    for _ in range(max_iters):
+        out = decode_peel(c, word, max_iters=1)
+        if out.iterations == 0:
+            break
+        word = out.word
+        rows.append(np.bincount(msg_pos[word[: c.n_msg] == ERASED], minlength=totals.size) / totals)
+    return np.array(rows).reshape(len(rows), totals.size)

@@ -8,11 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from oracles import decode_ml_oracle, h_dense, peel_trace
 from scra.cli import main as cli_main
 from scra.codec import (
     FULLY_RECOVERED,
-    decode_ml_oracle,
     decode_peel,
     encode,
     transmit_bec,
@@ -100,7 +101,7 @@ def test_c03_mean_variable_degree():
 
 def test_c04_small_matrix_structure():
     c = build_sc_ra(ScRaParams(3, 3, 1, 2), 0)
-    h = c.h_dense()
+    h = h_dense(c)
     msg_ok = h.shape == (10, 16) and np.all(h[:, :6].sum(axis=0) == 3)
     par = h[:, 6:]
     par_weights = par.sum(axis=0)
@@ -170,7 +171,7 @@ def test_c08_waterfall_bracketing(thr_uncoupled, thr_proto):
     for M in (100, 300):
         code = build_sc_ra(ScRaParams(6, 6, 16, M), 1)
         plan = SweepPlan(grid, max_trials=1000, max_word_errors=None, seed=2026)
-        crossings[M] = waterfall_crossing(run_sweep(code, plan))
+        crossings[M] = waterfall_crossing(run_sweep(code, plan, jobs=2))
     lo, hi = mid(thr_uncoupled), mid(thr_proto)
     ok = (
         lo < crossings[300] < hi
@@ -224,7 +225,8 @@ def test_c10_de_matches_simulation():
     profiles = []
     for _ in range(10):
         state = model.step(state)
-        profiles.append(model.posterior_profile(state))
+        # a-posteriori message erasure per position: eps times the w check messages
+        profiles.append(state.eps * sliding_window_view(state.z, model.width).prod(axis=1))
     predicted = np.stack(profiles)
 
     code = build_sc_ra(ScRaParams(6, 6, 8, 2000), seed=3)
@@ -233,8 +235,7 @@ def test_c10_de_matches_simulation():
     for t in range(32):
         rng = trial_stream(9, 0, t)
         received = transmit_bec(word, eps, rng)
-        out = decode_peel(code, received, max_iters=10, record_positions=True)
-        tr = np.asarray(out.position_trace, dtype=np.float64)
+        tr = peel_trace(code, received, max_iters=10)
         if tr.shape[0] < 10:
             tr = np.vstack([tr, np.repeat(tr[-1:], 10 - tr.shape[0], axis=0)])
         traces.append(tr[:10])

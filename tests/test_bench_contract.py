@@ -5,11 +5,19 @@ points directly, so a rename that the rest of the suite survives would
 break only a benchmark run.  This installs the tracer and runs one
 set-up of each sweep workload to catch that in the test suite: build,
 save, alist export, reload, equality with the built code and encoding,
-on the large fig5 codes too.
+on the large fig5 codes too.  It also calls each wrapped attribute whose
+span the benchmark describes, so that the span attributes the per-layer
+metrics read are checked as well.
 """
 
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from scra import codec, construct, simulate
+from scra import density_evolution as de
+from scra.ensembles import ScRaParams
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -30,3 +38,31 @@ def test_benchmark_entry_points_exist(tmp_path):
         assert errors == []
         assert sizes["descriptor_bytes"] > 0 and sizes["alist_bytes"] > 0
         assert [key for key, _ in workload.units(state, 0, str(tmp_path))] == codes
+
+
+def test_benchmark_spans_carry_their_attributes(tmp_path):
+    tracer = Tracer(str(tmp_path))
+    try:
+        layers.install(tracer)
+        code = construct.build_sc_ra(ScRaParams(3, 3, 2, 6), 0)
+        word = simulate.transmit_bec(np.zeros(code.n, dtype=np.int8), 0.4, np.random.default_rng(0))
+        simulate.decode_peel(code, word)
+        simulate.run_sweep(code, simulate.SweepPlan((0.3, 0.5), max_trials=4, seed=1), jobs=1)
+        de.threshold(de.make_de_model("ra-uncoupled", ScRaParams(6, 6, 0)), precision=1e-2)
+    finally:
+        tracer.unwrap()
+    attrs = {}
+    for span in tracer.spans:
+        attrs.setdefault(span[2], []).append(span[5])
+    expected = {
+        "codec.transmit_bec": {"eps"},
+        "codec.decode_peel": {"sweeps", "stalled"},
+        "simulate.run_sweep": {"kept"},
+        "de.threshold": {"capped"},
+        "de.de_run": {"iters"},
+    }
+    for name, keys in expected.items():
+        assert attrs.get(name), f"no {name} span recorded"
+        assert all(keys <= set(a) for a in attrs[name]), (name, attrs[name])
+    assert len(attrs["codec.decode_peel"]) == 1 + 2 * 4
+    assert attrs["simulate.run_sweep"] == [{"kept": 8}]

@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import decode_ml_oracle, h_dense, peel_trace
 from scra.codec import (
     ERASED,
     CodecError,
-    decode_ml_oracle,
     decode_peel,
     encode,
     syndrome,
@@ -24,7 +24,7 @@ def small_ra(seed=0):
 
 def encode_reference(c, message):
     """Forward substitution on the dense parity-check matrix."""
-    h = c.h_dense()
+    h = h_dense(c)
     word = np.zeros(c.n, dtype=np.int8)
     word[: c.k] = message
     for t in range(c.m):
@@ -89,7 +89,7 @@ def test_encode_rejects_bad_input():
 
 def test_syndrome_flipped_bit_marks_its_checks():
     c = small_ra()
-    h = c.h_dense()
+    h = h_dense(c)
     for v in range(c.n):
         word = np.zeros(c.n, dtype=np.int8)
         word[v] = 1
@@ -404,16 +404,43 @@ def test_success_depends_only_on_erasure_pattern():
 def test_position_trace_rows_match_residuals():
     c = build_sc_ra(ScRaParams(3, 3, 2, 10), seed=6)
     word = transmit_bec(np.zeros(c.n, dtype=np.int8), 0.5, np.random.default_rng(4))
-    res = decode_peel(c, word, max_iters=7, record_positions=True)
-    assert res.position_trace is not None
-    assert res.position_trace.shape[1] == 2 * c.params.L + 1
-    assert res.position_trace.shape[0] == res.iterations
+    res = decode_peel(c, word, max_iters=7)
+    trace = peel_trace(c, word, max_iters=7)
+    assert trace.shape[1] == 2 * c.params.L + 1
+    assert trace.shape[0] == res.iterations
     is_msg = np.arange(c.n) < c.n_msg
     totals = np.bincount(c.var_pos[is_msg])
     last = np.bincount(
         c.var_pos[is_msg & (res.word == ERASED)], minlength=len(totals)
     ) / totals
-    np.testing.assert_allclose(res.position_trace[-1], last)
+    np.testing.assert_allclose(trace[-1], last)
     # erased fractions only ever decrease
-    diffs = np.diff(res.position_trace, axis=0)
+    diffs = np.diff(trace, axis=0)
     assert (diffs <= 1e-12).all()
+
+
+@pytest.mark.parametrize("family", ["ra", "ldpc"])
+def test_resumed_single_sweeps_match_one_call(family):
+    """Peeling one sweep at a time, each from the previous word, ends where
+    one call ends: same word, same summed sweeps, same status and residuals."""
+    if family == "ra":
+        c = build_sc_ra(ScRaParams(4, 4, 3, 8), seed=11)
+    else:
+        c = build_sc_ldpc(ScLdpcParams(3, 6, 3, 8), seed=11)
+    rng = np.random.default_rng(808)
+    for eps in (0.2, 0.35, 0.45, 0.55, 0.7):
+        for _ in range(12):
+            sent = np.zeros(c.n, dtype=np.int8)
+            if family == "ra":
+                sent = encode(c, rng.integers(0, 2, c.k).astype(np.int8))
+            word = transmit_bec(sent, eps, rng)
+            one = decode_peel(c, word)
+            step, sweeps = decode_peel(c, word, max_iters=1), 0
+            while step.iterations:
+                sweeps += 1
+                step = decode_peel(c, step.word, max_iters=1)
+            np.testing.assert_array_equal(step.word, one.word)
+            assert sweeps == one.iterations
+            assert step.status == one.status
+            assert (step.residual_message_bits, step.residual_all_bits) == (
+                one.residual_message_bits, one.residual_all_bits)

@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from scra import simulate
 from scra.construct import build_sc_ldpc, build_sc_ra, load_descriptor, save_descriptor
 from scra.ensembles import ScLdpcParams, ScRaParams
 from scra.simulate import (
@@ -107,6 +108,46 @@ def test_sweep_identical_for_any_worker_count():
     a.to_csv(buf_a)
     b.to_csv(buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("jobs,max_trials,workers", [
+    (64, simulate.BATCH, []),  # one batch per rate: inline, no pool
+    (8, 200, [4]),  # c11's shape: 4 batches per rate
+    (3, 2 * simulate.BATCH + 1, [3]),
+    (2, 200, [2]),
+])
+def test_pool_is_sized_to_the_batches(monkeypatch, jobs, max_trials, workers):
+    code = toy_code()
+    plan = SweepPlan((0.4, 0.5), max_trials=max_trials, max_word_errors=None, seed=12)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(simulate, "_worker_code", None)
+    got = run_sweep(code, plan, jobs=jobs)
+    assert _InlinePool.sizes == workers
+    ref = run_sweep(code, plan, jobs=1)
+    buf_got, buf_ref = io.StringIO(), io.StringIO()
+    got.to_csv(buf_got)
+    ref.to_csv(buf_ref)
+    assert buf_got.getvalue() == buf_ref.getvalue()
 
 
 # sha256 of the CSV below without its "# build=" line: any change to the

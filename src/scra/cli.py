@@ -257,6 +257,8 @@ _FIG5_CODES = (
 
 
 def _cmd_simulate(cfg: dict) -> int:
+    if cfg["jobs"] < 1:  # before any code is built or loaded
+        raise ParameterError("jobs must be >= 1")
     if cfg["trials"] is None:
         cfg["trials"] = 1000 if cfg["preset"] is not None else 10_000
     if cfg["preset"] is not None:

@@ -4,13 +4,15 @@ Transmission uses the all-zero codeword (erasure decoding is blind to the
 transmitted values, which toy-code tests verify).  Every trial draws from
 a counter-based stream keyed by (seed, eps index, trial index), and the
 stop rule is applied to the trial sequence in index order, so results are
-identical for any worker count.
+identical for any worker count.  Batches of trials stream through the
+workers across all rates, and a batch is started only when every one of
+its trials is sure to be kept, so no trial past the stop is decoded.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -20,7 +22,7 @@ from scra.codec import decode_peel, transmit_bec
 from scra.construct import CodeInstance, _write_text
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-BATCH = 50  # trials per task; a wave is one task per job
+BATCH = 50  # most trials per task; near a word-error stop the tasks shrink
 
 
 class SimulationError(RuntimeError):
@@ -198,36 +200,63 @@ def _stop_index(word_err_flags: np.ndarray, max_word_errors: int | None) -> int 
 def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
     """Run the sweep; tallies are reduced in (eps index, trial index) order.
 
-    With jobs > 1, trial batches run in a process pool of at most one
-    worker per batch of a rate, and inline when that is one; batches beyond
-    the deterministic stop point are discarded, so the result is identical
-    for any jobs value.
+    Up to jobs batches run at once, across all rates, in a process pool of
+    at most one worker per BATCH trials of the budget (inline when that is
+    one).  A rate's next batch holds at most as many trials as word errors
+    could still come before its stop, counting every trial not yet folded
+    as one, so the stop cannot fire before a batch's last trial and every
+    decoded trial is kept.  It also holds at most a 1/jobs share of the
+    trials all rates can still start, so the batches shrink at the end of
+    the sweep and no worker waits alone on the last one.  Rows fold in
+    trial order through the stop rule, so the result is identical for any
+    jobs value.
     """
     if jobs < 1:
         raise SimulationError("jobs must be >= 1")
     jobs = min(jobs, -(-plan.max_trials // BATCH))  # a fork pool starts every worker at once
+    stop = plan.max_word_errors
     n_eps = len(plan.eps_grid)
     trials = np.zeros(n_eps, dtype=np.int64)
     tallies = np.zeros((n_eps, 4), dtype=np.int64)
+    submitted = [0] * n_eps  # next trial index of each rate
+    unfolded = [0] * n_eps  # trials in flight or back ahead of an earlier batch
+    held = [{} for _ in range(n_eps)]  # rows not yet folded, by first trial index
+    pending = {}  # future -> (eps index, first trial index)
+
+    def sure_room(ei: int) -> int:
+        room = plan.max_trials - submitted[ei]
+        return room if stop is None else min(room, stop - int(tallies[ei, 0]) - unfolded[ei])
+
+    def sure_batch(ei: int) -> int:
+        return min(BATCH, sure_room(ei), -(-sum(map(sure_room, range(n_eps))) // jobs))
+
+    def fold(ei: int, lo: int, rows: np.ndarray) -> None:
+        held[ei][lo] = rows
+        while int(trials[ei]) in held[ei]:
+            rows = held[ei].pop(int(trials[ei]))
+            unfolded[ei] -= len(rows)
+            kept = rows[:_stop_index(rows[:, 0], None if stop is None else stop - tallies[ei, 0])]
+            trials[ei] += len(kept)
+            tallies[ei] += kept.sum(axis=0)
 
     with (ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(code,))
           if jobs > 1 else nullcontext()) as pool:
-        for ei, eps in enumerate(plan.eps_grid):
-            tasks = [(eps, ei, lo, min(lo + BATCH, plan.max_trials), plan.max_iters, plan.seed)
-                     for lo in range(0, plan.max_trials, BATCH)]
-            to_go = plan.max_word_errors  # word errors still to go before the stop rule fires
-            for start in range(0, len(tasks), jobs):
-                wave = tasks[start : start + jobs]
-                rows = np.concatenate([_trial_rows(code, *t) for t in wave] if pool is None
-                                      else list(pool.map(_worker_entry, wave)))
-                stop_at = _stop_index(rows[:, 0], to_go)
-                kept = rows[:stop_at]
-                trials[ei] += len(kept)
-                tallies[ei] += kept.sum(axis=0)
-                if stop_at is not None:
-                    break
-                if to_go is not None:
-                    to_go -= int(kept[:, 0].sum())
+        while True:
+            for ei, eps in enumerate(plan.eps_grid):
+                while len(pending) < jobs and (size := sure_batch(ei)) > 0:
+                    lo = submitted[ei]
+                    task = (eps, ei, lo, lo + size, plan.max_iters, plan.seed)
+                    submitted[ei] += size
+                    unfolded[ei] += size
+                    if pool is None:
+                        fold(ei, lo, _trial_rows(code, *task))
+                    else:
+                        pending[pool.submit(_worker_entry, task)] = ei, lo
+            if not pending:
+                break
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for f in done:
+                fold(*pending.pop(f), f.result())
 
     meta = {
         "build": code_build_id(code),

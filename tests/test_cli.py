@@ -139,6 +139,26 @@ def test_preset_refusing_jobs_leaves_no_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("a code was built or loaded for a refused --jobs")
+
+
+@pytest.mark.parametrize("mode", ["preset", "code"])
+def test_simulate_refuses_jobs_before_any_work(tmp_path, monkeypatch, capsys, mode):
+    base = construct_toy(tmp_path)
+    monkeypatch.setattr("scra.cli._build", _no_work)
+    monkeypatch.setattr("scra.cli.load_descriptor", _no_work)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    if mode == "preset":
+        argv, out = ["--preset", "fig5", "--eps", "0.4", "--trials", "1"], "runs"
+    else:
+        argv, out = ["--code", str(base) + ".json", "--eps", "0.4"], "x.csv"
+    assert main(["simulate", *argv, "--jobs", "0", "--out", out]) == 2
+    assert "error: jobs must be >= 1" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
 def _no_sweep(*args, **kwargs):
     raise AssertionError("run_sweep called for an --out that cannot be written")
 

@@ -2,11 +2,14 @@
 
 import hashlib
 import io
+import itertools
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from scra import simulate
+from scra.codec import decode_peel
 from scra.construct import build_sc_ldpc, build_sc_ra, load_descriptor, save_descriptor
 from scra.ensembles import ScLdpcParams, ScRaParams
 from scra.simulate import (
@@ -111,7 +114,7 @@ def test_sweep_identical_for_any_worker_count():
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers, runs each task at submit."""
 
     sizes: list = []
 
@@ -125,8 +128,41 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable):
-        return map(fn, iterable)
+    def submit(self, fn, *args):
+        f = Future()
+        f.set_result(fn(*args))
+        return f
+
+
+class _ReversePool(_InlinePool):
+    """Runs nothing at submit; its wait runs and completes the newest task first."""
+
+    order = itertools.count()
+
+    def submit(self, fn, *args):
+        f = Future()
+        f.run, f.order = (lambda: f.set_result(fn(*args))), next(self.order)
+        return f
+
+    @staticmethod
+    def wait(fs, return_when):
+        newest = max(fs, key=lambda f: f.order)
+        newest.run()
+        return {newest}, set(fs) - {newest}
+
+
+def _use_pool(monkeypatch, pool):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(simulate, "_worker_code", None)
+    if pool is _ReversePool:
+        monkeypatch.setattr(simulate, "wait", _ReversePool.wait)
+
+
+def _csv(result):
+    buf = io.StringIO()
+    result.to_csv(buf)
+    return buf.getvalue()
 
 
 @pytest.mark.parametrize("jobs,max_trials,workers", [
@@ -138,16 +174,40 @@ class _InlinePool:
 def test_pool_is_sized_to_the_batches(monkeypatch, jobs, max_trials, workers):
     code = toy_code()
     plan = SweepPlan((0.4, 0.5), max_trials=max_trials, max_word_errors=None, seed=12)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(simulate, "_worker_code", None)
+    _use_pool(monkeypatch, _InlinePool)
     got = run_sweep(code, plan, jobs=jobs)
     assert _InlinePool.sizes == workers
     ref = run_sweep(code, plan, jobs=1)
-    buf_got, buf_ref = io.StringIO(), io.StringIO()
-    got.to_csv(buf_got)
-    ref.to_csv(buf_ref)
-    assert buf_got.getvalue() == buf_ref.getvalue()
+    assert _csv(got) == _csv(ref)
+
+
+# eps 0.8 and 0.7 fail nearly every trial, so a stop above BATCH keeps more
+# than one batch of a rate in flight at once.  They lead the grid, so the
+# rate's later batches are the newest tasks and _ReversePool returns them first.
+STOP_GRID = (0.8, 0.7, 0.5, 0.45, 0.4)
+
+
+@pytest.mark.parametrize("max_word_errors", [20, 120, None])
+def test_no_decoded_trial_is_thrown_away(monkeypatch, max_word_errors):
+    code = toy_code()
+    plan = SweepPlan(STOP_GRID, max_trials=300, max_word_errors=max_word_errors, seed=14)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return decode_peel(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "decode_peel", counted)
+    inline = run_sweep(code, plan, jobs=1)
+    assert len(calls) == inline.trials.sum()
+    if max_word_errors is not None:  # the stop fires inside a BATCH-aligned block
+        assert any(t % simulate.BATCH and e == max_word_errors
+                   for t, e in zip(inline.trials, inline.word_errors))
+    calls.clear()
+    _use_pool(monkeypatch, _ReversePool)
+    reverse = run_sweep(code, plan, jobs=3)
+    assert len(calls) == reverse.trials.sum()
+    assert _csv(reverse) == _csv(inline)
 
 
 # sha256 of the CSV below without its "# build=" line: any change to the
@@ -155,7 +215,7 @@ def test_pool_is_sized_to_the_batches(monkeypatch, jobs, max_trials, workers):
 SWEEP_PIN = "724cfce73da74c866f24e59e15277086df18772fc78fbf5146f70b274e38a074"
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_sweep_csv_matches_pinned_digest(jobs):
     code = build_sc_ra(ScRaParams(6, 6, 8, M=20), 0)
     plan = SweepPlan(eps_range(0.40, 0.50, 0.02), max_trials=60, max_word_errors=20, seed=0)

@@ -30,6 +30,7 @@ from scra.construct import _write_text
 DELTA_SUCCESS = 1e-8
 DELTA_STALL = 1e-12
 MAX_ITERS = 20000
+DE_BLOCK = 64  # most steps de_run takes between checks of its stop conditions
 BISECT_PRECISION = 1e-4
 FIG4_RATE = Fraction(1, 2)  # uncoupled design rate of the Fig. 4 degree families
 
@@ -60,17 +61,41 @@ class DeState:
 
 
 class _Driver:
-    """Residual and change shared by the DE drivers: the residual is the largest
-    message erasure x, and the change also tracks y where there is one."""
+    """What the DE drivers share: a step into fresh arrays and the states de_run
+    steps through (see de_run for the driver contract).  step_into also returns
+    the check-to-message erasure z where the view has one, as a view of scratch
+    that the next step overwrites, else None."""
 
-    def residual(self, s: DeState) -> float:
-        return float(np.maximum.reduce(s.x, None))
+    def step(self, s: DeState) -> DeState:
+        """One step into fresh arrays, so a state the caller holds is never overwritten."""
+        x, y = np.empty_like(s.x), None if s.y is None else np.empty_like(s.y)
+        z = self.step_into(s.x, s.y, s.eps, x, y)
+        return DeState(x, y, s.eps, s.iteration + 1, None if z is None else z.copy())
 
-    def change(self, old: DeState, new: DeState) -> float:
-        d = float(np.maximum.reduce(np.abs(new.x - old.x), None))
-        if new.y is not None:
-            d = max(d, float(np.maximum.reduce(np.abs(new.y - old.y), None)))
-        return d
+    @cached_property
+    def history(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """DE_BLOCK + 1 values of x, and of y (None without y), for de_run to step through."""
+        s = self.initial_state(0.0)
+        rows = DE_BLOCK + 1
+        return np.empty((rows, *s.x.shape)), None if s.y is None else np.empty((rows, *s.y.shape))
+
+
+def _residuals(xs: np.ndarray) -> np.ndarray:
+    """The residual of each state in a stack: its largest message erasure x."""
+    return np.maximum.reduce(xs.reshape(len(xs), -1), 1)
+
+
+def _changes(xs: np.ndarray, ys: np.ndarray | None) -> np.ndarray:
+    """The change into each state of a stack from the one before it: the largest
+    move of x, or of y where that is larger.  A NaN move of x is the change; one
+    of y alone is not, as in Python's max(dx, dy)."""
+    d = np.subtract(xs[1:], xs[:-1])
+    d = np.maximum.reduce(np.abs(d, out=d).reshape(len(xs) - 1, -1), 1)
+    if ys is not None:
+        dy = np.subtract(ys[1:], ys[:-1])
+        dy = np.maximum.reduce(np.abs(dy, out=dy).reshape(len(ys) - 1, -1), 1)
+        d = np.where(dy > d, dy, d)
+    return d
 
 
 class _WModel(_Driver):
@@ -81,25 +106,44 @@ class _WModel(_Driver):
         self.is_ra = isinstance(p, ScRaParams)
 
     @cached_property
-    def _ones(self) -> np.ndarray:
-        return np.ones(self.p.w)
+    def _tables(self) -> tuple:
+        """Constants for step_into, built on first use so make_de_model stays cheap: the
+        window of ones, whether np.convolve would swap its operands, and w and the
+        exponents at a check, a variable and (RA) a parity as floats, which numpy takes
+        faster than ints, to the same result."""
+        p = self.p
+        exponents = (p.a - 1, p.q - 1, p.a) if self.is_ra else (p.dr - 1, p.dl - 1, 0)
+        # np.convolve puts the longer operand first; a window wider than the chain
+        # swaps the two, and the sums of each window then run in the other order
+        return np.ones(p.w), p.w > p.span, float(p.w), *map(float, exponents)
 
     def initial_state(self, eps: float) -> DeState:
         y = np.full(2 * self.p.L + self.p.w, eps) if self.is_ra else None
         return DeState(np.full(self.p.span, eps), y, eps, 0)
 
-    def step(self, s: DeState) -> DeState:
+    def step_into(self, x, y, eps, x_out, y_out) -> None:
         """One synchronous update from the iteration-(l) state; each new y[t] reads the old y[t]."""
-        p, ones = self.p, self._ones
+        ones, swap, w, e_chk, e_var, e_par = self._tables
         # 1 - the mean of x over {t-w+1..t} for every check position t, zeros outside
-        omx = 1.0 - np.convolve(s.x, ones, "full") / p.w
-        if not self.is_ra:
-            x_new = s.eps * (1.0 - np.convolve(omx ** (p.dr - 1), ones, "valid") / p.w) ** (p.dl - 1)
-            return DeState(x_new, None, s.eps, s.iteration + 1)
-        omy = 1.0 - s.y
-        g = omy ** 2 * omx ** (p.a - 1)
-        x_new = s.eps * (1.0 - np.convolve(g, ones, "valid") / p.w) ** (p.q - 1)
-        return DeState(x_new, s.eps * (1.0 - omy * omx ** p.a), s.eps, s.iteration + 1)
+        omx = np.correlate(ones, x[::-1], "full") if swap else np.correlate(x, ones, "full")
+        np.divide(omx, w, out=omx)
+        np.subtract(1.0, omx, out=omx)
+        if y is None:
+            g = omx ** e_chk
+        else:
+            omy = 1.0 - y
+            g = omy ** 2
+            np.multiply(g, omx ** e_chk, out=g)
+        v = np.correlate(g, ones, "valid")
+        np.divide(v, w, out=v)
+        np.subtract(1.0, v, out=v)
+        v **= e_var
+        np.multiply(eps, v, out=x_out)
+        if y is not None:
+            t = omx ** e_par
+            np.multiply(omy, t, out=t)
+            np.subtract(1.0, t, out=t)
+            np.multiply(eps, t, out=y_out)
 
 
 class _ProtoModel(_Driver):
@@ -114,7 +158,8 @@ class _ProtoModel(_Driver):
 
     @cached_property
     def _tables(self) -> tuple:
-        """Degrees and index tables for step, built on first use so make_de_model stays cheap."""
+        """Degrees, index tables and scratch for step_into, built on first use so
+        make_de_model stays cheap."""
         w, span, n_chk = self.width, self.span, self.n_chk
         n_sources = self.p.sources_per_check_pos().astype(np.float64)  # bundles into each check position
         mean_deg = self.p.combine * n_sources / w  # and its mean message degree
@@ -126,27 +171,34 @@ class _ProtoModel(_Driver):
         # (1, z[i+w-1], .., z[i+1]); one cumprod of those gives the products before and after each bundle
         gather = np.full((w, 2, span), n_chk)
         gather[1:, 0], gather[1:, 1] = window.T[:-1], window.T[:0:-1]
-        return n_sources, mean_deg - 1.0, mean_deg, diag, buf, gather
+        z = np.ones(n_chk + 1)  # check-to-message erasure, then the empty product
+        c, xt = np.empty(gather.shape), np.empty((w, span))  # the cumprod, and x with a row per bundle
+        return n_sources, mean_deg - 1.0, mean_deg, diag, buf, gather, z, c, xt
 
     def initial_state(self, eps: float) -> DeState:
         y = np.full((2, self.n_chk), eps) if self.is_ra else None
         return DeState(np.full((self.span, self.width), eps), y, eps, 0)
 
-    def step(self, s: DeState) -> DeState:
-        n_sources, deg_m1, deg, diag, buf, gather = self._tables
-        diag[...] = s.x.T
-        omx = 1.0 - np.add.reduce(buf, 0) / n_sources  # 1 - the mean bundle into each check position
+    def step_into(self, x, y, eps, x_out, y_out) -> np.ndarray:
+        n_sources, deg_m1, deg, diag, buf, gather, z, c, xt = self._tables
+        diag[...] = x.T
+        omx = np.add.reduce(buf, 0)
+        np.divide(omx, n_sources, out=omx)
+        np.subtract(1.0, omx, out=omx)  # 1 - the mean bundle into each check position
         clean = omx ** deg_m1
         if self.is_ra:
-            omy = 1.0 - s.y
-            clean = clean * omy[0] * omy[1]  # left, then right: the rounding the digests pin
-        z = np.empty(self.n_chk + 1)  # check-to-message erasure, then the empty product
-        z[-1] = 1.0
+            omy = 1.0 - y
+            np.multiply(clean, omy[0], out=clean)  # left, then right: the rounding the digests pin
+            np.multiply(clean, omy[1], out=clean)
         np.subtract(1.0, clean, out=z[:-1])
-        c = z.take(gather).cumprod(0)
-        x_new = (s.eps * c[:, 0] * c[::-1, 1]).T
-        y = s.eps * (1.0 - omy * omx ** deg) if self.is_ra else None
-        return DeState(x_new, y, s.eps, s.iteration + 1, z[:-1])
+        np.multiply.accumulate(z.take(gather, mode="clip"), 0, out=c)  # np.cumprod without its wrapper
+        np.multiply(eps, c[:, 0], out=xt)
+        np.multiply(xt, c[::-1, 1], out=x_out.T)
+        if self.is_ra:
+            np.multiply(omy, omx ** deg, out=y_out)
+            np.subtract(1.0, y_out, out=y_out)
+            np.multiply(eps, y_out, out=y_out)
+        return z[:-1]
 
 
 def _ra_uncoupled(p: ScRaParams) -> _WModel:
@@ -196,25 +248,51 @@ class DeRunResult:
 def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
     """Iterate a driver's recursion at fixed eps until success, stall, or budget.
 
-    model is a driver from make_de_model, or any object with its
-    initial_state, step, residual and change.  Success: the residual (the
-    largest message erasure) falls below DELTA_SUCCESS.  Stall: the
-    largest per-iteration change falls below DELTA_STALL first, reporting
+    Success: the residual (the largest message erasure) falls below
+    DELTA_SUCCESS.  Stall: the change (the largest move of x, or of y where
+    that is larger) falls below DELTA_STALL first, reporting
     non-convergence; a NaN change counts as a stall, so a recursion that
-    breaks down stops at once rather than running out the budget.
+    breaks down stops at once rather than running out the budget.  The
+    result is that of checking both after every step.
+
+    model is a driver from make_de_model, or any object with:
+      initial_state(eps) -> DeState, the state before the first step;
+      step_into(x, y, eps, x_out, y_out), which writes the step from the
+        values (x, y) at eps into x_out and y_out, y and y_out being None
+        where the state has no y, and whose result depends on those alone;
+      history, a pair of arrays of DE_BLOCK + 1 values of x and of y (or
+        None), which de_run overwrites, so one model runs one de_run at a
+        time.
+    The steps go in blocks of 1, 2, 4, .. up to DE_BLOCK steps, and both
+    stop conditions are checked once per block, for all its steps in whole
+    array passes; the steps after the first decisive one are thrown away.
     """
     if not 0.0 <= eps <= 1.0:
         raise ParameterError(f"eps must lie in [0, 1], got {eps}")
-    state = model.initial_state(eps)
-    for _ in range(max_iters):
-        new = model.step(state)
-        res = model.residual(new)
-        if res < DELTA_SUCCESS:
-            return DeRunResult("converged", new.iteration, res)
-        if not model.change(state, new) >= DELTA_STALL:
-            return DeRunResult("stalled", new.iteration, res)
-        state = new
-    return DeRunResult("budget", state.iteration, model.residual(state))
+    xs, ys = model.history
+    s = model.initial_state(eps)
+    xs[0] = s.x
+    if ys is not None:
+        ys[0] = s.y
+    rows = list(zip(xs, [None] * len(xs) if ys is None else ys))
+    done, size = 0, 1
+    while done < max_iters:
+        k = min(size, max_iters - done)
+        for (x, y), (x_out, y_out) in zip(rows[:k], rows[1 : k + 1]):
+            model.step_into(x, y, eps, x_out, y_out)
+        res = _residuals(xs[1 : k + 1])
+        chg = _changes(xs[: k + 1], None if ys is None else ys[: k + 1])
+        decided = (res < DELTA_SUCCESS) | ~(chg >= DELTA_STALL)
+        if decided.any():
+            j = int(decided.argmax())
+            outcome = "converged" if res[j] < DELTA_SUCCESS else "stalled"
+            return DeRunResult(outcome, done + j + 1, float(res[j]))
+        done += k
+        xs[0] = xs[k]
+        if ys is not None:
+            ys[0] = ys[k]
+        size = min(2 * size, DE_BLOCK)
+    return DeRunResult("budget", done, float(_residuals(xs[:1])[0]))
 
 
 @dataclass

@@ -201,19 +201,20 @@ def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
     """Run the sweep; tallies are reduced in (eps index, trial index) order.
 
     Up to jobs batches run at once, across all rates, in a process pool of
-    at most one worker per BATCH trials of the budget (inline when that is
-    one).  A rate's next batch holds at most as many trials as word errors
-    could still come before its stop, counting every trial not yet folded
-    as one, so the stop cannot fire before a batch's last trial and every
-    decoded trial is kept.  It also holds at most a 1/jobs share of the
-    trials all rates can still start, so the batches shrink at the end of
-    the sweep and no worker waits alone on the last one.  Rows fold in
-    trial order through the stop rule, so the result is identical for any
-    jobs value.
+    at most one worker per BATCH trials of the whole sweep's budget, every
+    rate's trials counted (inline when that is one).  A rate's next batch
+    holds at most as many trials as word errors could still come before
+    its stop, counting every trial not yet folded as one, so the stop
+    cannot fire before a batch's last trial and every decoded trial is
+    kept.  It also holds at most a 1/jobs share of the trials all rates
+    can still start, so the batches shrink at the end of the sweep and no
+    worker waits alone on the last one.  Rows fold in trial order through
+    the stop rule, so the result is identical for any jobs value.
     """
     if jobs < 1:
         raise SimulationError("jobs must be >= 1")
-    jobs = min(jobs, -(-plan.max_trials // BATCH))  # a fork pool starts every worker at once
+    # a fork pool starts every worker at once, so start no more than there are batches
+    jobs = min(jobs, -(-len(plan.eps_grid) * plan.max_trials // BATCH))
     stop = plan.max_word_errors
     n_eps = len(plan.eps_grid)
     trials = np.zeros(n_eps, dtype=np.int64)

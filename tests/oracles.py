@@ -1,8 +1,9 @@
-"""Reference decoders and views that only the tests use.
+"""Reference decoders, views and loops that only the tests use.
 
-The exact ML erasure oracle, the dense parity-check matrix and the
-per-sweep peeling trace.  They check the library from outside, so they
-live with the tests; pytest does not collect this module.
+The exact ML erasure oracle, the dense parity-check matrix, the
+per-sweep peeling trace and the per-iteration DE loop.  They check the
+library from outside, so they live with the tests; pytest does not
+collect this module.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from scra.codec import (
     _as_word,
     decode_peel,
 )
+from scra.density_evolution import DELTA_STALL, DELTA_SUCCESS, MAX_ITERS, DeRunResult, DeState
 
 _ML_SIZE_LIMIT = 10_000
 
@@ -120,3 +122,33 @@ def peel_trace(c, word, max_iters: int) -> np.ndarray:
         word = out.word
         rows.append(np.bincount(msg_pos[word[: c.n_msg] == ERASED], minlength=totals.size) / totals)
     return np.array(rows).reshape(len(rows), totals.size)
+
+
+def de_run_reference(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
+    """de_run as one step, one residual and one change per iteration.
+
+    Each step goes into fresh arrays through model.step.  The residual is
+    the largest x; the change is the largest move of x, taken with that of
+    y through Python's max, so a NaN move of x stops the run and one of y
+    alone does not.
+    """
+
+    def residual(s: DeState) -> float:
+        return float(np.maximum.reduce(s.x, None))
+
+    def change(old: DeState, new: DeState) -> float:
+        d = float(np.maximum.reduce(np.abs(new.x - old.x), None))
+        if new.y is not None:
+            d = max(d, float(np.maximum.reduce(np.abs(new.y - old.y), None)))
+        return d
+
+    state = model.initial_state(eps)
+    for _ in range(max_iters):
+        new = model.step(state)
+        res = residual(new)
+        if res < DELTA_SUCCESS:
+            return DeRunResult("converged", new.iteration, res)
+        if not change(state, new) >= DELTA_STALL:
+            return DeRunResult("stalled", new.iteration, res)
+        state = new
+    return DeRunResult("budget", state.iteration, residual(state))

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from oracles import de_run_reference
 from scra.density_evolution import (
+    DE_BLOCK,
     DensityEvolutionError,
     MODELS,
     DeState,
+    _changes,
     de_run,
     make_de_model,
     sweep_fig4,
@@ -174,6 +177,39 @@ def test_proto_step_matches_loop_reference(kind, p):
         s = new
 
 
+def _reference_w_step(model, s):
+    """The smoothed step as np.convolve expressions, each new array fresh."""
+    p, ones = model.p, np.ones(model.p.w)
+    omx = 1.0 - np.convolve(s.x, ones, "full") / p.w
+    if s.y is None:
+        return s.eps * (1.0 - np.convolve(omx ** (p.dr - 1), ones, "valid") / p.w) ** (p.dl - 1), None
+    omy = 1.0 - s.y
+    g = omy ** 2 * omx ** (p.a - 1)
+    return s.eps * (1.0 - np.convolve(g, ones, "valid") / p.w) ** (p.q - 1), s.eps * (1.0 - omy * omx ** p.a)
+
+
+@pytest.mark.parametrize("kind,p", [
+    ("ra-w", ScRaParams(6, 6, 16, M=6, w=6)),
+    ("ra-w", ScRaParams(3, 3, 0, M=3, w=3)),  # window wider than the chain
+    ("ra-w", ScRaParams(4, 2, 1, M=2, w=5)),
+    ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4)),
+    ("ldpc-w", ScLdpcParams(3, 6, 1, M=6, w=7)),
+    ("ra-uncoupled", ScRaParams(6, 6, 0, M=6)),
+])
+def test_w_step_matches_convolve_reference(kind, p):
+    """Same arithmetic in the same order as np.convolve, equal to the last bit, from random
+    states; a window wider than the chain sums each window in np.convolve's order too."""
+    model = make_de_model(kind, p)
+    rng = np.random.default_rng(p.w)
+    for _ in range(50):
+        s = random_w_state(model, rng, 0.9)
+        new = model.step(s)
+        x, y = _reference_w_step(model, s)
+        np.testing.assert_array_equal(new.x, x)
+        if y is not None:
+            np.testing.assert_array_equal(new.y, y)
+
+
 def random_w_state(model, rng, eps):
     s = model.initial_state(eps)
     s.x = rng.random(s.x.shape) * eps
@@ -305,6 +341,42 @@ def test_state_digests(kind, p):
     assert h.hexdigest() == STATE_DIGESTS[kind, p]
 
 
+def _block_cases():
+    """(kind, params, eps): every kind at 0, below, near and above its pinned threshold and at 1,
+    then the structured RA chain whose boundary checks turn to NaN at eps=1."""
+    for kind, p, pinned in PINNED_THRESHOLDS[:4] + PINNED_THRESHOLDS[5:]:  # one chain of each kind
+        for eps in (0.0, pinned - 0.05, pinned, pinned + 0.05, 1.0):
+            yield kind, p, eps
+    yield "ra-proto", ScRaParams(4, 2, 2, M=2), 1.0
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, DE_BLOCK - 1, DE_BLOCK, DE_BLOCK + 1, 2 * DE_BLOCK + 3])
+@pytest.mark.parametrize("kind,p,eps", list(_block_cases()))
+def test_blocked_run_matches_reference_loop(kind, p, eps, max_iters):
+    """de_run checks its stop conditions once per block of steps, yet reports the run of the
+    per-iteration loop: its outcome, its iteration count and every bit of its residual."""
+    model = make_de_model(kind, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = de_run(model, eps, max_iters)
+        want = de_run_reference(model, eps, max_iters)
+    assert (got.outcome, got.iterations) == (want.outcome, want.iterations)
+    assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+    if p == ScRaParams(4, 2, 2, M=2) and max_iters > 0:
+        assert (got.outcome, got.iterations) == ("stalled", 1) and np.isnan(got.residual)
+
+
+def test_runs_share_no_state_through_the_history():
+    """Runs alternate between two models, and between eps values on one model, many stopping
+    inside a block; each gives what the same run on a fresh model gives."""
+    a = ("ra-proto", ScRaParams(6, 6, 16, M=6))
+    b = ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4))
+    models = {a: make_de_model(*a), b: make_de_model(*b)}
+    plan = [(a, 0.45, 500), (b, 0.45, 500), (a, 0.50, 100), (b, 0.55, 500), (a, 0.45, 37),
+            (a, 0.55, 500), (b, 0.50, 70), (b, 0.45, 500), (a, 0.50, 2 * DE_BLOCK + 3)]
+    for key, eps, max_iters in plan:
+        assert de_run(models[key], eps, max_iters) == de_run(make_de_model(*key), eps, max_iters)
+
+
 CHANGE_PARAMS = {
     "ra-w": ScRaParams(3, 3, 4, M=3, w=3),
     "ldpc-w": ScLdpcParams(3, 6, 4, 6, w=3),
@@ -312,6 +384,12 @@ CHANGE_PARAMS = {
     "ldpc-proto": ScLdpcParams(3, 6, 4, 6),
     "ra-uncoupled": ScRaParams(6, 6, 0, M=6),
 }
+
+
+def _change(old, new):
+    """The change de_run takes from state old to state new."""
+    ys = None if new.y is None else np.stack((old.y, new.y))
+    return float(_changes(np.stack((old.x, new.x)), ys)[0])
 
 
 @pytest.mark.parametrize("kind", MODELS)
@@ -323,14 +401,27 @@ def test_change_tracks_every_parity_value(kind):
     assert type(s0) is DeState and type(s) is DeState
     x, i = s.x.copy(), s.x.size // 2
     x.flat[i] += 1e-3
-    assert model.change(s, replace(s, x=x)) == pytest.approx(x.flat[i] - s.x.flat[i], abs=1e-15)
+    assert _change(s, replace(s, x=x)) == pytest.approx(x.flat[i] - s.x.flat[i], abs=1e-15)
     if kind.startswith("ldpc"):
         assert s.y is None  # change reads x only
         return
     y = s.y.copy()
     at = (1, y.shape[1] // 2) if y.ndim == 2 else y.size // 2  # structured view: row 1, a right neighbor
     y[at] += 1e-3
-    assert model.change(s, replace(s, y=y)) == pytest.approx(y[at] - s.y[at], abs=1e-15)
+    assert _change(s, replace(s, y=y)) == pytest.approx(y[at] - s.y[at], abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["ra-w", "ra-proto"])
+def test_change_is_nan_only_for_a_nan_move_of_x(kind):
+    """The change takes x's move and y's as Python's max(dx, dy) does in the reference
+    loop: a NaN dx is the change, a NaN dy alone gives dx."""
+    model = make_de_model(kind, CHANGE_PARAMS[kind])
+    s = model.step(model.initial_state(0.45))
+    x, y = s.x.copy(), s.y.copy()
+    x.flat[0], y.flat[0] = np.nan, np.nan
+    assert _change(s, replace(s, y=y)) == 0.0
+    assert np.isnan(_change(s, replace(s, x=x)))
+    assert np.isnan(_change(s, replace(s, x=x, y=y)))
 
 
 @pytest.mark.parametrize("kind,p,pinned", PINNED_THRESHOLDS)
@@ -369,33 +460,25 @@ def test_coupling_never_hurts():
 class _Stuck:
     """Never converges, any eps."""
 
+    history = np.empty((DE_BLOCK + 1, 1)), None
+
     def initial_state(self, eps):
         return DeState(np.array([1.0]), None, eps, 0)
 
-    def step(self, s):
-        return DeState(s.x.copy(), None, s.eps, s.iteration + 1)
-
-    def residual(self, s):
-        return 1.0
-
-    def change(self, old, new):
-        return 0.0
+    def step_into(self, x, y, eps, x_out, y_out):
+        x_out[...] = x
 
 
 class _Instant:
     """Converges everywhere, even eps=1."""
 
+    history = np.empty((DE_BLOCK + 1, 1)), None
+
     def initial_state(self, eps):
         return DeState(np.array([0.0]), None, eps, 0)
 
-    def step(self, s):
-        return DeState(s.x.copy(), None, s.eps, s.iteration + 1)
-
-    def residual(self, s):
-        return 0.0
-
-    def change(self, old, new):
-        return 0.0
+    def step_into(self, x, y, eps, x_out, y_out):
+        x_out[...] = x
 
 
 def test_threshold_detects_non_monotone_predicate():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from scra import simulate
+from scra.cli import main as cli_main
 from scra.codec import decode_peel
 from scra.construct import build_sc_ldpc, build_sc_ra, load_descriptor, save_descriptor
 from scra.ensembles import ScLdpcParams, ScRaParams
@@ -166,12 +167,13 @@ def _csv(result):
 
 
 @pytest.mark.parametrize("jobs,max_trials,workers", [
-    (64, simulate.BATCH, []),  # one batch per rate: inline, no pool
-    (8, 200, [4]),  # c11's shape: 4 batches per rate
+    (64, simulate.BATCH, [2]),  # one batch per rate, two rates: two workers
+    (8, 200, [8]),  # 4 batches per rate, 8 in all
     (3, 2 * simulate.BATCH + 1, [3]),
     (2, 200, [2]),
 ])
 def test_pool_is_sized_to_the_batches(monkeypatch, jobs, max_trials, workers):
+    """The pool has a worker per batch of the sweep, all rates counted, up to jobs."""
     code = toy_code()
     plan = SweepPlan((0.4, 0.5), max_trials=max_trials, max_word_errors=None, seed=12)
     _use_pool(monkeypatch, _InlinePool)
@@ -179,6 +181,26 @@ def test_pool_is_sized_to_the_batches(monkeypatch, jobs, max_trials, workers):
     assert _InlinePool.sizes == workers
     ref = run_sweep(code, plan, jobs=1)
     assert _csv(got) == _csv(ref)
+
+
+def test_pool_counts_every_rate_of_a_small_budget(monkeypatch, tmp_path):
+    """--trials 50 is one batch per rate; over three rates --jobs 2 gets both its workers,
+    and a sweep of one batch in all runs inline."""
+    base = tmp_path / "code"
+    assert cli_main(["construct", "--family", "ra", "--q", "3", "--a", "3",
+                     "--L", "2", "--M", "6", "--seed", "5", "--out", str(base)]) == 0
+    _use_pool(monkeypatch, _InlinePool)
+
+    def simulate_csv(eps, jobs):
+        out = tmp_path / f"sim_{eps}_{jobs}.csv"
+        assert cli_main(["simulate", "--code", f"{base}.json", "--eps", eps, "--trials", "50",
+                         "--seed", "12", "--jobs", jobs, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert simulate_csv("0.4:0.5:0.05", "2") == simulate_csv("0.4:0.5:0.05", "1")
+    assert _InlinePool.sizes == [2]
+    simulate_csv("0.45:0.45:0.05", "2")
+    assert _InlinePool.sizes == [2]
 
 
 # eps 0.8 and 0.7 fail nearly every trial, so a stop above BATCH keeps more

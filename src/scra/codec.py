@@ -141,11 +141,13 @@ def decode_peel(c, word, max_iters: int = 1000) -> DecodeOutcome:
     # pad entries land on the sentinel check m, which is zeroed after each update
     touched = var_chk[erased].ravel()
     cnt = np.bincount(touched, minlength=m + 1)
-    isum = np.bincount(touched, weights=np.repeat(erased, dmax), minlength=m + 1).astype(np.int64)
+    isum = np.bincount(touched, weights=erased.astype(np.float64).repeat(dmax), minlength=m + 1).astype(np.int64)
     acc = np.bincount(var_chk[np.flatnonzero(work == 1)].ravel(), minlength=m + 1)
     cnt[m] = isum[m] = acc[m] = 0
 
     slot = np.empty(c.n, dtype=np.intp)
+    # no sweep has more candidates than m + 1 or the table entries of the erased bits
+    ramp = np.arange(max(m + 1, touched.size))
     candidates = np.flatnonzero(cnt == 1)
     iters = 0
     while candidates.size and n_unknown and iters < max_iters:
@@ -154,7 +156,7 @@ def decode_peel(c, word, max_iters: int = 1000) -> DecodeOutcome:
             break
         bits = isum[sel]
         # duplicates agree on the BEC: keep the last writer of each bit
-        order = np.arange(bits.size)
+        order = ramp[: bits.size]
         slot[bits] = order
         keep = slot[bits] == order
         bits = bits[keep]
@@ -165,9 +167,9 @@ def decode_peel(c, word, max_iters: int = 1000) -> DecodeOutcome:
 
         touched = var_chk[bits].ravel()
         np.subtract.at(cnt, touched, 1)
-        np.subtract.at(isum, touched, np.repeat(bits, dmax))
-        if vals.any():
-            np.add.at(acc, touched, np.repeat(vals, dmax))
+        np.subtract.at(isum, touched, bits.repeat(dmax))
+        if np.count_nonzero(vals):
+            np.add.at(acc, touched, vals.repeat(dmax))
         cnt[m] = isum[m] = acc[m] = 0
         candidates = touched
 

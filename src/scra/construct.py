@@ -10,6 +10,7 @@ a balanced, seeded socket assignment, so interior checks absorb exactly
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import chain
@@ -110,7 +111,7 @@ class CodeInstance:
         Rows are ascending; unused entries hold the sentinel check id m.
         """
         edge_chk = self.edge_checks
-        order = np.lexsort((edge_chk, self.check_vars))
+        order = _edge_order(self.check_vars, edge_chk, self.m)
         var = self.check_vars[order]
         deg = np.bincount(var, minlength=self.n)
         first = np.cumsum(deg) - deg
@@ -128,8 +129,14 @@ class CodeInstance:
         )
 
 
-def _assemble(edge_chk: np.ndarray, edge_var: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((edge_var, edge_chk))
+def _edge_order(major: np.ndarray, minor: np.ndarray, size: int) -> np.ndarray:
+    """Edge order by (major, minor), minor < size, as one argsort of one int64
+    key; only parallel edges tie, and they carry equal values."""
+    return np.argsort(major.astype(np.int64) * size + minor)
+
+
+def _assemble(edge_chk: np.ndarray, edge_var: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    order = _edge_order(edge_chk, edge_var, n)
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(edge_chk, minlength=m), out=indptr[1:])
     return indptr, edge_var[order].astype(np.int32)
@@ -174,7 +181,7 @@ def _build(p: ScRaParams | ScLdpcParams, seed: int, family: str) -> CodeInstance
         # would close the chain at the top-right corner is omitted.
         edge_chk = np.concatenate([edge_chk, chain, chain[1:]])
         edge_var = np.concatenate([edge_var, k + chain, k + chain[:-1]])
-    indptr, check_vars = _assemble(edge_chk, edge_var, m)
+    indptr, check_vars = _assemble(edge_chk, edge_var, m, n)
     inst = CodeInstance(params=p, seed=seed, n=n, check_indptr=indptr, check_vars=check_vars)
     validate_instance(inst)
     return inst
@@ -274,18 +281,17 @@ def validate_instance(c: CodeInstance) -> None:
             raise ConstructionError("parity edge outside the bidiagonal band")
 
 
-def _from_rows(
-    rows: list[list[int]], n: int, params: ScRaParams | ScLdpcParams | None, seed: int | None, error
-) -> CodeInstance:
-    """A validated instance from per-check rows of variable ids.
+def _from_rows(rows: list[list[int]], ids: np.ndarray, n: int, params: ScRaParams | ScLdpcParams | None,
+               seed: int | None, error) -> CodeInstance:
+    """A validated instance from per-check rows of variable ids, all of
+    whose ids, in order, the caller has already put in the array ids.
 
     A broken graph invariant raises error(message), the caller's own
     error type and wording.
     """
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(list(map(len, rows)), out=indptr[1:])
-    check_vars = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=int(indptr[-1]))
-    inst = CodeInstance(params=params, seed=seed, n=n, check_indptr=indptr, check_vars=check_vars)
+    inst = CodeInstance(params=params, seed=seed, n=n, check_indptr=indptr, check_vars=ids.astype(np.int32))
     try:
         validate_instance(inst)
     except ConstructionError as exc:
@@ -340,32 +346,33 @@ def _read_text(src) -> str:
 
 # -- alist interchange -------------------------------------------------------
 
-def _id_lines(ids: np.ndarray, ends: np.ndarray) -> str:
-    """Text of rows of ids, written 1-based, one line per row; row r holds
-    ids[ends[r - 1]:ends[r]], from 0 for the first row.
+def _rows_text(ids: np.ndarray, ends: np.ndarray, sep: str, end: str, base: int = 0) -> str:
+    """Text of rows of ids, each id plus base in ASCII digits: a row's ids
+    joined by sep, then end.  Row r holds ids[ends[r - 1]:ends[r]], from 0
+    for the first row, so an empty row gives end alone.
 
-    Formatted in bulk, with no object per id: each id is written in ASCII
-    digits into a fixed-width cell of bytes followed by a space, each row
-    ends in a cell holding its newline, and the zero bytes that pad the
-    cells are dropped.  An empty row gives an empty line.
+    The digits of every value up to the largest (below the edge count in a
+    valid code), then sep, are laid out once in a table of fixed-width byte
+    cells, zero bytes leading; one gather puts a cell per id and an end
+    cell per row in order.  The sep of each row's last id is cleared and
+    the zero bytes are dropped.
     """
-    v = ids.astype(np.int32)  # ids < n < 2**31, as check_vars are int32
-    v += 1
-    width = len(str(int(v.max(initial=1))))
-    digits = np.zeros((len(v), width + 1), dtype=np.uint8)
-    for col in range(width - 1, -1, -1):  # leading zeros stay 0
-        digits[:, col] = np.where(v > 0, v % 10 + ord("0"), 0)
+    top = int(ids.max(initial=0)) + base
+    width = len(str(top))
+    size = max(width + 1, len(end))
+    table = np.zeros((top - base + 2, size), dtype=np.uint8)
+    v = np.arange(base, top + 1, dtype=np.int32)  # ids < n < 2**31, as check_vars are int32
+    table[:-1, width - 1] = v % 10 + ord("0")  # every value has a last digit, 0 too
+    for col in range(width - 2, -1, -1):
         v //= 10
-    digits[:, width] = ord(" ")
-    newline = ends + np.arange(len(ends))  # row r's newline cell follows its ids
-    cells = np.zeros((len(digits) + len(ends), width + 1), dtype=np.uint8)
-    is_id = np.ones(len(cells), dtype=bool)
-    is_id[newline] = False
-    cells[is_id] = digits
-    cells[newline - 1, width] = 0  # no space before a newline; a newline cell has none anyway
-    cells[newline, 0] = ord("\n")
-    text = cells.ravel()
-    return text[text != 0].tobytes().decode("ascii")
+        table[:-1, col] = np.where(v > 0, v % 10 + ord("0"), 0)
+    table[:-1, width] = ord(sep)
+    table[-1, : len(end)] = list(end.encode())
+    cells = np.insert(ids, ends, len(table) - 1)  # row r's end cell follows its ids
+    text = np.take(table.view(f"V{size}").ravel(), cells).view(np.uint8)
+    row_end = ends + np.arange(len(ends))
+    text[(row_end[np.diff(ends, prepend=0) > 0] - 1) * size + width] = 0  # no sep before a row end
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def export_alist(c: CodeInstance, dest) -> None:
@@ -376,18 +383,13 @@ def export_alist(c: CodeInstance, dest) -> None:
     """
     col_deg = np.bincount(c.check_vars, minlength=c.n)
     row_deg = np.diff(c.check_indptr)
-    # check_vars runs in ascending check order, so a stable sort by variable
-    # lists each column's checks ascending
-    col_chk = c.edge_checks[np.argsort(c.check_vars, kind="stable")]
-    head = [
-        f"{c.n} {c.m}",
-        f"{int(col_deg.max(initial=0))} {int(row_deg.max(initial=0))}",
-        " ".join(map(str, col_deg.tolist())),
-        " ".join(map(str, row_deg.tolist())),
-        "",
-    ]
-    _write_text(dest, "".join(["\n".join(head), _id_lines(col_chk, np.cumsum(col_deg)),
-                               _id_lines(c.check_vars, c.check_indptr[1:])]))
+    col_chk = c.edge_checks[_edge_order(c.check_vars, c.edge_checks, c.m)]
+    _write_text(dest, "".join([
+        f"{c.n} {c.m}\n{int(col_deg.max(initial=0))} {int(row_deg.max(initial=0))}\n",
+        _rows_text(np.concatenate([col_deg, row_deg]), np.array([c.n, c.n + c.m]), " ", "\n"),
+        _rows_text(col_chk, np.cumsum(col_deg), " ", "\n", base=1),
+        _rows_text(c.check_vars, c.check_indptr[1:], " ", "\n", base=1),
+    ]))
 
 
 def import_alist(src) -> CodeInstance:
@@ -440,7 +442,8 @@ def import_alist(src) -> CodeInstance:
         if len(set(r)) != len(r):
             raise AlistError(f"line {4 + n + t + 1}: duplicate neighbor in row {t + 1}")
 
-    inst = _from_rows(rows, n, None, None, lambda msg: AlistError(f"invalid graph: {msg}"))
+    inst = _from_rows(rows, np.fromiter(chain.from_iterable(rows), dtype=np.int32), n, None, None,
+                      lambda msg: AlistError(f"invalid graph: {msg}"))
     # cross-check the column lists against the rows
     if [row[row < m].tolist() for row in inst.padded_var_checks] != cols:
         raise AlistError("line 1: column lists inconsistent with row lists")
@@ -476,21 +479,14 @@ def _params_from_json(obj) -> ScRaParams | ScLdpcParams | None:
 _DESCRIPTOR_KEYS = {"format", "version", "params", "seed", "n", "checks"}
 
 
-def descriptor_dict(c: CodeInstance) -> dict:
-    ids, ptr = c.check_vars.tolist(), c.check_indptr.tolist()
-    return {
-        "format": DESCRIPTOR_FORMAT,
-        "version": DESCRIPTOR_VERSION,
-        "params": _params_to_json(c.params),
-        "seed": c.seed,
-        "n": c.n,
-        "checks": [ids[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])],
-    }
-
-
 def save_descriptor(c: CodeInstance, dest) -> None:
-    """Persist an instance losslessly as versioned JSON."""
-    _write_text(dest, json.dumps(descriptor_dict(c), sort_keys=True, separators=(",", ":")) + "\n")
+    """Persist an instance losslessly as canonical JSON: sorted keys, no
+    spaces, one list of variable ids per check, and a trailing newline.
+    The checks, whose key sorts first, are written by _rows_text."""
+    rows = ("[" + _rows_text(c.check_vars, c.check_indptr[1:], ",", "],["))[:-2]  # "" without checks
+    rest = {"format": DESCRIPTOR_FORMAT, "version": DESCRIPTOR_VERSION,
+            "params": _params_to_json(c.params), "seed": c.seed, "n": c.n}
+    _write_text(dest, '{"checks":[' + rows + "]," + json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:] + "\n")
 
 
 def load_descriptor(src) -> CodeInstance:
@@ -523,28 +519,30 @@ def load_descriptor(src) -> CodeInstance:
         raise DescriptorError(f"field 'n': {n} disagrees with the parameters (n={code_size(params)[1]})")
     if not isinstance(checks, list):
         raise DescriptorError("field 'checks': expected a list of rows")
-    bad = _first_bad_row(checks, n)
-    if bad is not None:
-        raise DescriptorError(f"field 'checks': row {bad} is not a list of variable ids")
+    return _from_rows(checks, _check_ids(checks, n), n, params, seed,
+                      lambda msg: DescriptorError(f"field 'checks': {msg}"))
+
+
+def _check_ids(checks: list, n: int) -> np.ndarray:
+    """All ids of the rows in order, as int64, if every row is a list of int
+    ids in [0, n) and n is at most the edge count; else the DescriptorError
+    naming the first bad row or, if all rows are good, field 'n'.
+
+    One type pass over the rows and one over the ids, one conversion and one
+    range check; only a bad document, or one with an id past int64, is
+    walked row by row to find the row to name.  JSON true is no int.
+    """
+    ids = None
+    if set(map(type, checks)) <= {list} and set(map(type, chain.from_iterable(checks))) <= {int}:
+        with suppress(OverflowError):
+            ids = np.fromiter(chain.from_iterable(checks), dtype=np.int64)
+    if ids is None or (ids.size and (int(ids.min()) < 0 or int(ids.max()) >= n)):
+        for t, row in enumerate(checks):
+            if not (isinstance(row, list) and all(is_int(v) and 0 <= v < n for v in row)):
+                raise DescriptorError(f"field 'checks': row {t} is not a list of variable ids")
     edges = sum(map(len, checks))
-    # every variable has an edge, so n is bounded by what the file holds;
-    # a document without checks fails validation below, on field 'checks'
+    # every variable has an edge, so n is bounded by what the file holds (a good
+    # id past int64 means n is too); a document without checks fails later
     if checks and n > edges:
         raise DescriptorError(f"field 'n': {n} variables but only {edges} edges")
-    return _from_rows(checks, n, params, seed, lambda msg: DescriptorError(f"field 'checks': {msg}"))
-
-
-def _first_bad_row(checks: list, n: int) -> int | None:
-    """Index of the first row that is not a list of int ids in [0, n), or None.
-
-    All rows and ids are tested in whole passes; only a bad document is
-    walked row by row, to find the row to name.  JSON true is no int.
-    """
-    if set(map(type, checks)) <= {list} and set(map(type, chain.from_iterable(checks))) <= {int}:
-        lo = min(chain.from_iterable(checks), default=0)
-        if lo >= 0 and max(chain.from_iterable(checks), default=n - 1) < n:
-            return None
-    return next(
-        t for t, row in enumerate(checks)
-        if not (isinstance(row, list) and all(is_int(v) and 0 <= v < n for v in row))
-    )
+    return ids

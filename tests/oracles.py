@@ -1,9 +1,9 @@
 """Reference decoders, views and loops that only the tests use.
 
 The exact ML erasure oracle, the dense parity-check matrix, the
-per-sweep peeling trace and the per-iteration DE loop.  They check the
-library from outside, so they live with the tests; pytest does not
-collect this module.
+descriptor as a dict, the two-key edge sort, the per-sweep peeling trace
+and the per-iteration DE loop.  They check the library from outside, so
+they live with the tests; pytest does not collect this module.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from scra.codec import (
     _as_word,
     decode_peel,
 )
+from scra.construct import DESCRIPTOR_FORMAT, DESCRIPTOR_VERSION, _params_to_json
 from scra.density_evolution import DELTA_STALL, DELTA_SUCCESS, MAX_ITERS, DeRunResult, DeState
 
 _ML_SIZE_LIMIT = 10_000
@@ -29,6 +30,25 @@ def h_dense(c) -> np.ndarray:
     h = np.zeros((c.m, c.n), dtype=np.uint8)
     h[c.edge_checks, c.check_vars] = 1
     return h
+
+
+def descriptor_dict(c) -> dict:
+    """The descriptor as a dict; save_descriptor writes the bytes of
+    json.dumps(descriptor_dict(c), sort_keys=True, separators=(",", ":")) + "\n"."""
+    ids, ptr = c.check_vars.tolist(), c.check_indptr.tolist()
+    return {
+        "format": DESCRIPTOR_FORMAT,
+        "version": DESCRIPTOR_VERSION,
+        "params": _params_to_json(c.params),
+        "seed": c.seed,
+        "n": c.n,
+        "checks": [ids[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])],
+    }
+
+
+def edge_order_reference(major, minor) -> np.ndarray:
+    """Stable order of edges by (major, minor): a two-key lexsort."""
+    return np.lexsort((minor, major))
 
 
 def _residuals(c, unknown: np.ndarray) -> tuple[int, int]:

@@ -5,17 +5,17 @@ import io
 import numpy as np
 import pytest
 
-from oracles import h_dense
+from oracles import descriptor_dict, edge_order_reference, h_dense
 from scra.construct import (
     AlistError,
     CodeInstance,
     DescriptorError,
     KIND_MESSAGE,
     KIND_PARITY,
+    _assemble,
     build_sc_ldpc,
     build_sc_ra,
     degree_profile,
-    descriptor_dict,
     export_alist,
     import_alist,
     load_descriptor,
@@ -330,6 +330,7 @@ def _set_row_3(value):
 BAD_ROW_3 = {
     "float_id": _set_row_3(3.0),
     "huge_id": _set_row_3(2**70),  # beyond int64: a DescriptorError, not an OverflowError
+    "int64_overflow_id": _set_row_3(2**63),  # one past the largest int64
     "negative_id": _set_row_3(-1),
     "id_n": lambda d: d["checks"][3].__setitem__(0, d["n"]),
     "string_id": _set_row_3("3"),
@@ -386,6 +387,108 @@ def test_descriptor_bad_ids_name_the_first_bad_row(name):
         load_descriptor(io.StringIO(json.dumps(doc)))
 
 
+def _without_params(edges_over: int):
+    """small_ra()'s document with no parameters and n = the edge count + edges_over."""
+    doc = descriptor_dict(small_ra())
+    doc.update(params=None, n=sum(map(len, doc["checks"])) + edges_over)
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ROW_3))
+def test_descriptor_bad_row_is_named_before_n_exceeds_the_edges(name):
+    import json
+
+    doc = _without_params(1)
+    BAD_ROW_3[name](doc)
+    with pytest.raises(DescriptorError, match=r"^field 'checks': row 3 is not a list of variable ids$"):
+        load_descriptor(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("n_over,id_3", [(1, None), (2**70, 2**65)], ids=["n_plus_one", "ids_past_int64"])
+def test_descriptor_n_beyond_the_edges_is_named_when_all_ids_are_good(n_over, id_3):
+    import json
+
+    doc = _without_params(n_over)
+    if id_3 is not None:
+        doc["checks"][3][0] = id_3  # below n, so a good id, yet no int64
+    with pytest.raises(DescriptorError, match=r"^field 'n': \d+ variables but only \d+ edges$"):
+        load_descriptor(io.StringIO(json.dumps(doc)))
+
+
+def _hand_built(n, rows):
+    return CodeInstance(params=None, seed=None, n=n, check_indptr=np.cumsum([0, *map(len, rows)]),
+                        check_vars=np.array([v for r in rows for v in r], dtype=np.int32))
+
+
+def _descriptor_cases():
+    rng = np.random.default_rng(4)
+    n = 12345
+    rows = [sorted(rng.choice(n, size=d, replace=False).tolist()) for d in rng.integers(0, 4, 40)]
+    rows[0] = rows[17] = rows[-1] = []
+    rows[5] = [0, 9, 10, 99, 100, 999, 1000, 9999, 10000, n - 1]  # id 0 and 1 to 5 digits
+    rows[6] = [0]
+    return {
+        "hand_built": _hand_built(n, rows),
+        "no_checks": _hand_built(0, []),
+        "narrow_ids": _hand_built(12, [[], [0, 3], [], [], [11], []]),  # ids narrower than "],["
+        "alist": import_alist(io.StringIO(ALIST_IRREGULAR)),
+        "ra": build_sc_ra(ScRaParams(4, 4, 2, M=8), 1),
+        "ldpc": build_sc_ldpc(ScLdpcParams(3, 6, 2, M=6), 1),
+        "ra_M100": build_sc_ra(ScRaParams(6, 6, 16, M=100), 0),
+        "ldpc_M660": build_sc_ldpc(ScLdpcParams(4, 8, 16, M=660), 0),
+    }
+
+
+def test_descriptor_bytes_are_those_of_json_dumps():
+    """save_descriptor writes the canonical JSON of the descriptor dict: an
+    empty row is [], an id of 0 is 0, and no comma follows the last row."""
+    import json
+
+    for name, c in _descriptor_cases().items():
+        buf = io.StringIO()
+        save_descriptor(c, buf)
+        want = json.dumps(descriptor_dict(c), sort_keys=True, separators=(",", ":")) + "\n"
+        assert buf.getvalue() == want, name
+
+
+# irregular degrees, variables 4 and 5 of degree 1, and zeros padding every
+# neighbor list shorter than the largest degree
+ALIST_IRREGULAR = "5 3\n3 4\n3 2 2 1 1\n3 2 4\n1 2 3\n1 3 0\n2 3 0\n1 0 0\n3 0 0\n1 2 4 0\n1 3 0 0\n1 2 3 5\n"
+
+
+def _check_edge_orders_against_lexsort(c):
+    """padded_var_checks and the alist column lists hold each variable's
+    checks in the order of a two-key lexsort, by variable then check."""
+    order = edge_order_reference(c.check_vars, c.edge_checks)
+    var, chk = c.check_vars[order], c.edge_checks[order]
+    cols = [chk[var == v].tolist() for v in range(c.n)]
+    width = max(map(len, cols))
+    np.testing.assert_array_equal(c.padded_var_checks, [col + [c.m] * (width - len(col)) for col in cols])
+    buf = io.StringIO()
+    export_alist(c, buf)
+    lines = buf.getvalue().split("\n")[4 : 4 + c.n]
+    assert [[int(t) - 1 for t in line.split()] for line in lines] == cols
+
+
+def test_edge_sorts_match_a_lexsort_with_parallel_edges():
+    rng = np.random.default_rng(5)
+    m, n = 7, 11
+    edge_chk = rng.integers(0, m, 90)
+    edge_var = rng.integers(0, n, 90)
+    assert len(set(zip(edge_chk.tolist(), edge_var.tolist()))) < 90  # duplicate (check, variable) pairs
+    indptr, check_vars = _assemble(edge_chk, edge_var, m, n)
+    np.testing.assert_array_equal(check_vars, edge_var[edge_order_reference(edge_chk, edge_var)])
+    np.testing.assert_array_equal(indptr, np.cumsum([0, *np.bincount(edge_chk, minlength=m)]))
+    _check_edge_orders_against_lexsort(CodeInstance(None, None, n, indptr, check_vars))
+
+
+def test_edge_sorts_match_a_lexsort_on_an_irregular_alist():
+    c = import_alist(io.StringIO(ALIST_IRREGULAR))
+    assert np.bincount(c.check_vars).tolist() == [3, 2, 2, 1, 1]
+    assert (c.padded_var_checks == c.m).any()  # rows padded with the sentinel
+    _check_edge_orders_against_lexsort(c)
+
+
 def test_alist_lines_byte_for_byte_with_empty_rows():
     """export_alist writes one line per row, an empty line for an empty row,
     whatever the width of the ids."""
@@ -394,8 +497,7 @@ def test_alist_lines_byte_for_byte_with_empty_rows():
     rows = [sorted(rng.choice(n, size=d, replace=False).tolist()) for d in rng.integers(0, 4, 40)]
     rows[0] = rows[-1] = []
     rows[5] = [0, 8, 9, 98, 99, 998, 999, 9998, 9999, n - 1]  # 1 to 5 digits once 1-based
-    c = CodeInstance(params=None, seed=None, n=n, check_indptr=np.cumsum([0, *map(len, rows)]),
-                     check_vars=np.array([v for r in rows for v in r], dtype=np.int32))
+    c = _hand_built(n, rows)
     cols = [[t for t, r in enumerate(rows) if v in r] for v in range(n)]
     head = [f"{n} {len(rows)}", f"{max(map(len, cols))} {max(map(len, rows))}",
             " ".join(str(len(col)) for col in cols), " ".join(str(len(r)) for r in rows)]

@@ -39,6 +39,19 @@ class _Chain:
 
     L: int
     M: int
+    w: int | None
+
+    def _check_chain(self, width_name: str, combine_name: str) -> None:
+        """The L, M and w checks, and the rule that combine divides width*M."""
+        _require(is_int(self.L) and self.L >= 0, f"L must be an integer >= 0, got {self.L!r}")
+        _require(is_int(self.M) and self.M >= 1, f"M must be an integer >= 1, got {self.M!r}")
+        _require(
+            (self.width * self.M) % self.combine == 0,
+            f"{combine_name}={self.combine} must divide {width_name}*M={self.width * self.M}"
+            " for an integer check count per position",
+        )
+        if self.w is not None:
+            _require(is_int(self.w) and self.w >= 1, f"w must be an integer >= 1, got {self.w!r}")
 
     @property
     def span(self) -> int:
@@ -90,14 +103,7 @@ class ScRaParams(_Chain):
     def __post_init__(self) -> None:
         _require(is_int(self.q) and self.q >= 2, f"q must be an integer >= 2, got {self.q!r}")
         _require(is_int(self.a) and self.a >= 1, f"a must be an integer >= 1, got {self.a!r}")
-        _require(is_int(self.L) and self.L >= 0, f"L must be an integer >= 0, got {self.L!r}")
-        _require(is_int(self.M) and self.M >= 1, f"M must be an integer >= 1, got {self.M!r}")
-        _require(
-            (self.q * self.M) % self.a == 0,
-            f"a={self.a} must divide q*M={self.q * self.M} for an integer check count per position",
-        )
-        if self.w is not None:
-            _require(is_int(self.w) and self.w >= 1, f"w must be an integer >= 1, got {self.w!r}")
+        self._check_chain("q", "a")
 
 
 @dataclass(frozen=True)
@@ -128,14 +134,7 @@ class ScLdpcParams(_Chain):
     def __post_init__(self) -> None:
         _require(is_int(self.dl) and self.dl >= 2, f"dl must be an integer >= 2, got {self.dl!r}")
         _require(is_int(self.dr) and self.dr >= self.dl, f"dr must be an integer >= dl, got {self.dr!r}")
-        _require(is_int(self.L) and self.L >= 0, f"L must be an integer >= 0, got {self.L!r}")
-        _require(is_int(self.M) and self.M >= 1, f"M must be an integer >= 1, got {self.M!r}")
-        _require(
-            (self.dl * self.M) % self.dr == 0,
-            f"dr={self.dr} must divide dl*M={self.dl * self.M} for an integer check count per position",
-        )
-        if self.w is not None:
-            _require(is_int(self.w) and self.w >= 1, f"w must be an integer >= 1, got {self.w!r}")
+        self._check_chain("dl", "dr")
 
 
 # family name -> parameter class

@@ -2,11 +2,11 @@
 
 Transmission uses the all-zero codeword (erasure decoding is blind to the
 transmitted values, which toy-code tests verify).  Every trial draws from
-a counter-based stream keyed by (seed, eps index, trial index), and the
-stop rule is applied to the trial sequence in index order, so results are
-identical for any worker count.  Batches of trials stream through the
-workers across all rates, and a batch is started only when every one of
-its trials is sure to be kept, so no trial past the stop is decoded.
+a counter-based stream keyed by (seed, eps index, trial index).  Batches
+of trials stream through the workers across all rates, and no batch
+starts that could run past a rate's N-th word error in index order, so
+every decoded trial is kept and results are identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from scra.codec import decode_peel, transmit_bec
 from scra.construct import CodeInstance, _write_text
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-BATCH = 50  # most trials per task; near a word-error stop the tasks shrink
+BATCH = 50  # most trials per task; near a word-error stop a task shrinks so as not to pass it
 
 
 class SimulationError(RuntimeError):
@@ -187,29 +187,20 @@ def _worker_entry(args) -> np.ndarray:
     return _trial_rows(_worker_code, eps, eps_idx, lo, hi, max_iters, seed)
 
 
-def _stop_index(word_err_flags: np.ndarray, max_word_errors: int | None) -> int | None:
-    """Trials to keep once the stop rule fires on the in-order prefix, else None."""
-    if max_word_errors is None:
-        return None
-    cum = np.cumsum(word_err_flags)
-    if cum[-1] < max_word_errors:
-        return None
-    return int(np.searchsorted(cum, max_word_errors)) + 1
-
-
 def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
-    """Run the sweep; tallies are reduced in (eps index, trial index) order.
+    """Run the sweep; each rate keeps its trials up to its N-th word error.
 
     Up to jobs batches run at once, across all rates, in a process pool of
     at most one worker per BATCH trials of the whole sweep's budget, every
     rate's trials counted (inline when that is one).  A rate's next batch
     holds at most as many trials as word errors could still come before
-    its stop, counting every trial not yet folded as one, so the stop
-    cannot fire before a batch's last trial and every decoded trial is
-    kept.  It also holds at most a 1/jobs share of the trials all rates
-    can still start, so the batches shrink at the end of the sweep and no
-    worker waits alone on the last one.  Rows fold in trial order through
-    the stop rule, so the result is identical for any jobs value.
+    its stop, counting every trial in flight as one, so no batch starts
+    that could run past the N-th word error in index order: the stop can
+    fall only on a batch's last trial, every decoded trial is kept, and a
+    batch folds into the tallies as soon as it returns.  It also holds at
+    most a 1/jobs share of the trials all rates can still start, so the
+    batches shrink at the end of the sweep and no worker waits alone on
+    the last one.  The result is identical for any jobs value.
     """
     if jobs < 1:
         raise SimulationError("jobs must be >= 1")
@@ -217,47 +208,37 @@ def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
     jobs = min(jobs, -(-len(plan.eps_grid) * plan.max_trials // BATCH))
     stop = plan.max_word_errors
     n_eps = len(plan.eps_grid)
-    trials = np.zeros(n_eps, dtype=np.int64)
     tallies = np.zeros((n_eps, 4), dtype=np.int64)
-    submitted = [0] * n_eps  # next trial index of each rate
-    unfolded = [0] * n_eps  # trials in flight or back ahead of an earlier batch
-    held = [{} for _ in range(n_eps)]  # rows not yet folded, by first trial index
-    pending = {}  # future -> (eps index, first trial index)
+    submitted = [0] * n_eps  # trials started for each rate, all of them kept
+    in_flight = [0] * n_eps  # trials started and not yet folded
+    pending = {}  # future -> eps index
 
     def sure_room(ei: int) -> int:
         room = plan.max_trials - submitted[ei]
-        return room if stop is None else min(room, stop - int(tallies[ei, 0]) - unfolded[ei])
+        return room if stop is None else min(room, stop - int(tallies[ei, 0]) - in_flight[ei])
 
     def sure_batch(ei: int) -> int:
         return min(BATCH, sure_room(ei), -(-sum(map(sure_room, range(n_eps))) // jobs))
-
-    def fold(ei: int, lo: int, rows: np.ndarray) -> None:
-        held[ei][lo] = rows
-        while int(trials[ei]) in held[ei]:
-            rows = held[ei].pop(int(trials[ei]))
-            unfolded[ei] -= len(rows)
-            kept = rows[:_stop_index(rows[:, 0], None if stop is None else stop - tallies[ei, 0])]
-            trials[ei] += len(kept)
-            tallies[ei] += kept.sum(axis=0)
 
     with (ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(code,))
           if jobs > 1 else nullcontext()) as pool:
         while True:
             for ei, eps in enumerate(plan.eps_grid):
                 while len(pending) < jobs and (size := sure_batch(ei)) > 0:
-                    lo = submitted[ei]
-                    task = (eps, ei, lo, lo + size, plan.max_iters, plan.seed)
+                    task = (eps, ei, submitted[ei], submitted[ei] + size, plan.max_iters, plan.seed)
                     submitted[ei] += size
-                    unfolded[ei] += size
                     if pool is None:
-                        fold(ei, lo, _trial_rows(code, *task))
+                        tallies[ei] += _trial_rows(code, *task).sum(axis=0)
                     else:
-                        pending[pool.submit(_worker_entry, task)] = ei, lo
+                        in_flight[ei] += size
+                        pending[pool.submit(_worker_entry, task)] = ei
             if not pending:
                 break
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for f in done:
-                fold(*pending.pop(f), f.result())
+                ei, rows = pending.pop(f), f.result()
+                in_flight[ei] -= len(rows)
+                tallies[ei] += rows.sum(axis=0)
 
     meta = {
         "build": code_build_id(code),
@@ -275,7 +256,7 @@ def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
         meta["params"] = repr(code.params)
     return SimResult(
         eps=np.asarray(plan.eps_grid, dtype=np.float64),
-        trials=trials,
+        trials=np.asarray(submitted, dtype=np.int64),
         word_errors=tallies[:, 0],
         bit_errors_message=tallies[:, 1],
         bit_errors_all=tallies[:, 2],

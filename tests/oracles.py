@@ -1,9 +1,10 @@
 """Reference decoders, views and loops that only the tests use.
 
 The exact ML erasure oracle, the dense parity-check matrix, the
-descriptor as a dict, the two-key edge sort, the per-sweep peeling trace
-and the per-iteration DE loop.  They check the library from outside, so
-they live with the tests; pytest does not collect this module.
+descriptor as a dict, the two-key edge sort, the per-sweep peeling trace,
+the per-iteration DE loop and the in-order word-error stop.  They check
+the library from outside, so they live with the tests; pytest does not
+collect this module.
 """
 
 from __future__ import annotations
@@ -172,3 +173,13 @@ def de_run_reference(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResu
             return DeRunResult("stalled", new.iteration, res)
         state = new
     return DeRunResult("budget", state.iteration, residual(state))
+
+
+def stop_prefix(word_err_flags: np.ndarray, max_word_errors: int | None) -> int | None:
+    """Trials a sweep keeps once its word-error stop fires on the in-order prefix, else None."""
+    if max_word_errors is None:
+        return None
+    cum = np.cumsum(word_err_flags)
+    if cum[-1] < max_word_errors:
+        return None
+    return int(np.searchsorted(cum, max_word_errors)) + 1

@@ -8,6 +8,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from oracles import stop_prefix
 from scra import simulate
 from scra.cli import main as cli_main
 from scra.codec import decode_peel
@@ -23,7 +24,6 @@ from scra.simulate import (
     trial_stream,
     waterfall_crossing,
     wilson_interval,
-    _stop_index,
 )
 
 
@@ -82,11 +82,11 @@ def test_wilson_interval_edges_and_value():
 
 def test_stop_index_prefix_rule():
     flags = np.array([0, 1, 0, 1, 1, 0, 1])
-    assert _stop_index(flags, None) is None
-    assert _stop_index(flags, 5) is None
-    assert _stop_index(flags, 4) == 7
-    assert _stop_index(flags, 3) == 5
-    assert _stop_index(flags, 1) == 2
+    assert stop_prefix(flags, None) is None
+    assert stop_prefix(flags, 5) is None
+    assert stop_prefix(flags, 4) == 7
+    assert stop_prefix(flags, 3) == 5
+    assert stop_prefix(flags, 1) == 2
 
 
 def test_sweep_endpoints():
@@ -152,12 +152,27 @@ class _ReversePool(_InlinePool):
         return {newest}, set(fs) - {newest}
 
 
+class _ShufflePool(_ReversePool):
+    """Its wait runs and completes a random non-empty subset of the tasks, drawn from rng."""
+
+    rng = np.random.default_rng(0)
+
+    @staticmethod
+    def wait(fs, return_when):
+        fs = sorted(fs, key=lambda f: f.order)
+        pick = _ShufflePool.rng.permutation(len(fs))[:_ShufflePool.rng.integers(1, len(fs) + 1)]
+        done = {fs[i] for i in pick}
+        for f in done:
+            f.run()
+        return done, set(fs) - done
+
+
 def _use_pool(monkeypatch, pool):
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(simulate, "_worker_code", None)
-    if pool is _ReversePool:
-        monkeypatch.setattr(simulate, "wait", _ReversePool.wait)
+    if issubclass(pool, _ReversePool):
+        monkeypatch.setattr(simulate, "wait", pool.wait)
 
 
 def _csv(result):
@@ -230,6 +245,43 @@ def test_no_decoded_trial_is_thrown_away(monkeypatch, max_word_errors):
     reverse = run_sweep(code, plan, jobs=3)
     assert len(calls) == reverse.trials.sum()
     assert _csv(reverse) == _csv(inline)
+
+
+def _tallies(result):
+    return np.column_stack([result.trials, result.word_errors, result.bit_errors_message,
+                            result.bit_errors_all, result.iteration_sum])
+
+
+STOPS = (None, 1, 7, 20, 49, 50, 51, 120)
+
+
+def test_sweep_keeps_the_in_order_prefix(monkeypatch):
+    """Seeded random plans: inline, newest-first and random completion each keep, per rate,
+    the reference in-order prefix of the trials of the whole budget."""
+    code = toy_code()
+    mid_batch_stops = multi_batch_stops = 0
+    for plan_seed in range(8):
+        rng = np.random.default_rng(plan_seed)
+        grid = tuple(float(e) for e in np.round(rng.uniform(0.3, 0.9, rng.integers(1, 5)), 3))
+        stop = STOPS[rng.integers(len(STOPS))]
+        plan = SweepPlan(grid, max_trials=int(rng.integers(1, 260)), max_word_errors=stop,
+                         seed=plan_seed)
+        ref = np.zeros((len(grid), 5), dtype=np.int64)
+        for ei, eps in enumerate(grid):
+            rows = simulate._trial_rows(code, eps, ei, 0, plan.max_trials, plan.max_iters, plan.seed)
+            rows = rows[:stop_prefix(rows[:, 0], stop)]
+            ref[ei] = len(rows), *rows.sum(axis=0)
+            fired = stop is not None and ref[ei, 1] == stop
+            mid_batch_stops += fired and ref[ei, 0] % simulate.BATCH != 0
+            multi_batch_stops += fired and ref[ei, 0] > simulate.BATCH
+        np.testing.assert_array_equal(_tallies(run_sweep(code, plan, jobs=1)), ref)
+        _use_pool(monkeypatch, _ReversePool)
+        np.testing.assert_array_equal(_tallies(run_sweep(code, plan, jobs=3)), ref)
+        _use_pool(monkeypatch, _ShufflePool)
+        monkeypatch.setattr(_ShufflePool, "rng", np.random.default_rng(plan_seed))
+        jobs = int(rng.integers(2, 6))
+        np.testing.assert_array_equal(_tallies(run_sweep(code, plan, jobs=jobs)), ref)
+    assert mid_batch_stops and multi_batch_stops
 
 
 # sha256 of the CSV below without its "# build=" line: any change to the

@@ -4,7 +4,7 @@ Erasure words are int8 arrays over {0, 1, ERASED}.  The peeling decoder
 runs synchronous sweeps: every check with exactly one erased neighbor at
 the start of a sweep resolves it by XOR of its known neighbors.  A sweep
 fans the resolved bits out through the code's padded variable adjacency,
-whose pad entries land on a sentinel check m that is reset every sweep.
+whose pad entries land on a sentinel check m whose count never reaches 1.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ def _as_word(c, word) -> np.ndarray:
     arr = np.asarray(word, dtype=np.int8)
     if arr.shape != (c.n,):
         raise CodecError(f"word length {arr.shape} does not match code length n={c.n}")
-    if ((arr < ERASED) | (arr > 1)).any():
+    # one unsigned comparison: ERASED, 0 and 1 move to 0, 1 and 2, every other byte above 2
+    if (arr.view(np.uint8) + 1 > 2).any():
         raise CodecError(f"word entries must be 0, 1 or {ERASED}")
     return arr
 
@@ -100,11 +101,11 @@ def transmit_bec(codeword, eps: float, rng: np.random.Generator) -> np.ndarray:
     if not 0.0 <= eps <= 1.0:
         raise CodecError(f"erasure probability must lie in [0, 1], got {eps}")
     word = np.asarray(codeword, dtype=np.int8)
-    if ((word < 0) | (word > 1)).any():
+    if (word.view(np.uint8) > 1).any():
         raise CodecError("codeword entries must be 0 or 1")
-    out = word.copy()
-    out[rng.random(len(word)) < eps] = ERASED
-    return out
+    # ERASED is all ones in int8: OR each bit with 0 or -1 from the negated draw mask
+    erase = (rng.random(len(word)) < eps).view(np.int8)
+    return np.bitwise_or(word, np.negative(erase, out=erase), out=erase)
 
 
 def decode_peel(c, word, max_iters: int = 1000) -> DecodeOutcome:
@@ -137,17 +138,17 @@ def decode_peel(c, word, max_iters: int = 1000) -> DecodeOutcome:
     m = c.m
     var_chk = c.padded_var_checks
     dmax = var_chk.shape[1]
-    # per check: count and id sum of its erased neighbors, count of its ones;
-    # pad entries land on the sentinel check m, which is zeroed after each update
-    touched = var_chk[erased].ravel()
+    # per check: count and id sum of its erased neighbors, count of its ones; pad entries land
+    # on the sentinel check m, whose count starts above all its decrements, so it never reads 1
+    touched = var_chk.take(erased, 0).ravel()
     cnt = np.bincount(touched, minlength=m + 1)
+    cnt[m] = touched.size + 2
     isum = np.bincount(touched, weights=erased.astype(np.float64).repeat(dmax), minlength=m + 1).astype(np.int64)
-    acc = np.bincount(var_chk[np.flatnonzero(work == 1)].ravel(), minlength=m + 1)
-    cnt[m] = isum[m] = acc[m] = 0
+    # a check's ones decide the bit it resolves; in a word with no 1 every resolved bit is 0
+    ones = np.flatnonzero(work == 1)
+    acc = np.bincount(var_chk.take(ones, 0).ravel(), minlength=m + 1) if ones.size else None
 
     slot = np.empty(c.n, dtype=np.intp)
-    # no sweep has more candidates than m + 1 or the table entries of the erased bits
-    ramp = np.arange(max(m + 1, touched.size))
     candidates = np.flatnonzero(cnt == 1)
     iters = 0
     while candidates.size and n_unknown and iters < max_iters:
@@ -156,21 +157,23 @@ def decode_peel(c, word, max_iters: int = 1000) -> DecodeOutcome:
             break
         bits = isum[sel]
         # duplicates agree on the BEC: keep the last writer of each bit
-        order = ramp[: bits.size]
+        order = np.arange(bits.size)
         slot[bits] = order
         keep = slot[bits] == order
         bits = bits[keep]
-        vals = acc[sel[keep]] & 1
-        work[bits] = vals
         n_unknown -= bits.size
         iters += 1
 
-        touched = var_chk[bits].ravel()
+        touched = var_chk.take(bits, 0).ravel()
         np.subtract.at(cnt, touched, 1)
         np.subtract.at(isum, touched, bits.repeat(dmax))
-        if np.count_nonzero(vals):
-            np.add.at(acc, touched, vals.repeat(dmax))
-        cnt[m] = isum[m] = acc[m] = 0
+        if acc is None:
+            work[bits] = 0
+        else:
+            vals = acc[sel[keep]] & 1
+            work[bits] = vals
+            if np.count_nonzero(vals):
+                np.add.at(acc, touched, vals.repeat(dmax))
         candidates = touched
 
     status = FULLY_RECOVERED if n_unknown == 0 else STALLED

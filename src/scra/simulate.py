@@ -220,6 +220,7 @@ def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
     def sure_batch(ei: int) -> int:
         return min(BATCH, sure_room(ei), -(-sum(map(sure_room, range(n_eps))) // jobs))
 
+    code.padded_var_checks  # build the peeling table once, here, so pool workers get it with the code
     with (ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(code,))
           if jobs > 1 else nullcontext()) as pool:
         while True:

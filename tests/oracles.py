@@ -2,9 +2,9 @@
 
 The exact ML erasure oracle, the dense parity-check matrix, the
 descriptor as a dict, the two-key edge sort, the per-sweep peeling trace,
-the per-iteration DE loop and the in-order word-error stop.  They check
-the library from outside, so they live with the tests; pytest does not
-collect this module.
+the peeling loop that resets its sentinel every sweep, the per-iteration
+DE loop and the in-order word-error stop.  They check the library from
+outside, so they live with the tests; pytest does not collect this module.
 """
 
 from __future__ import annotations
@@ -143,6 +143,61 @@ def peel_trace(c, word, max_iters: int) -> np.ndarray:
         word = out.word
         rows.append(np.bincount(msg_pos[word[: c.n_msg] == ERASED], minlength=totals.size) / totals)
     return np.array(rows).reshape(len(rows), totals.size)
+
+
+def peel_reference(c, word, max_iters: int = 1000) -> DecodeOutcome:
+    """decode_peel with a full ones tally and a sentinel reset after every update.
+
+    The pad entries of the padded variable table land on the sentinel
+    check m, whose count, id sum and ones tally are zeroed after the
+    initial tallies and after each sweep's updates, so it never resolves.
+    Resolved bits take the parity of their check's ones whether or not the
+    word holds a 1, and duplicates keep the last writer through a ramp
+    allocated once per call.
+    """
+    work = _as_word(c, word).copy()
+    erased = np.flatnonzero(work == ERASED)
+    n_unknown = erased.size
+    if n_unknown == 0:
+        return DecodeOutcome(FULLY_RECOVERED, work, 0, 0, 0)
+
+    m = c.m
+    var_chk = c.padded_var_checks
+    dmax = var_chk.shape[1]
+    touched = var_chk[erased].ravel()
+    cnt = np.bincount(touched, minlength=m + 1)
+    isum = np.bincount(touched, weights=erased.astype(np.float64).repeat(dmax), minlength=m + 1).astype(np.int64)
+    acc = np.bincount(var_chk[np.flatnonzero(work == 1)].ravel(), minlength=m + 1)
+    cnt[m] = isum[m] = acc[m] = 0
+
+    slot = np.empty(c.n, dtype=np.intp)
+    ramp = np.arange(max(m + 1, touched.size))
+    candidates = np.flatnonzero(cnt == 1)
+    iters = 0
+    while candidates.size and n_unknown and iters < max_iters:
+        sel = candidates[cnt[candidates] == 1]
+        if sel.size == 0:
+            break
+        bits = isum[sel]
+        order = ramp[: bits.size]
+        slot[bits] = order
+        keep = slot[bits] == order
+        bits = bits[keep]
+        vals = acc[sel[keep]] & 1
+        work[bits] = vals
+        n_unknown -= bits.size
+        iters += 1
+
+        touched = var_chk[bits].ravel()
+        np.subtract.at(cnt, touched, 1)
+        np.subtract.at(isum, touched, bits.repeat(dmax))
+        if np.count_nonzero(vals):
+            np.add.at(acc, touched, vals.repeat(dmax))
+        cnt[m] = isum[m] = acc[m] = 0
+        candidates = touched
+
+    status = FULLY_RECOVERED if n_unknown == 0 else STALLED
+    return DecodeOutcome(status, work, iters, int(np.count_nonzero(work[: c.n_msg] == ERASED)), n_unknown)
 
 
 def de_run_reference(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:

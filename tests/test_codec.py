@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import decode_ml_oracle, h_dense, peel_trace
+from oracles import decode_ml_oracle, h_dense, peel_reference, peel_trace
 from scra.codec import (
     ERASED,
     CodecError,
@@ -123,6 +123,40 @@ def test_transmit_bec_rejects_non_binary_codeword(bad):
         transmit_bec(word, 0.5, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.2, 0.4575, 0.5, 0.93, 1.0])
+def test_transmit_bec_matches_masked_where(eps):
+    """The channel's bytes and its use of the generator are those of np.where on one draw."""
+    word = np.random.default_rng(5).integers(0, 2, 1000).astype(np.int8)
+    sent = word.copy()
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    got = transmit_bec(word, eps, got_rng)
+    want = np.where(want_rng.random(word.size) < eps, ERASED, word).astype(np.int8)
+    assert got.dtype == np.int8 and got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    np.testing.assert_array_equal(word, sent)
+
+
+def test_validators_accept_exactly_their_symbols():
+    """Over every int8 value: the channel takes only 0 and 1, a received word only 0, 1 and ERASED."""
+    c = small_ra()
+    for value in range(-128, 128):
+        word = np.zeros(c.n, dtype=np.int8)
+        word[5] = value
+        if value in (0, 1):
+            transmit_bec(word, 0.5, np.random.default_rng(0))
+            syndrome(c, word)
+        else:
+            with pytest.raises(CodecError, match="codeword entries"):
+                transmit_bec(word, 0.5, np.random.default_rng(0))
+        if value in (ERASED, 0, 1):
+            decode_peel(c, word)
+        else:
+            with pytest.raises(CodecError, match="word entries"):
+                decode_peel(c, word)
+            with pytest.raises(CodecError, match="word entries"):
+                syndrome(c, word)
+
+
 def test_decode_no_erasures_is_immediate():
     c = small_ra()
     word = encode(c, np.ones(c.k, dtype=np.int8))
@@ -187,6 +221,54 @@ def test_peel_resolves_duplicates_once():
     np.testing.assert_array_equal(res.word, decode_ml_oracle(c, word).word)
     np.testing.assert_array_equal(res.word[known], word[known])
     np.testing.assert_array_equal(res.word, sent)
+
+
+def _peel_cases():
+    """(code, sent word) pairs: all-zero words, RA codewords and, elsewhere, any word with ones."""
+    toy = toy_instance([[0, 1, 5], [1, 2, 6], [2, 3, 5, 7], [0, 4, 7], [3, 4, 6]], n=8)
+    codes = [
+        build_sc_ra(ScRaParams(4, 4, 2, 8), seed=3),
+        build_sc_ldpc(ScLdpcParams(3, 6, 2, 8), seed=3),
+        toy,
+    ]
+    rng = np.random.default_rng(29)
+    for c in codes:
+        yield c, np.zeros(c.n, dtype=np.int8)
+        if c.family == "ra":
+            yield c, encode(c, rng.integers(0, 2, c.k).astype(np.int8))
+        else:
+            yield c, rng.integers(0, 2, c.n).astype(np.int8)
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 5, 1000])
+def test_peel_matches_reference(max_iters):
+    """decode_peel equals the sentinel-reset loop in every outcome field, on many erasure patterns."""
+    rng = np.random.default_rng(max_iters)
+    for c, sent in _peel_cases():
+        for eps in (0.05, 0.3, 0.45, 0.55, 0.8):
+            for _ in range(8):
+                word = np.where(rng.random(c.n) < eps, ERASED, sent).astype(np.int8)
+                got, want = decode_peel(c, word, max_iters), peel_reference(c, word, max_iters)
+                assert (got.status, got.iterations) == (want.status, want.iterations)
+                assert got.residual_message_bits == want.residual_message_bits
+                assert got.residual_all_bits == want.residual_all_bits
+                assert got.word.dtype == np.int8 and got.word.tobytes() == want.word.tobytes()
+
+
+def test_peel_sentinel_never_resolves():
+    """Bit 0 has one pad slot and is the only erased bit that has one, so the sentinel's
+    pad count starts at exactly 1.  Every check sees two erased bits: a stopping set."""
+    c = toy_instance([[0, 1], [0, 2], [1, 2], [1, 2, 3]], n=4)
+    assert c.padded_var_checks.shape[1] == 3
+    sent = np.array([1, 1, 1, 0], dtype=np.int8)
+    assert not syndrome(c, sent).any()
+    for known in (sent, np.zeros(4, dtype=np.int8)):
+        word = known.copy()
+        word[:3] = ERASED
+        res = decode_peel(c, word)
+        assert not res.recovered and res.iterations == 0 and res.residual_all_bits == 3
+        np.testing.assert_array_equal(res.word, word)
+        assert res.word.tobytes() == peel_reference(c, word).word.tobytes()
 
 
 def exhaustive_unique_bits(c, word):

@@ -198,6 +198,26 @@ def test_pool_is_sized_to_the_batches(monkeypatch, jobs, max_trials, workers):
     assert _csv(got) == _csv(ref)
 
 
+class _TablePool(_InlinePool):
+    """Records, as the pool starts, whether the code it hands its workers holds the peeling table."""
+
+    cached: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.cached.append("padded_var_checks" in vars(initargs[0]))
+        super().__init__(max_workers, initializer, initargs)
+
+
+def test_pool_workers_inherit_the_peeling_table(monkeypatch):
+    """The table is built once before the pool starts, not once in every worker."""
+    code = toy_code()
+    assert "padded_var_checks" not in vars(code)
+    _use_pool(monkeypatch, _TablePool)
+    monkeypatch.setattr(_TablePool, "cached", [])
+    run_sweep(code, SweepPlan((0.4, 0.5), max_trials=200, max_word_errors=None, seed=12), jobs=2)
+    assert _TablePool.cached == [True]
+
+
 def test_pool_counts_every_rate_of_a_small_budget(monkeypatch, tmp_path):
     """--trials 50 is one batch per rate; over three rates --jobs 2 gets both its workers,
     and a sweep of one batch in all runs inline."""

@@ -18,13 +18,11 @@ from scra.ensembles import (
 from scra.construct import (
     CodeInstance,
     ConstructionError,
-    AlistError,
     DescriptorError,
     build_sc_ra,
     build_sc_ldpc,
     degree_profile,
     export_alist,
-    import_alist,
     save_descriptor,
     load_descriptor,
 )

@@ -21,7 +21,6 @@ import numpy as np
 from scra import __version__
 from scra.codec import CodecError, encode
 from scra.construct import (
-    AlistError,
     ConstructionError,
     DescriptorError,
     build_sc_ldpc,
@@ -57,7 +56,6 @@ USAGE_ERRORS = (
     ParameterError,
     CodecError,
     ConstructionError,
-    AlistError,
     DescriptorError,
     SimulationError,
     OSError,
@@ -222,10 +220,9 @@ def _cmd_encode(cfg: dict) -> int:
     word = encode(code, bits)
     _write_text(cfg["out"], "".join(str(int(b)) for b in word) + "\n")
     _write_config("encode", cfg, cfg["out"])
-    if code.params is not None:
-        last_msg_pos = code.params.span - 1
-        for j in range(code.params.n_chk_pos):
-            print(f"parity position {j}: ready after message position {min(j, last_msg_pos)}")
+    last_msg_pos = code.params.span - 1
+    for j in range(code.params.n_chk_pos):
+        print(f"parity position {j}: ready after message position {min(j, last_msg_pos)}")
     return 0
 
 

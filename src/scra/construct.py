@@ -30,11 +30,6 @@ class ConstructionError(RuntimeError):
     """Raised when a built instance violates a structural invariant."""
 
 
-class AlistError(ValueError):
-    """Raised on malformed alist input; the message carries a line number
-    or names the graph invariant the input breaks."""
-
-
 class DescriptorError(ValueError):
     """Raised on a malformed code descriptor; the message names the field."""
 
@@ -51,15 +46,15 @@ class CodeInstance:
     the message count and every position follow from the parameters.
     """
 
-    params: ScRaParams | ScLdpcParams | None
-    seed: int | None
+    params: ScRaParams | ScLdpcParams
+    seed: int
     n: int
     check_indptr: np.ndarray
     check_vars: np.ndarray
 
     @property
     def family(self) -> str:
-        return "alist" if self.params is None else self.params.family
+        return self.params.family
 
     @property
     def m(self) -> int:
@@ -76,23 +71,18 @@ class CodeInstance:
 
     @cached_property
     def check_pos(self) -> np.ndarray:
-        """Chain position of every check, cached; all zero without params."""
+        """Chain position of every check, cached."""
         p = self.params
-        if p is None:
-            return np.zeros(self.m, dtype=np.int32)
         return np.repeat(np.arange(p.n_chk_pos, dtype=np.int32), p.checks_per_pos)
 
     @cached_property
     def var_pos(self) -> np.ndarray:
-        """Chain position of every variable, cached; all zero without params.
+        """Chain position of every variable, cached.
 
         A parity bit sits at the position of its check.
         """
-        p = self.params
-        if p is None:
-            return np.zeros(self.n, dtype=np.int32)
         return np.concatenate([
-            np.repeat(np.arange(p.span, dtype=np.int32), p.M),
+            np.repeat(np.arange(self.params.span, dtype=np.int32), self.params.M),
             self.check_pos[: self.n - self.n_msg],
         ])
 
@@ -247,24 +237,23 @@ def validate_instance(c: CodeInstance) -> None:
     n_msg = c.n_msg
     msg_edge = c.check_vars < n_msg
 
-    if c.params is not None:
-        p = c.params
-        k, n = code_size(p)
-        if (c.n, c.m) != (n, n - k):
-            raise ConstructionError(f"n={c.n}, m={c.m} disagree with the parameters (n={n}, m={n - k})")
-        if np.any(var_deg[:n_msg] != p.width):
-            raise ConstructionError(f"message variable degree != {p.width}")
-        # every message edge lies inside the one-sided window of its source
-        offs = c.check_pos[edge_chk[msg_edge]] - c.var_pos[c.check_vars[msg_edge]]
-        if np.any(offs < 0) or np.any(offs >= p.width):
-            raise ConstructionError("message edge outside its coupling window")
-        msg_deg = np.bincount(edge_chk[msg_edge], minlength=c.m)
-        if np.any(msg_deg > p.combine):
-            raise ConstructionError(f"check absorbs more than {p.combine} message edges")
-        # checks whose window of source positions is not cut by a chain end
-        full = (p.sources_per_check_pos() == p.width)[c.check_pos]
-        if np.any(msg_deg[full] != p.combine):
-            raise ConstructionError("interior check does not absorb exactly the combiner degree")
+    p = c.params
+    k, n = code_size(p)
+    if (c.n, c.m) != (n, n - k):
+        raise ConstructionError(f"n={c.n}, m={c.m} disagree with the parameters (n={n}, m={n - k})")
+    if np.any(var_deg[:n_msg] != p.width):
+        raise ConstructionError(f"message variable degree != {p.width}")
+    # every message edge lies inside the one-sided window of its source
+    offs = c.check_pos[edge_chk[msg_edge]] - c.var_pos[c.check_vars[msg_edge]]
+    if np.any(offs < 0) or np.any(offs >= p.width):
+        raise ConstructionError("message edge outside its coupling window")
+    msg_deg = np.bincount(edge_chk[msg_edge], minlength=c.m)
+    if np.any(msg_deg > p.combine):
+        raise ConstructionError(f"check absorbs more than {p.combine} message edges")
+    # checks whose window of source positions is not cut by a chain end
+    full = (p.sources_per_check_pos() == p.width)[c.check_pos]
+    if np.any(msg_deg[full] != p.combine):
+        raise ConstructionError("interior check does not absorb exactly the combiner degree")
 
     if c.family == "ra":
         par_deg = var_deg[n_msg:]
@@ -279,24 +268,6 @@ def validate_instance(c: CodeInstance) -> None:
         band = edge_chk[sel] - (c.check_vars[sel] - n_msg)
         if np.any(band < 0) or np.any(band > 1):
             raise ConstructionError("parity edge outside the bidiagonal band")
-
-
-def _from_rows(rows: list[list[int]], ids: np.ndarray, n: int, params: ScRaParams | ScLdpcParams | None,
-               seed: int | None, error) -> CodeInstance:
-    """A validated instance from per-check rows of variable ids, all of
-    whose ids, in order, the caller has already put in the array ids.
-
-    A broken graph invariant raises error(message), the caller's own
-    error type and wording.
-    """
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(list(map(len, rows)), out=indptr[1:])
-    inst = CodeInstance(params=params, seed=seed, n=n, check_indptr=indptr, check_vars=ids.astype(np.int32))
-    try:
-        validate_instance(inst)
-    except ConstructionError as exc:
-        raise error(str(exc)) from None
-    return inst
 
 
 # -- degree bookkeeping ------------------------------------------------------
@@ -344,7 +315,7 @@ def _read_text(src) -> str:
         return fh.read()
 
 
-# -- alist interchange -------------------------------------------------------
+# -- alist export ------------------------------------------------------------
 
 def _rows_text(ids: np.ndarray, ends: np.ndarray, sep: str, end: str, base: int = 0) -> str:
     """Text of rows of ids, each id plus base in ASCII digits: a row's ids
@@ -392,73 +363,13 @@ def export_alist(c: CodeInstance, dest) -> None:
     ]))
 
 
-def import_alist(src) -> CodeInstance:
-    """Read an alist file into an adjacency-only instance.
-
-    Zero padding inside neighbor lists is accepted and dropped.  An
-    imported matrix has no parameters: all variables count as message bits
-    at position 0 and k is the nominal n - m.  The graph passes
-    validate_instance (no empty row or column), so it saves to a loadable
-    descriptor.
-    """
-    lines = _read_text(src).splitlines()
-
-    def ints(line_no: int, expect: int | None = None) -> list[int]:
-        if line_no >= len(lines):
-            raise AlistError(f"line {line_no + 1}: file truncated")
-        try:
-            vals = [int(tok) for tok in lines[line_no].split()]
-        except ValueError as exc:
-            raise AlistError(f"line {line_no + 1}: non-integer token ({exc})") from None
-        if expect is not None and len(vals) != expect:
-            raise AlistError(f"line {line_no + 1}: expected {expect} integers, got {len(vals)}")
-        return vals
-
-    n, m = ints(0, 2)
-    if n <= 0 or m <= 0:
-        raise AlistError("line 1: dimensions must be positive")
-    ints(1, 2)  # maximum degrees; informational
-    col_deg = ints(2, n)
-    row_deg = ints(3, m)
-
-    def neighbor_block(first_line: int, count: int, degs: list[int], limit: int, label: str):
-        out = []
-        for i in range(count):
-            vals = [v for v in ints(first_line + i) if v != 0]  # zero padding dropped
-            if len(vals) != degs[i]:
-                raise AlistError(
-                    f"line {first_line + i + 1}: {label} {i + 1} lists {len(vals)} neighbors, degree says {degs[i]}"
-                )
-            if any(v < 1 or v > limit for v in vals):
-                raise AlistError(f"line {first_line + i + 1}: neighbor index out of range")
-            out.append(sorted(v - 1 for v in vals))
-        return out
-
-    cols = neighbor_block(4, n, col_deg, m, "column")
-    rows = neighbor_block(4 + n, m, row_deg, n, "row")
-    if sum(len(r) for r in rows) != sum(len(col) for col in cols):
-        raise AlistError("line 1: row and column edge totals disagree")
-    for t, r in enumerate(rows):
-        if len(set(r)) != len(r):
-            raise AlistError(f"line {4 + n + t + 1}: duplicate neighbor in row {t + 1}")
-
-    inst = _from_rows(rows, np.fromiter(chain.from_iterable(rows), dtype=np.int32), n, None, None,
-                      lambda msg: AlistError(f"invalid graph: {msg}"))
-    # cross-check the column lists against the rows
-    if [row[row < m].tolist() for row in inst.padded_var_checks] != cols:
-        raise AlistError("line 1: column lists inconsistent with row lists")
-    return inst
-
-
 # -- descriptor persistence --------------------------------------------------
 
-def _params_to_json(p: ScRaParams | ScLdpcParams | None):
-    return None if p is None else {"family": p.family, **asdict(p)}
+def _params_to_json(p: ScRaParams | ScLdpcParams) -> dict:
+    return {"family": p.family, **asdict(p)}
 
 
-def _params_from_json(obj) -> ScRaParams | ScLdpcParams | None:
-    if obj is None:
-        return None
+def _params_from_json(obj) -> ScRaParams | ScLdpcParams:
     if not isinstance(obj, dict) or "family" not in obj:
         raise DescriptorError("field 'params': expected an object with a 'family' entry")
     cls = FAMILY_PARAMS.get(obj["family"]) if isinstance(obj["family"], str) else None
@@ -512,15 +423,22 @@ def load_descriptor(src) -> CodeInstance:
     n, seed, checks = obj["n"], obj["seed"], obj["checks"]
     if not is_int(n):
         raise DescriptorError("field 'n': expected an integer")
-    if seed is not None and not is_int(seed):
-        raise DescriptorError("field 'seed': expected an integer or null")
+    if not (is_int(seed) and seed >= 0):
+        raise DescriptorError("field 'seed': expected a non-negative integer")
     params = _params_from_json(obj["params"])
-    if params is not None and n != code_size(params)[1]:
+    if n != code_size(params)[1]:
         raise DescriptorError(f"field 'n': {n} disagrees with the parameters (n={code_size(params)[1]})")
     if not isinstance(checks, list):
         raise DescriptorError("field 'checks': expected a list of rows")
-    return _from_rows(checks, _check_ids(checks, n), n, params, seed,
-                      lambda msg: DescriptorError(f"field 'checks': {msg}"))
+    ids = _check_ids(checks, n)
+    indptr = np.zeros(len(checks) + 1, dtype=np.int64)
+    np.cumsum(list(map(len, checks)), out=indptr[1:])
+    inst = CodeInstance(params=params, seed=seed, n=n, check_indptr=indptr, check_vars=ids.astype(np.int32))
+    try:
+        validate_instance(inst)
+    except ConstructionError as exc:
+        raise DescriptorError(f"field 'checks': {exc}") from None
+    return inst
 
 
 def _check_ids(checks: list, n: int) -> np.ndarray:

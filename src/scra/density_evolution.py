@@ -49,28 +49,23 @@ class DeState:
     y: parity-to-check erasure, None for LDPC; per active check position
        (smoothed), or shape (2, n_chk_pos) with rows from the left and the
        right accumulator neighbor (structured).
-    z: check-to-message erasure of the structured step that produced this
-       state, so a-posteriori profiles align with decoder sweeps; else None.
     """
 
     x: np.ndarray
     y: np.ndarray | None
     eps: float
     iteration: int
-    z: np.ndarray | None = None
 
 
 class _Driver:
     """What the DE drivers share: a step into fresh arrays and the states de_run
-    steps through (see de_run for the driver contract).  step_into also returns
-    the check-to-message erasure z where the view has one, as a view of scratch
-    that the next step overwrites, else None."""
+    steps through (see de_run for the driver contract)."""
 
     def step(self, s: DeState) -> DeState:
         """One step into fresh arrays, so a state the caller holds is never overwritten."""
         x, y = np.empty_like(s.x), None if s.y is None else np.empty_like(s.y)
-        z = self.step_into(s.x, s.y, s.eps, x, y)
-        return DeState(x, y, s.eps, s.iteration + 1, None if z is None else z.copy())
+        self.step_into(s.x, s.y, s.eps, x, y)
+        return DeState(x, y, s.eps, s.iteration + 1)
 
     @cached_property
     def history(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -179,7 +174,7 @@ class _ProtoModel(_Driver):
         y = np.full((2, self.n_chk), eps) if self.is_ra else None
         return DeState(np.full((self.span, self.width), eps), y, eps, 0)
 
-    def step_into(self, x, y, eps, x_out, y_out) -> np.ndarray:
+    def step_into(self, x, y, eps, x_out, y_out) -> None:
         n_sources, deg_m1, deg, diag, buf, gather, z, c, xt = self._tables
         diag[...] = x.T
         omx = np.add.reduce(buf, 0)
@@ -198,7 +193,6 @@ class _ProtoModel(_Driver):
             np.multiply(omy, omx ** deg, out=y_out)
             np.subtract(1.0, y_out, out=y_out)
             np.multiply(eps, y_out, out=y_out)
-        return z[:-1]
 
 
 def _ra_uncoupled(p: ScRaParams) -> _WModel:

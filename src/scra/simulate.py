@@ -252,9 +252,8 @@ def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
         "max_trials": plan.max_trials,
         "max_word_errors": plan.max_word_errors,
         "max_iters": plan.max_iters,
+        "params": repr(code.params),
     }
-    if code.params is not None:
-        meta["params"] = repr(code.params)
     return SimResult(
         eps=np.asarray(plan.eps_grid, dtype=np.float64),
         trials=np.asarray(submitted, dtype=np.int64),

@@ -1,15 +1,18 @@
 """Reference decoders, views and loops that only the tests use.
 
-The exact ML erasure oracle, the dense parity-check matrix, the
-descriptor as a dict, the two-key edge sort, the per-sweep peeling trace,
-the peeling loop that resets its sentinel every sweep, the per-iteration
-DE loop and the in-order word-error stop.  They check the library from
-outside, so they live with the tests; pytest does not collect this module.
+The exact ML erasure oracle, the dense parity-check matrix, hand-built
+codes and an alist reader, the descriptor as a dict, the two-key edge
+sort, the per-sweep peeling trace, the peeling loop that resets its
+sentinel every sweep, the structured DE step as a loop, the
+per-iteration DE loop and the in-order word-error stop.  They check the
+library from outside, so they live with the tests; pytest does not
+collect this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from scra.codec import (
     ERASED,
@@ -20,7 +23,7 @@ from scra.codec import (
     _as_word,
     decode_peel,
 )
-from scra.construct import DESCRIPTOR_FORMAT, DESCRIPTOR_VERSION, _params_to_json
+from scra.construct import DESCRIPTOR_FORMAT, DESCRIPTOR_VERSION, CodeInstance, _params_to_json
 from scra.density_evolution import DELTA_STALL, DELTA_SUCCESS, MAX_ITERS, DeRunResult, DeState
 
 _ML_SIZE_LIMIT = 10_000
@@ -31,6 +34,31 @@ def h_dense(c) -> np.ndarray:
     h = np.zeros((c.m, c.n), dtype=np.uint8)
     h[c.edge_checks, c.check_vars] = 1
     return h
+
+
+class _ToyCode(CodeInstance):
+    """A hand-built graph with no parameters, seed or positions; every
+    variable counts as a message bit."""
+
+    family = "toy"
+
+
+def toy_code(rows, n: int) -> CodeInstance:
+    """The code over n variables whose check t holds the variable ids rows[t]."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    return _ToyCode(None, None, n, indptr, np.array([v for r in rows for v in r], dtype=np.int32))
+
+
+def read_alist(text: str) -> CodeInstance:
+    """The toy code of alist text as export_alist writes it; its column
+    lists must be those its rows imply."""
+    lines = text.split("\n")
+    n, m = map(int, lines[0].split())
+    lists = [[int(t) - 1 for t in line.split()] for line in lines[4 : 4 + n + m]]
+    c = toy_code(lists[n:], n)
+    assert [row[row < m].tolist() for row in c.padded_var_checks] == lists[:n]
+    return c
 
 
 def descriptor_dict(c) -> dict:
@@ -198,6 +226,36 @@ def peel_reference(c, word, max_iters: int = 1000) -> DecodeOutcome:
 
     status = FULLY_RECOVERED if n_unknown == 0 else STALLED
     return DecodeOutcome(status, work, iters, int(np.count_nonzero(work[: c.n_msg] == ERASED)), n_unknown)
+
+
+def proto_step_reference(model, s: DeState):
+    """The structured step as a loop over the coupling width, with sliding windows.
+
+    Returns the new x, the new left and right accumulator rows of y (None
+    for LDPC) and the check-to-message erasure z of the step.
+    """
+    p = model.p
+    n_sources = p.sources_per_check_pos().astype(np.float64)
+    mean_deg = p.combine * n_sources / p.width
+    tot = np.zeros(p.n_chk_pos)
+    for d in range(p.width):
+        tot[d : d + p.span] += s.x[:, d]
+    xbar = tot / n_sources
+    clean = (1.0 - xbar) ** (mean_deg - 1.0)
+    if s.y is not None:
+        y_left, y_right = s.y
+        clean = clean * (1.0 - y_left) * (1.0 - y_right)
+    z = 1.0 - clean
+    zw = sliding_window_view(z, p.width)
+    pre = np.ones_like(zw)
+    np.cumprod(zw[:, :-1], axis=1, out=pre[:, 1:])
+    suf = np.ones_like(zw)
+    suf[:, :-1] = np.cumprod(zw[:, :0:-1], axis=1)[:, ::-1]
+    x = s.eps * pre * suf
+    if s.y is None:
+        return x, None, None, z
+    through = (1.0 - xbar) ** mean_deg
+    return x, s.eps * (1.0 - (1.0 - y_left) * through), s.eps * (1.0 - (1.0 - y_right) * through), z
 
 
 def de_run_reference(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from oracles import decode_ml_oracle, h_dense, peel_trace
+from oracles import decode_ml_oracle, h_dense, peel_trace, proto_step_reference
 from scra.cli import main as cli_main
 from scra.codec import (
     FULLY_RECOVERED,
@@ -224,9 +224,10 @@ def test_c10_de_matches_simulation():
     state = model.initial_state(eps)
     profiles = []
     for _ in range(10):
+        z = proto_step_reference(model, state)[3]  # the check-to-message erasure of this step
         state = model.step(state)
         # a-posteriori message erasure per position: eps times the w check messages
-        profiles.append(state.eps * sliding_window_view(state.z, model.width).prod(axis=1))
+        profiles.append(state.eps * sliding_window_view(z, model.width).prod(axis=1))
     predicted = np.stack(profiles)
 
     code = build_sc_ra(ScRaParams(6, 6, 8, 2000), seed=3)

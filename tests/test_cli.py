@@ -265,6 +265,23 @@ def test_encode_rejects_broken_descriptor(tmp_path, capsys):
     assert "field 'checks'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("params", None), ("seed", None), ("seed", -7)],
+                         ids=["null_params", "null_seed", "negative_seed"])
+def test_simulate_refuses_descriptor_without_params_or_seed(tmp_path, capsys, field, value):
+    """A descriptor holds the parameters and the non-negative seed it was built from."""
+    construct_toy(tmp_path)
+    path = tmp_path / "code.json"
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "sweep.csv"
+    capsys.readouterr()
+    rc = main(["simulate", "--code", str(path), "--eps", "0.4", "--trials", "5", "--out", str(out)])
+    assert rc == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "sweep.csv.config.json").exists()
+
+
 def test_simulate_single_run(tmp_path, capsys):
     base = construct_toy(tmp_path)
     out = tmp_path / "sweep.csv"

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import decode_ml_oracle, h_dense, peel_reference, peel_trace
+from oracles import decode_ml_oracle, h_dense, peel_reference, peel_trace, toy_code
 from scra.codec import (
     ERASED,
     CodecError,
@@ -14,7 +14,7 @@ from scra.codec import (
     syndrome,
     transmit_bec,
 )
-from scra.construct import CodeInstance, build_sc_ldpc, build_sc_ra
+from scra.construct import build_sc_ldpc, build_sc_ra
 from scra.ensembles import ScLdpcParams, ScRaParams
 
 
@@ -187,24 +187,11 @@ def test_decode_rejects_bad_words():
             decode_peel(c, bad)
 
 
-def toy_instance(rows, n):
-    """Hand-built instance from ascending check rows."""
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    return CodeInstance(
-        params=None,
-        seed=None,
-        n=n,
-        check_indptr=indptr,
-        check_vars=np.array([v for r in rows for v in r], dtype=np.int32),
-    )
-
-
 def test_peel_resolves_duplicates_once():
     """Checks 0 and 1 both resolve bit 0 in sweep 1, while bits 3 and 4
     (through checks 2 and 3) both touch check 4, which then resolves bit 5
     in sweep 2 from two copies of itself in the candidate list."""
-    c = toy_instance([[0, 1], [0, 2], [3, 6], [4, 7], [3, 4, 5]], n=8)
+    c = toy_code([[0, 1], [0, 2], [3, 6], [4, 7], [3, 4, 5]], n=8)
     sent = np.array([1, 1, 1, 1, 0, 1, 1, 0], dtype=np.int8)
     assert not syndrome(c, sent).any()
     word = sent.copy()
@@ -225,7 +212,7 @@ def test_peel_resolves_duplicates_once():
 
 def _peel_cases():
     """(code, sent word) pairs: all-zero words, RA codewords and, elsewhere, any word with ones."""
-    toy = toy_instance([[0, 1, 5], [1, 2, 6], [2, 3, 5, 7], [0, 4, 7], [3, 4, 6]], n=8)
+    toy = toy_code([[0, 1, 5], [1, 2, 6], [2, 3, 5, 7], [0, 4, 7], [3, 4, 6]], n=8)
     codes = [
         build_sc_ra(ScRaParams(4, 4, 2, 8), seed=3),
         build_sc_ldpc(ScLdpcParams(3, 6, 2, 8), seed=3),
@@ -258,7 +245,7 @@ def test_peel_matches_reference(max_iters):
 def test_peel_sentinel_never_resolves():
     """Bit 0 has one pad slot and is the only erased bit that has one, so the sentinel's
     pad count starts at exactly 1.  Every check sees two erased bits: a stopping set."""
-    c = toy_instance([[0, 1], [0, 2], [1, 2], [1, 2, 3]], n=4)
+    c = toy_code([[0, 1], [0, 2], [1, 2], [1, 2, 3]], n=4)
     assert c.padded_var_checks.shape[1] == 3
     sent = np.array([1, 1, 1, 0], dtype=np.int8)
     assert not syndrome(c, sent).any()
@@ -320,13 +307,7 @@ def test_ml_oracle_stalls_on_erased_codeword_support():
 
 
 def test_ml_oracle_rejects_oversized_instance():
-    dummy = CodeInstance(
-        params=None,
-        seed=None,
-        n=10_001,
-        check_indptr=np.zeros(2, dtype=np.int64),
-        check_vars=np.zeros(0, dtype=np.int32),
-    )
+    dummy = toy_code([[]], n=10_001)
     with pytest.raises(CodecError):
         decode_ml_oracle(dummy, np.zeros(1, dtype=np.int8))
 
@@ -438,16 +419,7 @@ def test_peeling_equals_sum_product_sweeps(seed, eps):
 
 def permuted_instance(c, perm):
     """Relabel variables of c by perm (new id of old v is perm[v])."""
-    rows = [sorted(perm[c.check_neighbors(t)].tolist()) for t in range(c.m)]
-    indptr = np.zeros(c.m + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    return CodeInstance(
-        params=None,
-        seed=None,
-        n=c.n,
-        check_indptr=indptr,
-        check_vars=np.array([v for r in rows for v in r], dtype=np.int32),
-    )
+    return toy_code([sorted(perm[c.check_neighbors(t)].tolist()) for t in range(c.m)], c.n)
 
 
 def test_decoding_is_permutation_equivariant():

@@ -5,19 +5,17 @@ import io
 import numpy as np
 import pytest
 
-from oracles import descriptor_dict, edge_order_reference, h_dense
+from oracles import descriptor_dict, edge_order_reference, h_dense, read_alist, toy_code
 from scra.construct import (
-    AlistError,
-    CodeInstance,
     DescriptorError,
     KIND_MESSAGE,
     KIND_PARITY,
     _assemble,
+    _rows_text,
     build_sc_ldpc,
     build_sc_ra,
     degree_profile,
     export_alist,
-    import_alist,
     load_descriptor,
     save_descriptor,
     validate_instance,
@@ -147,8 +145,8 @@ def test_ldpc_instance_invariants(dl, dr, L, M):
 
 
 def test_var_adjacency_matches_dense_transpose():
-    # the imported matrix is irregular: column degrees 1, 1, 2
-    for c in (small_ra(3), build_sc_ldpc(ScLdpcParams(3, 6, 1, 4), 5), import_alist(io.StringIO(ALIST_3X2))):
+    # the hand-built graph is irregular: column degrees 1, 1, 2
+    for c in (small_ra(3), build_sc_ldpc(ScLdpcParams(3, 6, 1, 4), 5), toy_code([[0, 2], [1, 2]], 3)):
         padded = c.padded_var_checks
         h = h_dense(c)
         assert padded.shape == (c.n, h.sum(axis=0).max())
@@ -204,7 +202,7 @@ def test_alist_header_and_round_trip():
     export_alist(c, buf)
     text = buf.getvalue()
     assert text.splitlines()[0] == "16 10"
-    back = import_alist(io.StringIO(text))
+    back = read_alist(text)
     assert back.n == c.n and back.m == c.m
     np.testing.assert_array_equal(back.check_indptr, c.check_indptr)
     np.testing.assert_array_equal(back.check_vars, c.check_vars)
@@ -218,78 +216,18 @@ def test_alist_round_trip_file(tmp_path):
     c = build_sc_ldpc(ScLdpcParams(3, 6, 1, 4), 5)
     path = tmp_path / "code.alist"
     export_alist(c, str(path))
-    back = import_alist(str(path))
+    back = read_alist(path.read_text())
     np.testing.assert_array_equal(back.check_vars, c.check_vars)
 
 
-def test_alist_accepts_zero_padding():
-    text = "3 2\n2 3\n1 1 2\n2 2\n1 0\n2 0\n1 2\n1 3 0\n2 3 0\n"
-    c = import_alist(io.StringIO(text))
-    assert (c.n, c.m) == (3, 2)
-    assert c.check_neighbors(0).tolist() == [0, 2]
-    assert c.check_neighbors(1).tolist() == [1, 2]
-    # a graph without parameters re-exports canonically: padding dropped, maxima line recomputed
+def test_alist_hand_written_small():
+    text = "3 2\n2 2\n1 1 2\n2 2\n1\n2\n1 2\n1 3\n2 3\n"  # header, maximum degrees, degrees, lists
+    c = toy_code([[0, 2], [1, 2]], 3)
+    assert h_dense(c).tolist() == [[1, 0, 1], [0, 1, 1]]
     buf = io.StringIO()
     export_alist(c, buf)
-    assert buf.getvalue() == "3 2\n2 2\n1 1 2\n2 2\n1\n2\n1 2\n1 3\n2 3\n"
-
-
-def test_alist_hand_written_small():
-    text = "3 2\n1 2\n1 1 2\n2 2\n1\n2\n1 2\n1 3\n2 3\n"
-    c = import_alist(io.StringIO(text))
-    assert (c.n, c.m) == (3, 2)
-    assert h_dense(c).tolist() == [[1, 0, 1], [0, 1, 1]]
-
-
-@pytest.mark.parametrize(
-    "mutate,line_hint",
-    [
-        (lambda lines: lines[:3], "truncated"),
-        (lambda lines: ["x 10"] + lines[1:], "line 1"),
-        (lambda lines: [lines[0], lines[1], lines[2] + " 9"] + lines[3:], "line 3"),
-        (lambda lines: lines[:4] + [lines[4] + " 99"] + lines[5:], "line 5"),
-        (lambda lines: lines[:4] + ["2 2"] + lines[5:], "line 5"),
-    ],
-)
-def test_alist_malformed_inputs(mutate, line_hint):
-    buf = io.StringIO()
-    export_alist(small_ra(), buf)
-    lines = buf.getvalue().splitlines()
-    broken = "\n".join(mutate(lines)) + "\n"
-    with pytest.raises(AlistError) as err:
-        import_alist(io.StringIO(broken))
-    assert line_hint in str(err.value)
-
-
-def test_alist_detects_duplicate_row_entry():
-    text = "3 2\n2 2\n2 1 1\n2 2\n1 2\n1\n2\n1 1\n2 3\n"
-    with pytest.raises(AlistError) as err:
-        import_alist(io.StringIO(text))
-    assert "duplicate" in str(err.value) or "inconsistent" in str(err.value)
-
-
-def test_alist_rejects_empty_row():
-    """The rule load_descriptor applies holds at import too, so no imported
-    code saves to a descriptor that fails to load."""
-    text = "3 2\n1 3\n1 1 1\n3 0\n1\n1\n1\n1 2 3\n\n"
-    with pytest.raises(AlistError) as err:
-        import_alist(io.StringIO(text))
-    assert "check of degree 0" in str(err.value)
-
-
-def test_alist_rejects_empty_column():
-    """Variable 2 is in no check: refused at import, as at descriptor load."""
-    text = "3 2\n2 2\n2 0 2\n2 2\n1 2\n\n1 2\n1 3\n1 3\n"
-    with pytest.raises(AlistError) as err:
-        import_alist(io.StringIO(text))
-    assert "variable of degree 0" in str(err.value)
-
-
-def test_alist_detects_row_column_mismatch():
-    # column lists claim var 1 is in check 2; rows say check 2 holds vars 2,3
-    text = "3 2\n2 2\n2 1 1\n2 2\n1 2\n1\n1\n1 2\n2 3\n"
-    with pytest.raises(AlistError):
-        import_alist(io.StringIO(text))
+    assert buf.getvalue() == text
+    assert read_alist(text) == c
 
 
 def test_descriptor_round_trip():
@@ -350,6 +288,9 @@ BAD_ROW_3 = {
         pytest.param(lambda d: d.update(n=d["n"] + 1), "n", id="n_plus_one-n"),
         (lambda d: d.update(var_kind=[0] * d["n"]), "var_kind"),
         (lambda d: d.update(seed=True), "seed"),
+        pytest.param(lambda d: d.update(seed=None), "seed", id="null_seed-seed"),
+        pytest.param(lambda d: d.update(seed=-7), "seed", id="negative_seed-seed"),
+        pytest.param(lambda d: d.update(params=None), "params", id="null_params-params"),
         (_true_for_variable_one, "checks"),
         (lambda d: d["checks"][0].reverse(), "checks"),
         (lambda d: d["checks"].__setitem__(0, d["checks"][0] + d["checks"][0][:1]), "checks"),
@@ -387,10 +328,15 @@ def test_descriptor_bad_ids_name_the_first_bad_row(name):
         load_descriptor(io.StringIO(json.dumps(doc)))
 
 
-def _without_params(edges_over: int):
-    """small_ra()'s document with no parameters and n = the edge count + edges_over."""
-    doc = descriptor_dict(small_ra())
-    doc.update(params=None, n=sum(map(len, doc["checks"])) + edges_over)
+def _cut_checks(doc, edges: int) -> dict:
+    """doc with its checks cut after their first `edges` ids, in row order."""
+    rows, left = [], edges
+    for row in doc["checks"]:
+        if left == 0:
+            break
+        rows.append(row[:left])
+        left -= len(rows[-1])
+    doc["checks"] = rows
     return doc
 
 
@@ -398,40 +344,47 @@ def _without_params(edges_over: int):
 def test_descriptor_bad_row_is_named_before_n_exceeds_the_edges(name):
     import json
 
-    doc = _without_params(1)
+    doc = _cut_checks(descriptor_dict(small_ra()), 15)  # n = 16; rows 0 to 3 stay whole
     BAD_ROW_3[name](doc)
     with pytest.raises(DescriptorError, match=r"^field 'checks': row 3 is not a list of variable ids$"):
         load_descriptor(io.StringIO(json.dumps(doc)))
 
 
-@pytest.mark.parametrize("n_over,id_3", [(1, None), (2**70, 2**65)], ids=["n_plus_one", "ids_past_int64"])
-def test_descriptor_n_beyond_the_edges_is_named_when_all_ids_are_good(n_over, id_3):
+@pytest.mark.parametrize("M,id_3", [(2, None), (2**67, 2**65)], ids=["n_plus_one", "ids_past_int64"])
+def test_descriptor_n_beyond_the_edges_is_named_when_all_ids_are_good(M, id_3):
+    """small_ra()'s rows, cut to 15 edges, under parameters of n = 8M variables."""
     import json
 
-    doc = _without_params(n_over)
+    doc = _cut_checks(descriptor_dict(small_ra()), 15)
+    doc["params"]["M"] = M
+    doc["n"] = code_size(ScRaParams(3, 3, 1, M))[1]
     if id_3 is not None:
         doc["checks"][3][0] = id_3  # below n, so a good id, yet no int64
     with pytest.raises(DescriptorError, match=r"^field 'n': \d+ variables but only \d+ edges$"):
         load_descriptor(io.StringIO(json.dumps(doc)))
 
 
-def _hand_built(n, rows):
-    return CodeInstance(params=None, seed=None, n=n, check_indptr=np.cumsum([0, *map(len, rows)]),
-                        check_vars=np.array([v for r in rows for v in r], dtype=np.int32))
+def test_rows_text_is_the_json_of_the_rows():
+    """The checks of a descriptor are those of json.dumps of the rows: an
+    empty row is [], an id of 0 is 0, and no comma follows the last row,
+    for ids of 1 to 5 digits, ids narrower than "],[" and no rows at all."""
+    import json
 
-
-def _descriptor_cases():
     rng = np.random.default_rng(4)
     n = 12345
     rows = [sorted(rng.choice(n, size=d, replace=False).tolist()) for d in rng.integers(0, 4, 40)]
     rows[0] = rows[17] = rows[-1] = []
     rows[5] = [0, 9, 10, 99, 100, 999, 1000, 9999, 10000, n - 1]  # id 0 and 1 to 5 digits
     rows[6] = [0]
+    for case in (rows, [[], [0, 3], [], [], [11], []], []):
+        ids = np.array([v for r in case for v in r], dtype=np.int32)
+        ends = np.cumsum([len(r) for r in case], dtype=np.int64)
+        text = ("[" + _rows_text(ids, ends, ",", "],["))[:-2]  # as save_descriptor writes them
+        assert "[" + text + "]" == json.dumps(case, separators=(",", ":"))
+
+
+def _descriptor_cases():
     return {
-        "hand_built": _hand_built(n, rows),
-        "no_checks": _hand_built(0, []),
-        "narrow_ids": _hand_built(12, [[], [0, 3], [], [], [11], []]),  # ids narrower than "],["
-        "alist": import_alist(io.StringIO(ALIST_IRREGULAR)),
         "ra": build_sc_ra(ScRaParams(4, 4, 2, M=8), 1),
         "ldpc": build_sc_ldpc(ScLdpcParams(3, 6, 2, M=6), 1),
         "ra_M100": build_sc_ra(ScRaParams(6, 6, 16, M=100), 0),
@@ -440,8 +393,7 @@ def _descriptor_cases():
 
 
 def test_descriptor_bytes_are_those_of_json_dumps():
-    """save_descriptor writes the canonical JSON of the descriptor dict: an
-    empty row is [], an id of 0 is 0, and no comma follows the last row."""
+    """save_descriptor writes the canonical JSON of the descriptor dict."""
     import json
 
     for name, c in _descriptor_cases().items():
@@ -449,11 +401,6 @@ def test_descriptor_bytes_are_those_of_json_dumps():
         save_descriptor(c, buf)
         want = json.dumps(descriptor_dict(c), sort_keys=True, separators=(",", ":")) + "\n"
         assert buf.getvalue() == want, name
-
-
-# irregular degrees, variables 4 and 5 of degree 1, and zeros padding every
-# neighbor list shorter than the largest degree
-ALIST_IRREGULAR = "5 3\n3 4\n3 2 2 1 1\n3 2 4\n1 2 3\n1 3 0\n2 3 0\n1 0 0\n3 0 0\n1 2 4 0\n1 3 0 0\n1 2 3 5\n"
 
 
 def _check_edge_orders_against_lexsort(c):
@@ -479,11 +426,12 @@ def test_edge_sorts_match_a_lexsort_with_parallel_edges():
     indptr, check_vars = _assemble(edge_chk, edge_var, m, n)
     np.testing.assert_array_equal(check_vars, edge_var[edge_order_reference(edge_chk, edge_var)])
     np.testing.assert_array_equal(indptr, np.cumsum([0, *np.bincount(edge_chk, minlength=m)]))
-    _check_edge_orders_against_lexsort(CodeInstance(None, None, n, indptr, check_vars))
+    _check_edge_orders_against_lexsort(toy_code(np.split(check_vars, indptr[1:-1]), n))
 
 
 def test_edge_sorts_match_a_lexsort_on_an_irregular_alist():
-    c = import_alist(io.StringIO(ALIST_IRREGULAR))
+    # irregular degrees, variables 3 and 4 of degree 1
+    c = toy_code([[0, 1, 3], [0, 2], [0, 1, 2, 4]], 5)
     assert np.bincount(c.check_vars).tolist() == [3, 2, 2, 1, 1]
     assert (c.padded_var_checks == c.m).any()  # rows padded with the sentinel
     _check_edge_orders_against_lexsort(c)
@@ -497,7 +445,7 @@ def test_alist_lines_byte_for_byte_with_empty_rows():
     rows = [sorted(rng.choice(n, size=d, replace=False).tolist()) for d in rng.integers(0, 4, 40)]
     rows[0] = rows[-1] = []
     rows[5] = [0, 8, 9, 98, 99, 998, 999, 9998, 9999, n - 1]  # 1 to 5 digits once 1-based
-    c = _hand_built(n, rows)
+    c = toy_code(rows, n)
     cols = [[t for t, r in enumerate(rows) if v in r] for v in range(n)]
     head = [f"{n} {len(rows)}", f"{max(map(len, cols))} {max(map(len, rows))}",
             " ".join(str(len(col)) for col in cols), " ".join(str(len(r)) for r in rows)]
@@ -507,22 +455,19 @@ def test_alist_lines_byte_for_byte_with_empty_rows():
     assert buf.getvalue() == "\n".join(head + lines) + "\n"
 
 
-ALIST_3X2 = "3 2\n1 2\n1 1 2\n2 2\n1\n2\n1 2\n1 3\n2 3\n"
-
-
 @pytest.mark.parametrize(
     "corrupt,field",
     [
         # a kind label no longer exists; at version 2 [7, 7, 7] gave message_bits=0
         (lambda d: d.update(var_kind=[7, 7, 7]), "var_kind"),
-        # no n-long list bounds n any more; the edge count must
+        # no n-long list bounds n any more; the parameters do
         (lambda d: d.update(n=2**40), "n"),
     ],
 )
 def test_alist_descriptor_corruption_names_field(corrupt, field):
     import json
 
-    doc = descriptor_dict(import_alist(io.StringIO(ALIST_3X2)))
+    doc = descriptor_dict(small_ra())
     corrupt(doc)
     with pytest.raises(DescriptorError) as err:
         load_descriptor(io.StringIO(json.dumps(doc)))

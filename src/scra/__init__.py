@@ -9,10 +9,9 @@ from scra.ensembles import (
     ScRaParams,
     ScLdpcParams,
     ParameterError,
-    rate_sc_ra,
     rate_sc_ra_w,
-    rate_sc_ldpc,
     code_size,
+    design_rate,
     density_matched_q,
 )
 from scra.construct import (
@@ -21,7 +20,6 @@ from scra.construct import (
     DescriptorError,
     build_sc_ra,
     build_sc_ldpc,
-    degree_profile,
     export_alist,
     save_descriptor,
     load_descriptor,

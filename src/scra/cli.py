@@ -25,7 +25,6 @@ from scra.construct import (
     DescriptorError,
     build_sc_ldpc,
     build_sc_ra,
-    degree_profile,
     export_alist,
     load_descriptor,
     save_descriptor,
@@ -45,8 +44,7 @@ from scra.ensembles import (
     ParameterError,
     ScLdpcParams,
     ScRaParams,
-    rate_sc_ldpc,
-    rate_sc_ra,
+    design_rate,
 )
 from scra.simulate import SimulationError, SweepPlan, eps_range, run_sweep
 
@@ -208,9 +206,8 @@ def _cmd_construct(cfg: dict) -> int:
     save_descriptor(code, cfg["out"] + ".json")
     export_alist(code, cfg["out"] + ".alist")
     _write_config("construct", cfg, cfg["out"])
-    rate = rate_sc_ra(code.params) if code.family == "ra" else rate_sc_ldpc(code.params)
-    prof = degree_profile(code)
-    print(f"n={code.n} k={code.k} rate={float(rate):.4f} mean_var_degree={prof.mean_variable_degree:.4f}")
+    mean_degree = len(code.check_vars) / code.n  # edges per variable
+    print(f"n={code.n} k={code.k} rate={float(design_rate(code.params)):.4f} mean_var_degree={mean_degree:.4f}")
     return 0
 
 

@@ -19,9 +19,6 @@ import numpy as np
 
 from scra.ensembles import FAMILY_PARAMS, ParameterError, ScLdpcParams, ScRaParams, code_size, is_int
 
-KIND_MESSAGE = 0
-KIND_PARITY = 1
-
 DESCRIPTOR_FORMAT = "sc-code-descriptor"
 DESCRIPTOR_VERSION = 3
 
@@ -67,7 +64,7 @@ class CodeInstance:
     @property
     def n_msg(self) -> int:
         """Number of message variables, which are numbered first."""
-        return self.k if self.family == "ra" else self.n
+        return self.params.span * self.params.M
 
     @cached_property
     def check_pos(self) -> np.ndarray:
@@ -259,41 +256,11 @@ def validate_instance(c: CodeInstance) -> None:
         par_deg = var_deg[n_msg:]
         if np.any(par_deg[:-1] != 2) or par_deg[-1] != 1:
             raise ConstructionError("parity degrees must be 2 with a final degree-1 bit")
-        for t in (0, c.m - 1):  # spot ends; the bulk is covered by the degree check
-            nbrs = set(int(v) for v in c.check_neighbors(t) if v >= n_msg)
-            want = {n_msg + t} | ({n_msg + t - 1} if t > 0 else set())
-            if nbrs != want:
-                raise ConstructionError(f"parity chain broken at check {t}")
+        # ascending rows, these degrees and the band below fix the whole chain
         sel = ~msg_edge
         band = edge_chk[sel] - (c.check_vars[sel] - n_msg)
         if np.any(band < 0) or np.any(band > 1):
             raise ConstructionError("parity edge outside the bidiagonal band")
-
-
-# -- degree bookkeeping ------------------------------------------------------
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Degree histograms and totals of one instance."""
-
-    variable_hist: dict[int, dict[int, int]]  # kind -> degree -> count
-    mean_variable_degree: float
-    edges: int
-
-
-def degree_profile(c: CodeInstance) -> DegreeProfile:
-    var_deg = np.bincount(c.check_vars, minlength=c.n)
-    var_hist: dict[int, dict[int, int]] = {}
-    for kind, kind_deg in ((KIND_MESSAGE, var_deg[: c.n_msg]), (KIND_PARITY, var_deg[c.n_msg :])):
-        if kind_deg.size:
-            degs, counts = np.unique(kind_deg, return_counts=True)
-            var_hist[kind] = {int(d): int(cnt) for d, cnt in zip(degs, counts)}
-    edges = int(len(c.check_vars))
-    return DegreeProfile(
-        variable_hist=var_hist,
-        mean_variable_degree=edges / c.n,
-        edges=edges,
-    )
 
 
 # -- text I/O ----------------------------------------------------------------

@@ -10,7 +10,7 @@ checks modeled through their mean message degree (a real-valued exponent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -20,10 +20,9 @@ from scra.ensembles import (
     ParameterError,
     ScLdpcParams,
     ScRaParams,
-    rate_sc_ldpc,
-    rate_sc_ra,
-    rate_sc_ra_w,
     density_matched_q,
+    design_rate,
+    rate_sc_ra_w,
 )
 from scra.construct import _write_text
 
@@ -386,13 +385,12 @@ def sweep_fig4(
         for L in Ls:
             ra_p = ScRaParams(q=q, a=q, L=L, M=1, w=q if smoothed else None)
             res = threshold(make_de_model(ra_kind, ra_p), precision=precision, max_iters=max_iters)
-            ra_rate = rate_sc_ra_w(ra_p) if smoothed else float(rate_sc_ra(ScRaParams(q, q, L)))
+            ra_rate = rate_sc_ra_w(ra_p) if smoothed else float(design_rate(ra_p))
             rows.append(Fig4Row("ra", q, L, ra_p.w, ra_rate, res.lo, res.hi, res.iters))
             ld_p = ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=dl if smoothed else None)
             res = threshold(make_de_model(ldpc_kind, ld_p), precision=precision, max_iters=max_iters)
-            rows.append(
-                Fig4Row("ldpc", dl, L, ld_p.w, float(rate_sc_ldpc(ld_p)), res.lo, res.hi, res.iters)
-            )
+            ld_rate = float(design_rate(replace(ld_p, w=None)))  # the terminated rate in both variants
+            rows.append(Fig4Row("ldpc", dl, L, ld_p.w, ld_rate, res.lo, res.hi, res.iters))
     return rows
 
 

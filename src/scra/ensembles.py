@@ -1,8 +1,9 @@
-"""Ensemble parameter sets and exact rate formulas for coupled codes.
+"""Ensemble parameter sets, code sizes and rates for coupled codes.
 
-Rates for the terminated coupled repeat-accumulate ensemble and the
-coupled LDPC baseline are exact rationals so that size bookkeeping stays
-integer-exact; the smoothed-ensemble rate is a float.
+The design rate of the terminated coupled repeat-accumulate ensemble and
+of the coupled LDPC baseline is k/n of code_size, an exact rational, so
+that size bookkeeping stays integer-exact; the smoothed-ensemble rate is
+a float.
 """
 
 from __future__ import annotations
@@ -141,18 +142,6 @@ class ScLdpcParams(_Chain):
 FAMILY_PARAMS = {cls.family: cls for cls in (ScRaParams, ScLdpcParams)}
 
 
-def rate_sc_ra(p: ScRaParams) -> Fraction:
-    """Design rate of the terminated coupled RA ensemble, exact.
-
-    (2L+1)a / ((2L+1)a + (2L+q)q); the q-1 extra check positions past the
-    message span carry the termination overhead.  Tends to a/(a+q) as L
-    grows.
-    """
-    if p.w is not None:
-        raise ParameterError("rate_sc_ra applies to the structured ensemble; w must be None")
-    return Fraction(p.span * p.a, p.span * p.a + p.n_chk_pos * p.q)
-
-
 def rate_sc_ra_w(p: ScRaParams) -> float:
     """Design rate of the smoothed coupled RA ensemble with window w.
 
@@ -166,19 +155,6 @@ def rate_sc_ra_w(p: ScRaParams) -> float:
     return p.span / (p.span + (p.q / p.a) * overhead)
 
 
-def rate_sc_ldpc(p: ScLdpcParams) -> Fraction:
-    """Design rate of the terminated coupled (dl, dr) LDPC ensemble, exact.
-
-    1 - (dl/dr) * (2L+dl)/(2L+1), counting the dl-1 extra check positions
-    created by termination.  dl == dr makes this nonpositive; such a
-    parameter set is flagged as degenerate but still computed.
-    """
-    r = 1 - Fraction(p.dl, p.dr) * Fraction(p.n_chk_pos, p.span)
-    if r <= 0:
-        warnings.warn(f"degenerate coupled LDPC ensemble: design rate {r} is not positive")
-    return r
-
-
 def code_size(p: ScRaParams | ScLdpcParams) -> tuple[int, int]:
     """(k, n) of an instance with these parameters.
 
@@ -189,6 +165,24 @@ def code_size(p: ScRaParams | ScLdpcParams) -> tuple[int, int]:
     m = p.n_chk_pos * p.checks_per_pos
     n = p.span * p.M + (m if p.family == "ra" else 0)
     return n - m, n
+
+
+def design_rate(p: ScRaParams | ScLdpcParams) -> Fraction:
+    """Design rate k/n of the terminated structured ensemble, exact.
+
+    From code_size this is (2L+1)a / ((2L+1)a + (2L+q)q) for the RA
+    family, tending to a/(a+q) as L grows, and 1 - (dl/dr)(2L+dl)/(2L+1)
+    for the LDPC baseline; the extra check positions past the message span
+    carry the termination overhead.  dr near dl at small L (dl == dr at
+    any L) makes the LDPC rate nonpositive; such a parameter set is
+    flagged as degenerate but still computed.
+    """
+    if p.w is not None:
+        raise ParameterError("design_rate applies to the structured ensemble; w must be None")
+    r = Fraction(*code_size(p))
+    if r <= 0:
+        warnings.warn(f"degenerate coupled {p.family} ensemble: design rate {r} is not positive")
+    return r
 
 
 def density_matched_q(dl: int, rate: Fraction | float | int | str) -> int:

@@ -41,6 +41,7 @@ class _ToyCode(CodeInstance):
     variable counts as a message bit."""
 
     family = "toy"
+    n_msg = property(lambda self: self.n)
 
 
 def toy_code(rows, n: int) -> CodeInstance:

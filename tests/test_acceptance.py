@@ -18,13 +18,12 @@ from scra.codec import (
     encode,
     transmit_bec,
 )
-from scra.construct import build_sc_ldpc, build_sc_ra, degree_profile
+from scra.construct import build_sc_ldpc, build_sc_ra
 from scra.density_evolution import make_de_model, sweep_fig4, threshold
 from scra.ensembles import (
     ScLdpcParams,
     ScRaParams,
-    rate_sc_ldpc,
-    rate_sc_ra,
+    design_rate,
 )
 from scra.simulate import SweepPlan, eps_range, run_sweep, trial_stream, waterfall_crossing
 
@@ -60,8 +59,8 @@ def thr_proto():
 
 
 def test_c01_exact_rates():
-    r_ra = rate_sc_ra(ScRaParams(6, 6, 16))
-    r_ld = rate_sc_ldpc(ScLdpcParams(4, 8, 16, M=2))
+    r_ra = design_rate(ScRaParams(6, 6, 16))
+    r_ld = design_rate(ScLdpcParams(4, 8, 16, M=2))
     ok = (
         r_ra == Fraction(198, 426)
         and f"{float(r_ra):.4f}" == "0.4648"
@@ -91,11 +90,16 @@ def test_c02_code_sizes():
 def test_c03_mean_variable_degree():
     target = 274 / 71
     devs = []
+    edges_ok = True
     for M in (100, 300):
-        prof = degree_profile(build_sc_ra(ScRaParams(6, 6, 16, M), 0))
-        devs.append(abs(prof.mean_variable_degree - target))
-    ldpc_mean = degree_profile(build_sc_ldpc(ScLdpcParams(4, 8, 16, 220), 0)).mean_variable_degree
-    ok = max(devs) <= 0.001 and ldpc_mean == 4.0
+        c = build_sc_ra(ScRaParams(6, 6, 16, M), 0)
+        edges = len(c.check_vars)
+        edges_ok &= edges == 6 * c.k + 2 * c.m - 1
+        devs.append(abs(edges / c.n - target))
+        edges_ok &= abs(edges / c.n - (274 / 71 - 1 / (71 * M))) < 1e-12
+    c = build_sc_ldpc(ScLdpcParams(4, 8, 16, 220), 0)
+    ldpc_mean = len(c.check_vars) / c.n
+    ok = edges_ok and max(devs) <= 0.001 and ldpc_mean == 4.0
     report(3, ok, f"ra dev M=100/300: {devs[0]:.6f}/{devs[1]:.6f} vs 274/71, ldpc mean={ldpc_mean}")
 
 
@@ -117,8 +121,8 @@ def test_c04_small_matrix_structure():
 
 def test_c05_threshold_proximity(thr_ra_w, thr_ldpc_w):
     gap = abs(mid(thr_ra_w) - mid(thr_ldpc_w))
-    r_ra = float(rate_sc_ra(ScRaParams(6, 6, 16)))
-    r_ld = float(rate_sc_ldpc(ScLdpcParams(4, 8, 16, M=2)))
+    r_ra = float(design_rate(ScRaParams(6, 6, 16)))
+    r_ld = float(design_rate(ScLdpcParams(4, 8, 16, M=2)))
     ok = gap <= 0.01 and r_ra > r_ld
     report(5, ok, f"|{mid(thr_ra_w):.6f} - {mid(thr_ldpc_w):.6f}| = {gap:.6f}, rates {r_ra:.4f} > {r_ld:.4f}")
 

@@ -52,10 +52,15 @@ def test_construct_writes_descriptor_alist_config(tmp_path, capsys):
 
 
 def test_construct_reports_reference_code_sizes(tmp_path, capsys):
-    rc = main(["construct", "--family", "ra", "--q", "6", "--a", "6", "--L", "16",
-               "--M", "100", "--seed", "0", "--out", str(tmp_path / "big")])
-    assert rc == 0
-    assert "n=7100 k=3300 rate=0.4648" in capsys.readouterr().out
+    for flags, line in (
+        (["--family", "ra", "--q", "6", "--a", "6", "--M", "100"],
+         "n=7100 k=3300 rate=0.4648 mean_var_degree=3.8590"),
+        (["--family", "ldpc", "--dl", "4", "--dr", "8", "--M", "220"],
+         "n=7260 k=3300 rate=0.4545 mean_var_degree=4.0000"),
+    ):
+        rc = main(["construct", *flags, "--L", "16", "--seed", "0", "--out", str(tmp_path / "big")])
+        assert rc == 0
+        assert capsys.readouterr().out == line + "\n"
 
 
 def test_encode_zero_message_gives_zero_word(tmp_path, capsys):

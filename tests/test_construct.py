@@ -1,6 +1,7 @@
 """Instance construction, structural invariants, and interchange formats."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -8,13 +9,10 @@ import pytest
 from oracles import descriptor_dict, edge_order_reference, h_dense, read_alist, toy_code
 from scra.construct import (
     DescriptorError,
-    KIND_MESSAGE,
-    KIND_PARITY,
     _assemble,
     _rows_text,
     build_sc_ldpc,
     build_sc_ra,
-    degree_profile,
     export_alist,
     load_descriptor,
     save_descriptor,
@@ -173,27 +171,23 @@ def test_degree_profile_ra_mean():
     """Edges = q*k + 2m - 1 makes the mean 274/71 - 1/(71M) for (6,6,16,M)."""
     for M in (15, 100):
         c = build_sc_ra(ScRaParams(6, 6, 16, M), 2)
-        prof = degree_profile(c)
-        assert prof.edges == 6 * c.k + 2 * c.m - 1
-        np.testing.assert_allclose(prof.mean_variable_degree, 274 / 71 - 1 / (71 * M), rtol=1e-12)
-        assert abs(prof.mean_variable_degree - 274 / 71) < 1e-3
-        assert prof.variable_hist[KIND_MESSAGE] == {6: c.k}
-        assert prof.variable_hist[KIND_PARITY] == {1: 1, 2: c.m - 1}
+        edges = len(c.check_vars)
+        assert edges == 6 * c.k + 2 * c.m - 1
+        np.testing.assert_allclose(edges / c.n, 274 / 71 - 1 / (71 * M), rtol=1e-12)
+        assert abs(edges / c.n - 274 / 71) < 1e-3
 
 
 def test_degree_profile_ldpc_mean():
     c = build_sc_ldpc(ScLdpcParams(4, 8, 16, 220), 2)
-    prof = degree_profile(c)
-    assert prof.mean_variable_degree == 4.0
-    assert prof.variable_hist[KIND_MESSAGE] == {4: c.n}
+    assert len(c.check_vars) / c.n == 4.0
 
 
 def test_degree_profile_degenerate_single_position():
+    """L=0: one message position, q check positions, the same edge count."""
     p = ScRaParams(3, 3, 0, 3)
     c = build_sc_ra(p, 0)
-    prof = degree_profile(c)
-    assert prof.edges == sum(d * n for h in prof.variable_hist.values() for d, n in h.items())
     assert c.n == code_size(p)[1]
+    assert len(c.check_vars) == 3 * c.k + 2 * c.m - 1
 
 
 def test_alist_header_and_round_trip():
@@ -315,6 +309,21 @@ def test_descriptor_corruption_names_field(corrupt, field):
     with pytest.raises(DescriptorError) as err:
         load_descriptor(io.StringIO(json.dumps(doc)))
     assert f"field '{field}'" in str(err.value)
+
+
+@pytest.mark.parametrize("t,u", [(0, 2), (-1, -3)], ids=["check_0", "check_m-1"])
+def test_descriptor_parity_chain_broken_at_an_end_names_checks(t, u):
+    """Checks t and u trade their first parity ids: every parity degree
+    holds, and the bidiagonal band still refuses the chain."""
+    c = small_ra()
+    doc = descriptor_dict(c)
+    rows = doc["checks"]
+    i, j = (rows[x].index(min(v for v in rows[x] if v >= c.k)) for x in (t, u))
+    rows[t][i], rows[u][j] = rows[u][j], rows[t][i]
+    rows[t].sort()
+    rows[u].sort()
+    with pytest.raises(DescriptorError, match=r"^field 'checks': parity edge outside the bidiagonal band$"):
+        load_descriptor(io.StringIO(json.dumps(doc)))
 
 
 @pytest.mark.parametrize("name", sorted(BAD_ROW_3))

@@ -83,9 +83,6 @@ class CodeInstance:
             self.check_pos[: self.n - self.n_msg],
         ])
 
-    def check_neighbors(self, t: int) -> np.ndarray:
-        return self.check_vars[self.check_indptr[t] : self.check_indptr[t + 1]]
-
     @cached_property
     def edge_checks(self) -> np.ndarray:
         """Check id of every edge in check_vars order, cached."""

@@ -101,15 +101,17 @@ class _WModel(_Driver):
 
     @cached_property
     def _tables(self) -> tuple:
-        """Constants for step_into, built on first use so make_de_model stays cheap: the
-        window of ones, whether np.convolve would swap its operands, and w and the
-        exponents at a check, a variable and (RA) a parity as floats, which numpy takes
-        faster than ints, to the same result."""
+        """Constants and scratch for step_into, built on first use so make_de_model stays
+        cheap: the window of ones, whether np.convolve would swap its operands, 1, w and
+        the exponents at a check, a variable and (RA) a parity as 0-d float64 arrays,
+        which ufuncs take faster than Python numbers, to the same result, and rows for
+        1 - y, the check factor and a power, one value per check position."""
         p = self.p
         exponents = (p.a - 1, p.q - 1, p.a) if self.is_ra else (p.dr - 1, p.dl - 1, 0)
         # np.convolve puts the longer operand first; a window wider than the chain
         # swaps the two, and the sums of each window then run in the other order
-        return np.ones(p.w), p.w > p.span, float(p.w), *map(float, exponents)
+        consts = (np.array(float(v)) for v in (1, p.w, *exponents))
+        return np.ones(p.w), p.w > p.span, *consts, *np.empty((3, 2 * p.L + p.w))
 
     def initial_state(self, eps: float) -> DeState:
         y = np.full(2 * self.p.L + self.p.w, eps) if self.is_ra else None
@@ -117,26 +119,26 @@ class _WModel(_Driver):
 
     def step_into(self, x, y, eps, x_out, y_out) -> None:
         """One synchronous update from the iteration-(l) state; each new y[t] reads the old y[t]."""
-        ones, swap, w, e_chk, e_var, e_par = self._tables
+        ones, swap, one, w, e_chk, e_var, e_par, omy, g, t = self._tables
         # 1 - the mean of x over {t-w+1..t} for every check position t, zeros outside
         omx = np.correlate(ones, x[::-1], "full") if swap else np.correlate(x, ones, "full")
         np.divide(omx, w, out=omx)
-        np.subtract(1.0, omx, out=omx)
+        np.subtract(one, omx, out=omx)
         if y is None:
-            g = omx ** e_chk
+            np.power(omx, e_chk, out=g)
         else:
-            omy = 1.0 - y
-            g = omy ** 2
-            np.multiply(g, omx ** e_chk, out=g)
+            np.subtract(one, y, out=omy)
+            np.multiply(omy, omy, out=g)
+            np.multiply(g, np.power(omx, e_chk, out=t), out=g)
         v = np.correlate(g, ones, "valid")
         np.divide(v, w, out=v)
-        np.subtract(1.0, v, out=v)
-        v **= e_var
+        np.subtract(one, v, out=v)
+        np.power(v, e_var, out=v)
         np.multiply(eps, v, out=x_out)
         if y is not None:
-            t = omx ** e_par
+            np.power(omx, e_par, out=t)
             np.multiply(omy, t, out=t)
-            np.subtract(1.0, t, out=t)
+            np.subtract(one, t, out=t)
             np.multiply(eps, t, out=y_out)
 
 
@@ -152,8 +154,8 @@ class _ProtoModel(_Driver):
 
     @cached_property
     def _tables(self) -> tuple:
-        """Degrees, index tables and scratch for step_into, built on first use so
-        make_de_model stays cheap."""
+        """Constants, index tables, scratch and views of it for step_into, built on first
+        use so make_de_model stays cheap; 1 is a 0-d float64 array, as in _WModel."""
         w, span, n_chk = self.width, self.span, self.n_chk
         n_sources = self.p.sources_per_check_pos().astype(np.float64)  # bundles into each check position
         mean_deg = self.p.combine * n_sources / w  # and its mean message degree
@@ -166,31 +168,37 @@ class _ProtoModel(_Driver):
         gather = np.full((w, 2, span), n_chk)
         gather[1:, 0], gather[1:, 1] = window.T[:-1], window.T[:0:-1]
         z = np.ones(n_chk + 1)  # check-to-message erasure, then the empty product
-        c, xt = np.empty(gather.shape), np.empty((w, span))  # the cumprod, and x with a row per bundle
-        return n_sources, mean_deg - 1.0, mean_deg, diag, buf, gather, z, c, xt
+        zg, c = np.empty((2, *gather.shape))  # z gathered, and its cumprod
+        omx, clean = np.empty((2, n_chk))  # 1 - the mean bundle, and the check factor, then a power
+        omy = np.empty((2, n_chk))  # 1 - y: the left, then the right accumulator neighbors
+        # diag, and the products before and after each bundle, in the (span, w) layout of x
+        views = diag.T, z[:-1], c[:, 0].T, c[::-1, 1].T, omy[0], omy[1]
+        return np.array(1.0), n_sources, mean_deg - 1.0, mean_deg, buf, gather, z, zg, c, omx, clean, omy, *views
 
     def initial_state(self, eps: float) -> DeState:
         y = np.full((2, self.n_chk), eps) if self.is_ra else None
         return DeState(np.full((self.span, self.width), eps), y, eps, 0)
 
     def step_into(self, x, y, eps, x_out, y_out) -> None:
-        n_sources, deg_m1, deg, diag, buf, gather, z, c, xt = self._tables
-        diag[...] = x.T
-        omx = np.add.reduce(buf, 0)
+        (one, n_sources, deg_m1, deg, buf, gather, z, zg, c, omx, clean, omy,
+         diag_t, z_head, pre, suf, omy_left, omy_right) = self._tables
+        diag_t[...] = x
+        np.add.reduce(buf, 0, out=omx)
         np.divide(omx, n_sources, out=omx)
-        np.subtract(1.0, omx, out=omx)  # 1 - the mean bundle into each check position
-        clean = omx ** deg_m1
+        np.subtract(one, omx, out=omx)  # 1 - the mean bundle into each check position
+        np.power(omx, deg_m1, out=clean)
         if self.is_ra:
-            omy = 1.0 - y
-            np.multiply(clean, omy[0], out=clean)  # left, then right: the rounding the digests pin
-            np.multiply(clean, omy[1], out=clean)
-        np.subtract(1.0, clean, out=z[:-1])
-        np.multiply.accumulate(z.take(gather, mode="clip"), 0, out=c)  # np.cumprod without its wrapper
-        np.multiply(eps, c[:, 0], out=xt)
-        np.multiply(xt, c[::-1, 1], out=x_out.T)
+            np.subtract(one, y, out=omy)
+            np.multiply(clean, omy_left, out=clean)  # left, then right: the rounding the digests pin
+            np.multiply(clean, omy_right, out=clean)
+        np.subtract(one, clean, out=z_head)
+        z.take(gather, out=zg, mode="clip")
+        np.multiply.accumulate(zg, 0, out=c)  # np.cumprod without its wrapper
+        np.multiply(eps, pre, out=x_out)
+        np.multiply(x_out, suf, out=x_out)
         if self.is_ra:
-            np.multiply(omy, omx ** deg, out=y_out)
-            np.subtract(1.0, y_out, out=y_out)
+            np.multiply(omy, np.power(omx, deg, out=clean), out=y_out)
+            np.subtract(one, y_out, out=y_out)
             np.multiply(eps, y_out, out=y_out)
 
 
@@ -253,9 +261,12 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
       step_into(x, y, eps, x_out, y_out), which writes the step from the
         values (x, y) at eps into x_out and y_out, y and y_out being None
         where the state has no y, and whose result depends on those alone;
+        de_run passes eps as a 0-d float64 array, and the step must be bit
+        for bit the one the float gives;
       history, a pair of arrays of DE_BLOCK + 1 values of x and of y (or
-        None), which de_run overwrites, so one model runs one de_run at a
-        time.
+        None), which de_run overwrites.
+    A driver may also keep scratch of its own that every step overwrites;
+    that and the history are why one model runs one de_run at a time.
     The steps go in blocks of 1, 2, 4, .. up to DE_BLOCK steps, and both
     stop conditions are checked once per block, for all its steps in whole
     array passes; the steps after the first decisive one are thrown away.
@@ -267,12 +278,14 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
     xs[0] = s.x
     if ys is not None:
         ys[0] = s.y
-    rows = list(zip(xs, [None] * len(xs) if ys is None else ys))
+    y_rows = [None] * len(xs) if ys is None else list(ys)
+    steps = list(zip(xs, y_rows, xs[1:], y_rows[1:]))  # (x, y, x_out, y_out) of each step of a block
+    step_into, e = model.step_into, np.array(eps, dtype=np.float64)
     done, size = 0, 1
     while done < max_iters:
         k = min(size, max_iters - done)
-        for (x, y), (x_out, y_out) in zip(rows[:k], rows[1 : k + 1]):
-            model.step_into(x, y, eps, x_out, y_out)
+        for x, y, x_out, y_out in steps[:k]:
+            step_into(x, y, e, x_out, y_out)
         res = _residuals(xs[1 : k + 1])
         chg = _changes(xs[: k + 1], None if ys is None else ys[: k + 1])
         decided = (res < DELTA_SUCCESS) | ~(chg >= DELTA_STALL)

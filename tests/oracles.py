@@ -36,6 +36,11 @@ def h_dense(c) -> np.ndarray:
     return h
 
 
+def check_neighbors(c, t: int) -> np.ndarray:
+    """The variable ids of check t, in the order check_vars holds them."""
+    return c.check_vars[c.check_indptr[t] : c.check_indptr[t + 1]]
+
+
 class _ToyCode(CodeInstance):
     """A hand-built graph with no parameters, seed or positions; every
     variable counts as a message bit."""

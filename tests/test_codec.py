@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import decode_ml_oracle, h_dense, peel_reference, peel_trace, toy_code
+from oracles import check_neighbors, decode_ml_oracle, h_dense, peel_reference, peel_trace, toy_code
 from scra.codec import (
     ERASED,
     CodecError,
@@ -317,10 +317,10 @@ def test_ml_oracle_rejects_inconsistent_word():
     word = encode(c, np.zeros(c.k, dtype=np.int8))
     # erase one variable outside check t, then flip a known bit inside it
     t = 4
-    inside = set(c.check_neighbors(t).tolist())
+    inside = set(check_neighbors(c, t).tolist())
     erase = next(v for v in range(c.n) if v not in inside)
     word[erase] = ERASED
-    word[c.check_neighbors(t)[0]] ^= 1
+    word[check_neighbors(c, t)[0]] ^= 1
     with pytest.raises(CodecError):
         decode_ml_oracle(c, word)
 
@@ -419,7 +419,7 @@ def test_peeling_equals_sum_product_sweeps(seed, eps):
 
 def permuted_instance(c, perm):
     """Relabel variables of c by perm (new id of old v is perm[v])."""
-    return toy_code([sorted(perm[c.check_neighbors(t)].tolist()) for t in range(c.m)], c.n)
+    return toy_code([sorted(perm[check_neighbors(c, t)].tolist()) for t in range(c.m)], c.n)
 
 
 def test_decoding_is_permutation_equivariant():

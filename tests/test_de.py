@@ -399,6 +399,81 @@ def test_change_is_nan_only_for_a_nan_move_of_x(kind):
     assert np.isnan(_change(s, replace(s, x=x, y=y)))
 
 
+def _state_bytes(*arrays) -> bytes:
+    return b"".join(a.tobytes() for a in arrays if a is not None)
+
+
+def _cached_arrays(model) -> list:
+    """Every array a driver holds: its constants, scratch, views of them and history."""
+    values = [a for v in vars(model).values() for a in (v if isinstance(v, tuple) else (v,))]
+    return [a for a in values if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("kind,p,eps", [
+    *((kind, p, eps) for kind, p in CHANGE_PARAMS.items() for eps in (0.0, 0.45, 0.4976, 1.0)),
+    ("ra-proto", ScRaParams(4, 2, 2, M=2), 1.0),  # a < q: the boundary checks turn to NaN
+])
+def test_step_into_gives_the_same_bits_for_a_float_and_a_0d_eps(kind, p, eps):
+    """de_run hands step_into eps as a 0-d float64 array, step hands it the float; both
+    must take one arithmetic, so step and de_run walk the same states."""
+    model = make_de_model(kind, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = model.step(model.step(model.initial_state(eps)))
+        outs = []
+        for e in (eps, np.array(eps, dtype=np.float64)):
+            x, y = np.empty_like(s.x), None if s.y is None else np.empty_like(s.y)
+            model.step_into(s.x, s.y, e, x, y)
+            outs.append(_state_bytes(x, y))
+    assert outs[0] == outs[1]
+    if p == ScRaParams(4, 2, 2, M=2):
+        assert np.isnan(np.frombuffer(outs[0])).any()
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_make_de_model_builds_no_table_or_scratch(kind):
+    """A driver builds its constants, scratch and history on first use, so building the
+    models of a sweep or a benchmark set-up costs no array work."""
+    model = make_de_model(kind, CHANGE_PARAMS[kind])
+    assert _cached_arrays(model) == [] and "_tables" not in vars(model)
+    model.step(model.initial_state(0.45))
+    assert "_tables" in vars(model) and _cached_arrays(model)  # what the first line looks for
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_step_shares_no_memory_with_the_driver(kind):
+    """step returns arrays of its own, never a view of the driver's scratch or history."""
+    model = make_de_model(kind, CHANGE_PARAMS[kind])
+    de_run(model, 0.45, 10)
+    s = model.step(model.step(model.initial_state(0.45)))
+    held = _cached_arrays(model)
+    assert len(held) > 2
+    for a in held:
+        for b in (s.x, s.y):
+            assert b is None or not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_scratch_is_private_to_a_model_and_a_call(kind):
+    """A step between two runs on one model leaves both runs as on fresh models, and two
+    models of one kind and parameters, stepped in turn, walk their solo states bit for bit."""
+    p = CHANGE_PARAMS[kind]
+    model = make_de_model(kind, p)
+    for eps, max_iters in ((0.45, 2 * DE_BLOCK + 3), (0.55, 37)):
+        assert de_run(model, eps, max_iters) == de_run(make_de_model(kind, p), eps, max_iters)
+        model.step(model.step(model.initial_state(0.3)))
+
+    def walk(model, eps, steps=40):
+        s = model.initial_state(eps)
+        for _ in range(steps):
+            s = model.step(s)
+            yield _state_bytes(s.x, s.y)
+
+    solo = [list(walk(make_de_model(kind, p), eps)) for eps in (0.45, 0.55)]
+    pair = [make_de_model(kind, p), make_de_model(kind, p)]
+    together = zip(walk(pair[0], 0.45), walk(pair[1], 0.55))
+    assert [list(w) for w in zip(*together)] == solo
+
+
 @pytest.mark.parametrize("kind,p,pinned", PINNED_THRESHOLDS)
 def test_threshold_regression_values(kind, p, pinned):
     res = threshold(make_de_model(kind, p))

@@ -301,7 +301,7 @@ def _cmd_de_threshold(cfg: dict) -> int:
         f"ensemble={cfg['ensemble']} threshold_lo={res.lo:.6f} threshold_hi={res.hi:.6f} "
         f"probes={len(res.probes)} iters={res.iters}"
     )
-    print(f"capped={res.capped}", file=sys.stderr)
+    print(f"capped={res.capped} front_stalled={res.front_stalled}", file=sys.stderr)
     if cfg["out"] is not None:
         _write_text(
             cfg["out"],

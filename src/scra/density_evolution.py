@@ -28,6 +28,13 @@ from scra.construct import _write_text
 
 DELTA_SUCCESS = 1e-8
 DELTA_STALL = 1e-12
+# A coupled run decodes by a front of positions that moves inward; one that fails stops
+# moving.  de_run reads the front every FRONT_EVERY steps (a multiple of DE_BLOCK), and a
+# run whose front has not moved since the halfway mark, while its change fell by at least
+# FRONT_DROP times, fails as "front-stalled".
+FRONT_DECODED = 1e-3  # a position is behind the front once its largest message erasure is below this
+FRONT_EVERY = 1024
+FRONT_DROP = 10
 MAX_ITERS = 20000
 DE_BLOCK = 64  # most steps de_run takes between checks of its stop conditions
 BISECT_PRECISION = 1e-4
@@ -57,8 +64,8 @@ class DeState:
 
 
 class _Driver:
-    """What the DE drivers share: a step into fresh arrays and the states de_run
-    steps through (see de_run for the driver contract)."""
+    """What the DE drivers share: a step into fresh arrays, the states de_run
+    steps through and the decoding front (see de_run for the driver contract)."""
 
     def step(self, s: DeState) -> DeState:
         """One step into fresh arrays, so a state the caller holds is never overwritten."""
@@ -72,6 +79,11 @@ class _Driver:
         s = self.initial_state(0.0)
         rows = DE_BLOCK + 1
         return np.empty((rows, *s.x.shape)), None if s.y is None else np.empty((rows, *s.y.shape))
+
+    def front(self, x: np.ndarray) -> int:
+        """The decoding front of the values x: how many chain positions have their largest
+        message erasure below FRONT_DECODED; x holds one row (or value) per position."""
+        return int(np.count_nonzero(np.maximum.reduce(x.reshape(len(x), -1), 1) < FRONT_DECODED))
 
 
 def _residuals(xs: np.ndarray) -> np.ndarray:
@@ -202,9 +214,16 @@ class _ProtoModel(_Driver):
             np.multiply(eps, y_out, out=y_out)
 
 
-def _ra_uncoupled(p: ScRaParams) -> _WModel:
+class _Uncoupled(_WModel):
+    """The smoothed recursion at L=0, w=1.  It has no chain and so no front: near its BP
+    threshold a run can plateau, then converge."""
+
+    front = None
+
+
+def _ra_uncoupled(p: ScRaParams) -> _Uncoupled:
     """The smoothed recursion at L=0, w=1: the single-position RA fixed-point iteration."""
-    return _WModel(ScRaParams(q=p.q, a=p.a, L=0, M=p.a, w=1))
+    return _Uncoupled(ScRaParams(q=p.q, a=p.a, L=0, M=p.a, w=1))
 
 
 # kind -> (parameter type, window w required (True), forbidden (False) or ignored (None), factory);
@@ -235,7 +254,8 @@ def make_de_model(kind: str, p: ScRaParams | ScLdpcParams):
 @dataclass
 class DeRunResult:
     """One DE run: outcome is "converged", "stalled" (the change fell below
-    DELTA_STALL first) or "budget" (max_iters ran out undecided)."""
+    DELTA_STALL first), "front-stalled" (a coupled run's front stopped moving,
+    see de_run) or "budget" (max_iters ran out undecided)."""
 
     outcome: str
     iterations: int
@@ -253,8 +273,13 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
     DELTA_SUCCESS.  Stall: the change (the largest move of x, or of y where
     that is larger) falls below DELTA_STALL first, reporting
     non-convergence; a NaN change counts as a stall, so a recursion that
-    breaks down stops at once rather than running out the budget.  The
-    result is that of checking both after every step.
+    breaks down stops at once rather than running out the budget.  Front
+    stall, for a driver with a front: at each iteration t that is a
+    multiple of FRONT_EVERY, let h be t/2 rounded down to a multiple of
+    FRONT_EVERY and at least FRONT_EVERY; the run fails as "front-stalled"
+    when front(t) equals front(h) and change(t) <= change(h) / FRONT_DROP.
+    The result is that of checking success, then stall, then the front
+    stall after every step.
 
     model is a driver from make_de_model, or any object with:
       initial_state(eps) -> DeState, the state before the first step;
@@ -264,12 +289,17 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
         de_run passes eps as a 0-d float64 array, and the step must be bit
         for bit the one the float gives;
       history, a pair of arrays of DE_BLOCK + 1 values of x and of y (or
-        None), which de_run overwrites.
+        None), which de_run overwrites;
+      and optionally front(x) -> int, the decoding front of the values x
+        (see _Driver.front); a driver without one, or with front None, is
+        never front-stalled.
     A driver may also keep scratch of its own that every step overwrites;
     that and the history are why one model runs one de_run at a time.
-    The steps go in blocks of 1, 2, 4, .. up to DE_BLOCK steps, and both
-    stop conditions are checked once per block, for all its steps in whole
-    array passes; the steps after the first decisive one are thrown away.
+    The steps go in blocks of 1, 1, 2, 4, .. up to DE_BLOCK steps, so every
+    multiple of DE_BLOCK ends a block.  Success and stall are checked once
+    per block, for all its steps in whole array passes, and the front at
+    the end of a block; the steps after the first decisive one are thrown
+    away.
     """
     if not 0.0 <= eps <= 1.0:
         raise ParameterError(f"eps must lie in [0, 1], got {eps}")
@@ -281,9 +311,11 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
     y_rows = [None] * len(xs) if ys is None else list(ys)
     steps = list(zip(xs, y_rows, xs[1:], y_rows[1:]))  # (x, y, x_out, y_out) of each step of a block
     step_into, e = model.step_into, np.array(eps, dtype=np.float64)
-    done, size = 0, 1
+    front = getattr(model, "front", None)
+    marks = []  # (front, change) at each multiple of FRONT_EVERY
+    done = 0
     while done < max_iters:
-        k = min(size, max_iters - done)
+        k = min(done or 1, DE_BLOCK, max_iters - done)
         for x, y, x_out, y_out in steps[:k]:
             step_into(x, y, e, x_out, y_out)
         res = _residuals(xs[1 : k + 1])
@@ -294,10 +326,14 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
             outcome = "converged" if res[j] < DELTA_SUCCESS else "stalled"
             return DeRunResult(outcome, done + j + 1, float(res[j]))
         done += k
+        if front is not None and done % FRONT_EVERY == 0:
+            marks.append((front(xs[k]), chg[-1]))
+            front_h, change_h = marks[max(len(marks) // 2, 1) - 1]
+            if marks[-1][0] == front_h and chg[-1] <= change_h / FRONT_DROP:
+                return DeRunResult("front-stalled", done, float(res[-1]))
         xs[0] = xs[k]
         if ys is not None:
             ys[0] = ys[k]
-        size = min(2 * size, DE_BLOCK)
     return DeRunResult("budget", done, float(_residuals(xs[:1])[0]))
 
 
@@ -319,6 +355,11 @@ class ThresholdResult:
         return sum(pr[3] == "budget" for pr in self.probes)
 
     @property
+    def front_stalled(self) -> int:
+        """Probes that failed because their front stopped moving (see de_run)."""
+        return sum(pr[3] == "front-stalled" for pr in self.probes)
+
+    @property
     def iters(self) -> int:
         return sum(pr[2] for pr in self.probes)
 
@@ -328,9 +369,14 @@ def threshold(model, precision: float = BISECT_PRECISION, max_iters: int = MAX_I
 
     The bracket narrows to `precision`, or until lo and hi are adjacent
     doubles; the returned lo converged and hi failed, each verified by an
-    actual run.  A failure at eps=0 or a success at eps=1 means the
-    convergence predicate is not monotone in the way bisection needs, and
-    raises DensityEvolutionError.
+    actual run.  hi may rest on a front stall (see de_run), which ends a
+    failing run before its change falls below DELTA_STALL.  That such a
+    run fails was checked offline, not here: every probe the rule stops in
+    the default Fig. 4 grids and the pinned test searches also fails in a
+    plain run of 10^6 iterations.  A probe that runs out of max_iters
+    counts as a failure too.  A failure at eps=0 or a success at eps=1
+    means the convergence predicate is not monotone in the way bisection
+    needs, and raises DensityEvolutionError.
     """
     if not precision > 0:
         raise ParameterError(f"precision must be > 0, got {precision}")

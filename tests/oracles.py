@@ -4,9 +4,9 @@ The exact ML erasure oracle, the dense parity-check matrix, hand-built
 codes and an alist reader, the descriptor as a dict, the two-key edge
 sort, the per-sweep peeling trace, the peeling loop that resets its
 sentinel every sweep, the structured DE step as a loop, the
-per-iteration DE loop and the in-order word-error stop.  They check the
-library from outside, so they live with the tests; pytest does not
-collect this module.
+per-iteration DE loop with its front rule and the in-order word-error
+stop.  They check the library from outside, so they live with the
+tests; pytest does not collect this module.
 """
 
 from __future__ import annotations
@@ -24,7 +24,16 @@ from scra.codec import (
     decode_peel,
 )
 from scra.construct import DESCRIPTOR_FORMAT, DESCRIPTOR_VERSION, CodeInstance, _params_to_json
-from scra.density_evolution import DELTA_STALL, DELTA_SUCCESS, MAX_ITERS, DeRunResult, DeState
+from scra.density_evolution import (
+    DELTA_STALL,
+    DELTA_SUCCESS,
+    FRONT_DECODED,
+    FRONT_DROP,
+    FRONT_EVERY,
+    MAX_ITERS,
+    DeRunResult,
+    DeState,
+)
 
 _ML_SIZE_LIMIT = 10_000
 
@@ -270,7 +279,10 @@ def de_run_reference(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResu
     Each step goes into fresh arrays through model.step.  The residual is
     the largest x; the change is the largest move of x, taken with that of
     y through Python's max, so a NaN move of x stops the run and one of y
-    alone does not.
+    alone does not.  A model with a front also gets the front rule at
+    every multiple of FRONT_EVERY, after the converged and stall checks;
+    the front is counted here, as the positions whose largest x is below
+    FRONT_DECODED, not taken from the model.
     """
 
     def residual(s: DeState) -> float:
@@ -282,14 +294,26 @@ def de_run_reference(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResu
             d = max(d, float(np.maximum.reduce(np.abs(new.y - old.y), None)))
         return d
 
+    def front(s: DeState) -> int:
+        return sum(float(np.max(row)) < FRONT_DECODED for row in s.x)
+
+    has_front = getattr(model, "front", None) is not None
+    marks = {}  # iteration -> (front, change)
     state = model.initial_state(eps)
     for _ in range(max_iters):
         new = model.step(state)
         res = residual(new)
         if res < DELTA_SUCCESS:
             return DeRunResult("converged", new.iteration, res)
-        if not change(state, new) >= DELTA_STALL:
+        chg = change(state, new)
+        if not chg >= DELTA_STALL:
             return DeRunResult("stalled", new.iteration, res)
+        t = new.iteration
+        if has_front and t % FRONT_EVERY == 0:
+            marks[t] = front(new), chg
+            h = max(t // 2 // FRONT_EVERY * FRONT_EVERY, FRONT_EVERY)
+            if marks[t][0] == marks[h][0] and chg <= marks[h][1] / FRONT_DROP:
+                return DeRunResult("front-stalled", t, res)
         state = new
     return DeRunResult("budget", state.iteration, residual(state))
 

@@ -441,14 +441,26 @@ def test_de_threshold_reports_capped_probes_on_stderr(tmp_path, capsys):
     argv = ["de", "threshold", "--ensemble", "ra-w", "--q", "3", "--a", "3", "--L", "4",
             "--precision", "1e-2"]
     assert main([*argv, "--out", str(tmp_path / "full.csv")]) == 0
-    assert capsys.readouterr().err == "capped=0\n"
+    assert capsys.readouterr().err == "capped=0 front_stalled=0\n"
     assert main([*argv, "--max-iters", "20", "--out", str(tmp_path / "cut.csv")]) == 0
     captured = capsys.readouterr()
-    capped = int(re.fullmatch(r"capped=(\d+)\n", captured.err).group(1))
+    capped = int(re.fullmatch(r"capped=(\d+) front_stalled=0\n", captured.err).group(1))
     assert capped > 0
     assert "capped" not in captured.out
     assert "capped" not in (tmp_path / "cut.csv").read_text()
     assert "capped" not in (tmp_path / "cut.csv.config.json").read_text()
+
+
+def test_de_threshold_reports_front_stalled_probes_on_stderr(tmp_path, capsys):
+    """Probes that failed by their front are counted on stderr after capped=, never in
+    stdout, the CSV or the config."""
+    out = tmp_path / "thr.csv"
+    assert main(["de", "threshold", "--ensemble", "ra-w", "--q", "6", "--a", "6", "--L", "4",
+                 "--precision", "1e-3", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "capped=0 front_stalled=1\n"
+    for text in (captured.out, out.read_text(), (tmp_path / "thr.csv.config.json").read_text()):
+        assert "front" not in text
 
 
 @pytest.mark.parametrize("command,args,key", [

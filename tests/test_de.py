@@ -2,6 +2,7 @@
 
 import hashlib
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from oracles import de_run_reference, proto_step_reference
 from scra.density_evolution import (
     DE_BLOCK,
+    FRONT_EVERY,
+    MAX_ITERS,
     DensityEvolutionError,
     MODELS,
     DeState,
@@ -274,17 +277,35 @@ PINNED_THRESHOLDS = [
     ("ldpc-proto", ScLdpcParams(4, 8, 16, M=8), 0.497665),
 ]
 
+# sha256 of repr((lo, hi, [(eps, converged) of each probe])) at the default precision and
+# budget: the bisection path.  The front rule of de_run ends failing runs only, so it left
+# every path as it was before the rule; any change must keep them.
+PATH_DIGESTS = {
+    ("ra-uncoupled", ScRaParams(6, 6, 0, M=6)): "d333a1335f6e7be6fbdc37b88ee1e0036e1d58a7864901b899fb3aa14bf3b162",
+    ("ra-w", ScRaParams(6, 6, 16, M=6, w=6)): "60cf53d682f88cb0644fb4e99825e35e21a7aea57f30da13f05203cb4439ba94",
+    ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4)): "60cf53d682f88cb0644fb4e99825e35e21a7aea57f30da13f05203cb4439ba94",
+    ("ra-proto", ScRaParams(6, 6, 16, M=6)): "662f37dc4d9caf400ebe2b899c1683bf53c420315c7ca14da9984917e93cf42a",
+    ("ra-proto", ScRaParams(6, 6, 8, M=6)): "d3ea9cf2c83de8507b56c37ad70cc9fb995abc18247482f8e2a4f7b30dfb3882",
+    ("ldpc-proto", ScLdpcParams(4, 8, 16, M=8)): "662f37dc4d9caf400ebe2b899c1683bf53c420315c7ca14da9984917e93cf42a",
+}
+
 # sha256 of repr((lo, hi, [(eps, converged, iters) of each probe])) at the default precision
-# and budget.  A change to the DE code that keeps its arithmetic keeps every probe bit for
-# bit; one that moves a probe must say why and pin anew.
+# and budget.  A change to the DE code that keeps its arithmetic and its stop rules keeps
+# every probe bit for bit; one that moves a probe must say why and pin anew.
 PROBE_DIGESTS = {
     ("ra-uncoupled", ScRaParams(6, 6, 0, M=6)): "c32df4abd31fabd4e0a6ed8e4ecb31c1625c0fafa36a8d4ffb84e718b304a2b2",
-    ("ra-w", ScRaParams(6, 6, 16, M=6, w=6)): "285506c3090b39d5769d119129379ef831ee8c2b9cd1267ce8851622a5bf27fc",
-    ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4)): "b86ec2c489972d5200091f38e44427b5f9755b13c6d18865f7914c527bae8f95",
-    ("ra-proto", ScRaParams(6, 6, 16, M=6)): "eaa66115d38a317889ead61bdf4cda1cd00d1078d1a6984fe61f950b1cdefdf6",
-    ("ra-proto", ScRaParams(6, 6, 8, M=6)): "abe7ae5ef5027b407e9c378b820ba9fb7eb8e85ad74b1d884498145e30e2309a",
-    ("ldpc-proto", ScLdpcParams(4, 8, 16, M=8)): "c05ffdd77d3513bfc4ac6caac6c1208f4a72d80eb2fa4c7b260d555ff940810f",
+    ("ra-w", ScRaParams(6, 6, 16, M=6, w=6)): "45e1529fe9ec2837aeb3edd14f19b673c80a1ed173eed35305063de570c501f6",
+    ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4)): "ca270f238ca7615a5d5a37ea63de387ca366aaa04cf63ad11c826ce4d0a622b1",
+    ("ra-proto", ScRaParams(6, 6, 16, M=6)): "0a45d290106e448fa523b541795eae375da3143f5fdccc52e3140bf927e7c922",
+    ("ra-proto", ScRaParams(6, 6, 8, M=6)): "f7bfa48927a22917495dee9893591ce75d4c71a811fdaaa51c7678180b61d71d",
+    ("ldpc-proto", ScLdpcParams(4, 8, 16, M=8)): "42d8025407d300b1450fbaa243cf8d819d250c46269bbadaa6a4c002e07d6595",
 }
+
+
+@cache
+def pinned_search(kind, p):
+    """The default threshold search of one pinned driver, run once for the tests that read it."""
+    return threshold(make_de_model(kind, p))
 
 
 # sha256 of the bytes of x, then y, then z (those that are not None) after 500 steps from eps
@@ -317,19 +338,32 @@ def test_state_digests(kind, p):
 
 
 def _block_cases():
-    """(kind, params, eps): every kind at 0, below, near and above its pinned threshold and at 1,
-    then the structured RA chain whose boundary checks turn to NaN at eps=1."""
+    """(kind, params, eps, budgets): every kind at 0, below, near and above its pinned threshold
+    and at 1, then the structured RA chain whose boundary checks turn to NaN at eps=1, each at
+    budgets around the block ends; then runs the front rule ends, at budgets around its second
+    check: each coupled kind above its threshold, and the ra-w and ra-proto probes that the rule
+    moves from the budget to a front stall."""
+    short = (0, 1, DE_BLOCK - 1, DE_BLOCK, DE_BLOCK + 1, 2 * DE_BLOCK + 3)
     for kind, p, pinned in PINNED_THRESHOLDS[:4] + PINNED_THRESHOLDS[5:]:  # one chain of each kind
         for eps in (0.0, pinned - 0.05, pinned, pinned + 0.05, 1.0):
-            yield kind, p, eps
-    yield "ra-proto", ScRaParams(4, 2, 2, M=2), 1.0
+            yield kind, p, eps, short
+    yield "ra-proto", ScRaParams(4, 2, 2, M=2), 1.0, short
+    long = (MAX_ITERS, 2 * FRONT_EVERY - 1, 2 * FRONT_EVERY, 2 * FRONT_EVERY + 1)
+    for kind, p, _ in PINNED_THRESHOLDS[1:4] + PINNED_THRESHOLDS[5:]:
+        yield kind, p, 0.497802734375, long
+    for kind, p, _ in PINNED_THRESHOLDS[1], PINNED_THRESHOLDS[3]:
+        yield kind, p, 0.4976806640625, long
 
 
-@pytest.mark.parametrize("max_iters", [0, 1, DE_BLOCK - 1, DE_BLOCK, DE_BLOCK + 1, 2 * DE_BLOCK + 3])
-@pytest.mark.parametrize("kind,p,eps", list(_block_cases()))
+BLOCK_RUNS = [pytest.param(kind, p, eps, max_iters, id=f"{kind}-p{i}-{eps}-{max_iters}")
+              for i, (kind, p, eps, budgets) in enumerate(_block_cases()) for max_iters in budgets]
+
+
+@pytest.mark.parametrize("kind,p,eps,max_iters", BLOCK_RUNS)
 def test_blocked_run_matches_reference_loop(kind, p, eps, max_iters):
-    """de_run checks its stop conditions once per block of steps, yet reports the run of the
-    per-iteration loop: its outcome, its iteration count and every bit of its residual."""
+    """de_run checks its stop conditions once per block of steps, and the front at block ends,
+    yet reports the run of the per-iteration loop: its outcome, its iteration count and every
+    bit of its residual."""
     model = make_de_model(kind, p)
     with np.errstate(divide="ignore", invalid="ignore"):
         got = de_run(model, eps, max_iters)
@@ -338,6 +372,8 @@ def test_blocked_run_matches_reference_loop(kind, p, eps, max_iters):
     assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
     if p == ScRaParams(4, 2, 2, M=2) and max_iters > 0:
         assert (got.outcome, got.iterations) == ("stalled", 1) and np.isnan(got.residual)
+    if eps == 0.4976806640625 and max_iters == MAX_ITERS:  # a budget probe before the rule
+        assert got.outcome == "front-stalled"
 
 
 def test_runs_share_no_state_through_the_history():
@@ -474,14 +510,51 @@ def test_scratch_is_private_to_a_model_and_a_call(kind):
     assert [list(w) for w in zip(*together)] == solo
 
 
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("kind,p,pinned", PINNED_THRESHOLDS)
 def test_threshold_regression_values(kind, p, pinned):
-    res = threshold(make_de_model(kind, p))
+    res = pinned_search(kind, p)
     mid = 0.5 * (res.lo + res.hi)
     assert abs(mid - pinned) < 2e-4
     assert res.hi - res.lo <= 1e-4 + 1e-12
-    probes = repr((res.lo, res.hi, [pr[:3] for pr in res.probes]))
-    assert hashlib.sha256(probes.encode()).hexdigest() == PROBE_DIGESTS[kind, p]
+    assert _digest((res.lo, res.hi, [pr[:2] for pr in res.probes])) == PATH_DIGESTS[kind, p]
+    assert _digest((res.lo, res.hi, [pr[:3] for pr in res.probes])) == PROBE_DIGESTS[kind, p]
+
+
+class _NoFront:
+    """A driver's recursion with the front rule left out: the stops a plain run takes."""
+
+    def __init__(self, model):
+        self.initial_state, self.step_into, self.history = model.initial_state, model.step_into, model.history
+
+
+@pytest.mark.parametrize("kind,p", [PINNED_THRESHOLDS[1][:2], PINNED_THRESHOLDS[3][:2]])
+def test_front_stalled_probes_fail_in_a_plain_run(kind, p):
+    """Every probe the front rule ends in the default ra-w and ra-proto searches also fails
+    when run to a stall or to 10^6 iterations without the rule."""
+    stalled = [pr for pr in pinned_search(kind, p).probes if pr[3] == "front-stalled"]
+    assert stalled
+    plain = _NoFront(make_de_model(kind, p))
+    for eps, *_ in stalled:
+        r = de_run(plain, eps, 10**6)
+        assert r.outcome == "stalled", (eps, r)
+
+
+@pytest.mark.parametrize("kind,p,pinned", PINNED_THRESHOLDS[1:4] + PINNED_THRESHOLDS[5:])
+def test_front_never_falls(kind, p, pinned):
+    """DE from the all-eps start falls pointwise, so a coupled run's front never falls: below,
+    near and above the threshold."""
+    model = make_de_model(kind, p)
+    for eps in (pinned - 0.01, pinned, pinned + 0.01):
+        s, fronts = model.initial_state(eps), []
+        while len(fronts) < 3000 and s.x.max() >= 1e-8:
+            s = model.step(s)
+            fronts.append(model.front(s.x))
+        assert fronts == sorted(fronts), eps
+        assert fronts[-1] > 0 if eps < pinned else fronts[-1] < len(s.x)
 
 
 def test_threshold_bracket_contract():
@@ -529,6 +602,19 @@ class _Instant:
 
     def step_into(self, x, y, eps, x_out, y_out):
         x_out[...] = x
+
+
+def test_drivers_without_a_front_keep_the_plain_rule():
+    """ra-uncoupled, which can plateau near its BP threshold and then converge, and drivers
+    with no front never report a front stall.  At this eps an uncoupled run passes the
+    rule's second check and stalls later."""
+    model = make_de_model("ra-uncoupled", ScRaParams(6, 6, 0, M=6))
+    r = de_run(model, 0.4124298095703125)
+    assert (r.outcome, r.iterations) == ("stalled", 2419) and r.iterations > 2 * FRONT_EVERY
+    for driver in (model, _Stuck(), _Instant()):
+        for eps in (0.0, 0.2, 0.4124298095703125, 0.5, 1.0):
+            assert de_run(driver, eps).outcome != "front-stalled"
+    assert pinned_search("ra-uncoupled", ScRaParams(6, 6, 0, M=6)).front_stalled == 0
 
 
 def test_threshold_detects_non_monotone_predicate():

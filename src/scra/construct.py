@@ -103,6 +103,20 @@ class CodeInstance:
         padded[var, np.arange(len(var)) - first[var]] = edge_chk[order]
         return padded
 
+    @cached_property
+    def lane_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two tables of the bit-lane peeler, slot-major, cached.
+
+        Row s of the first, of shape (max check degree, m + 1), holds every
+        check's s-th neighbor; unused entries and the sentinel column m hold
+        the spare variable id n.  The second is padded_var_checks transposed.
+        """
+        deg = np.diff(self.check_indptr)
+        check_slots = np.full((int(deg.max(initial=0)), self.m + 1), self.n, dtype=np.intp)
+        edge_chk = self.edge_checks
+        check_slots[np.arange(len(edge_chk)) - self.check_indptr[edge_chk], edge_chk] = self.check_vars
+        return check_slots, np.ascontiguousarray(self.padded_var_checks.T)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CodeInstance):
             return NotImplemented

@@ -1,12 +1,21 @@
 """Monte Carlo decoding experiments on the binary erasure channel.
 
 Transmission uses the all-zero codeword (erasure decoding is blind to the
-transmitted values, which toy-code tests verify).  Every trial draws from
-a counter-based stream keyed by (seed, eps index, trial index).  Batches
-of trials stream through the workers across all rates, and no batch
-starts that could run past a rate's N-th word error in index order, so
-every decoded trial is kept and results are identical for any worker
-count.
+transmitted values, which toy-code tests verify), so a trial is only its
+erasure pattern.  Every trial draws from a counter-based stream keyed by
+(seed, eps index, trial index).  Batches of trials stream through the
+workers across all rates, and no batch starts that could run past a
+rate's N-th word error in index order, so every decoded trial is kept
+and results are identical for any worker count.
+
+A batch peels up to LANES trials at once, trial by trial in the bit
+lanes of one uint64 word per variable, in sweeps of whole-array bit
+operations over the code's slot-major tables.  When a lane's trial ends,
+the lane takes the batch's next trial (refill), so a sweep serves up to
+LANES live trials until the batch runs out.  Then, once at most HANDOFF
+lanes are live, each finishes alone in decode_peel (the hand-off), which
+costs less than a sweep over all lanes.  Each trial's tallies are those
+of decode_peel on its own draw, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,11 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from scra.codec import decode_peel, transmit_bec
+from scra import codec
+from scra.codec import ERASED, decode_peel, transmit_bec  # noqa: F401 (decode_peel: perfbench wraps it here)
 from scra.construct import CodeInstance, _write_text
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-BATCH = 50  # most trials per task; near a word-error stop a task shrinks so as not to pass it
+BATCH = 256  # most trials per task; near a word-error stop a task shrinks so as not to pass it
+LANES = 64  # trials a batch peels at once, one bit of a uint64 each
+HANDOFF = 8  # once no trial is left, this many live lanes finish one by one in decode_peel
 
 
 class SimulationError(RuntimeError):
@@ -164,21 +176,96 @@ def _init_worker(code: CodeInstance) -> None:
     _worker_code = code
 
 
+def _set_bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 def _trial_rows(code: CodeInstance, eps: float, eps_idx: int, lo: int, hi: int,
                 max_iters: int, seed: int) -> np.ndarray:
-    """Per-trial tallies [word_err, msg_residual, all_residual, iters] for one batch."""
+    """Per-trial tallies [word_err, msg_residual, all_residual, iters] for one batch.
+
+    Up to LANES trials peel together, trial by trial in bit lanes of one
+    uint64 erasure word per variable, and each sweep is one synchronous
+    peeling sweep in every lane.  A lane ends at its first sweep with no
+    progress, once it has no erasure left or when it has used its budget;
+    it then takes the batch's next trial.  Once no trial is left and at
+    most HANDOFF lanes are live, each finishes alone in decode_peel from
+    its current pattern with the rest of its budget, which gives the same
+    sweeps, since a sweep depends only on the pattern it starts from.
+    """
+    check_slots, var_slots = code.lane_tables
+    n, n_msg = code.n, code.n_msg
     out = np.zeros((hi - lo, 4), dtype=np.int64)
-    zero = np.zeros(code.n, dtype=np.int8)
-    for t in range(lo, hi):
-        rng = trial_stream(seed, eps_idx, t)
-        word = transmit_bec(zero, eps, rng)
-        res = decode_peel(code, word, max_iters=max_iters)
-        out[t - lo] = (
-            0 if res.recovered else 1,
-            res.residual_message_bits,
-            res.residual_all_bits,
-            res.iterations,
-        )
+    zero = np.zeros(n, dtype=np.int8)
+    words = np.zeros(n + 1, dtype=np.uint64)  # bit b of words[v]: v erased in lane b; n never is
+    erased = words[:n]
+    gathered = np.empty(check_slots.shape, dtype=np.uint64)
+    once, twice, both = (np.empty(check_slots.shape[1], dtype=np.uint64) for _ in range(3))
+    fanned = np.empty(var_slots.shape, dtype=np.uint64)
+    resolved = np.empty(n, dtype=np.uint64)
+    lane_word = np.empty(n, dtype=np.uint64)
+    trial, start = [0] * LANES, [0] * LANES  # each lane's row in out and its first sweep
+    live = 0  # bit b set while lane b holds a trial
+    nxt = lo
+    sweep = 0
+
+    def take_trial(lane: int) -> None:
+        nonlocal nxt
+        word = transmit_bec(zero, eps, trial_stream(seed, eps_idx, nxt))
+        np.copyto(lane_word.view(np.int64), word)  # ERASED widens to all ones, 0 to 0
+        np.bitwise_and(lane_word, np.uint64(1 << lane), out=lane_word)
+        np.bitwise_or(erased, lane_word, out=erased)
+        trial[lane], start[lane] = nxt - lo, sweep
+        nxt += 1
+
+    for lane in range(min(LANES, hi - lo)):
+        take_trial(lane)
+        live |= 1 << lane
+    while live and (nxt < hi or live.bit_count() > HANDOFF):
+        # checks: per lane, once marks an erased neighbour, twice a second one; every index
+        # is in range, and mode="clip" spares take the copy it makes of out to check them
+        np.take(words, check_slots, out=gathered, mode="clip")
+        np.copyto(once, gathered[0])
+        twice.fill(0)
+        for row in gathered[1:]:
+            np.bitwise_and(once, row, out=both)
+            np.bitwise_or(twice, both, out=twice)
+            np.bitwise_or(once, row, out=once)
+        np.bitwise_not(twice, out=twice)
+        np.bitwise_and(once, twice, out=once)  # exactly one; never at the sentinel check m
+        # variables: an erased bit resolves in each lane in which one of its checks marks it
+        np.take(once, var_slots, out=fanned, mode="clip")
+        np.bitwise_or.reduce(fanned, axis=0, out=resolved)
+        np.bitwise_and(resolved, erased, out=resolved)
+        np.bitwise_xor(erased, resolved, out=erased)
+        sweep += 1
+        progress = int(np.bitwise_or.reduce(resolved))
+        left = int(np.bitwise_or.reduce(erased))
+        ended = live & ~(progress & left)
+        if sweep >= max_iters:
+            ended |= sum(1 << b for b in _set_bits(live & progress) if sweep - start[b] == max_iters)
+        for b in _set_bits(ended):
+            iters = sweep - start[b] - (not progress >> b & 1)
+            if left >> b & 1:
+                np.bitwise_and(erased, np.uint64(1 << b), out=lane_word)
+                out[trial[b]] = 1, np.count_nonzero(lane_word[:n_msg]), np.count_nonzero(lane_word), iters
+                np.bitwise_xor(erased, lane_word, out=erased)
+            else:
+                out[trial[b], 3] = iters
+            live ^= 1 << b
+            if nxt < hi:
+                take_trial(b)
+                live |= 1 << b
+    for b in _set_bits(live):
+        np.bitwise_and(erased, np.uint64(1 << b), out=lane_word)
+        done = sweep - start[b]
+        res = codec.decode_peel(code, np.where(lane_word, np.int8(ERASED), np.int8(0)), max_iters - done)
+        out[trial[b]] = (not res.recovered, res.residual_message_bits, res.residual_all_bits,
+                         done + res.iterations)
     return out
 
 
@@ -220,7 +307,7 @@ def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
     def sure_batch(ei: int) -> int:
         return min(BATCH, sure_room(ei), -(-sum(map(sure_room, range(n_eps))) // jobs))
 
-    code.padded_var_checks  # build the peeling table once, here, so pool workers get it with the code
+    code.lane_tables  # build the peeling tables once, here, so pool workers get them with the code
     with (ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(code,))
           if jobs > 1 else nullcontext()) as pool:
         while True:

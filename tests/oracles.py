@@ -3,10 +3,11 @@
 The exact ML erasure oracle, the dense parity-check matrix, hand-built
 codes and an alist reader, the descriptor as a dict, the two-key edge
 sort, the per-sweep peeling trace, the peeling loop that resets its
-sentinel every sweep, the structured DE step as a loop, the
-per-iteration DE loop with its front rule and the in-order word-error
-stop.  They check the library from outside, so they live with the
-tests; pytest does not collect this module.
+sentinel every sweep, the Monte Carlo trials one decode_peel at a
+time, the structured DE step as a loop, the per-iteration DE loop with
+its front rule and the in-order word-error stop.  They check the
+library from outside, so they live with the tests; pytest does not
+collect this module.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from scra.codec import (
     DecodeOutcome,
     _as_word,
     decode_peel,
+    transmit_bec,
 )
 from scra.construct import DESCRIPTOR_FORMAT, DESCRIPTOR_VERSION, CodeInstance, _params_to_json
 from scra.density_evolution import (
@@ -34,6 +36,7 @@ from scra.density_evolution import (
     DeRunResult,
     DeState,
 )
+from scra.simulate import trial_stream
 
 _ML_SIZE_LIMIT = 10_000
 
@@ -241,6 +244,17 @@ def peel_reference(c, word, max_iters: int = 1000) -> DecodeOutcome:
 
     status = FULLY_RECOVERED if n_unknown == 0 else STALLED
     return DecodeOutcome(status, work, iters, int(np.count_nonzero(work[: c.n_msg] == ERASED)), n_unknown)
+
+
+def trial_rows_reference(c, eps: float, eps_idx: int, lo: int, hi: int,
+                         max_iters: int, seed: int) -> np.ndarray:
+    """simulate._trial_rows one trial at a time: each trial's channel draw, then decode_peel."""
+    out = np.zeros((hi - lo, 4), dtype=np.int64)
+    zero = np.zeros(c.n, dtype=np.int8)
+    for t in range(lo, hi):
+        res = decode_peel(c, transmit_bec(zero, eps, trial_stream(seed, eps_idx, t)), max_iters)
+        out[t - lo] = not res.recovered, res.residual_message_bits, res.residual_all_bits, res.iterations
+    return out
 
 
 def proto_step_reference(model, s: DeState):

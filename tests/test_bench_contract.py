@@ -64,5 +64,8 @@ def test_benchmark_spans_carry_their_attributes(tmp_path):
     for name, keys in expected.items():
         assert attrs.get(name), f"no {name} span recorded"
         assert all(keys <= set(a) for a in attrs[name]), (name, attrs[name])
-    assert len(attrs["codec.decode_peel"]) == 1 + 2 * 4
+    # the sweep draws every trial through the wrapped channel, and peels none through the
+    # wrapped decode_peel: its lanes peel in simulate._trial_rows
+    assert len(attrs["codec.decode_peel"]) == 1
+    assert len(attrs["codec.transmit_bec"]) == 1 + 2 * 4
     assert attrs["simulate.run_sweep"] == [{"kept": 8}]

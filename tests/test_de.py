@@ -1,8 +1,13 @@
 """Density evolution recursions, drivers, and threshold bisection."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,17 +318,41 @@ def pinned_search(kind, p):
 # y holds the left accumulator neighbors, then the right ones.  z, the check-to-message erasure
 # of the last structured step, comes from proto_step_reference on the state before it.  PROBE_DIGESTS sees only outcomes
 # and iteration counts; these pin every value of the state, so a restructured step that moves
-# one rounding shows here.
+# one rounding shows here.  np.power rounds some last bits differently in numpy's AVX-512
+# kernels, so there is one pin per set of those kernels in use: all of them, or none.
+STATE_CASES = [
+    ("ra-w", ScRaParams(6, 6, 16, M=6, w=6)),
+    ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4)),
+    ("ra-proto", ScRaParams(6, 6, 16, M=6)),
+    ("ldpc-proto", ScLdpcParams(4, 8, 16, M=8)),
+]
+AVX512_KERNELS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")  # as NPY_DISABLE_CPU_FEATURES names them
 STATE_DIGESTS = {
-    ("ra-w", ScRaParams(6, 6, 16, M=6, w=6)): "5ddb6a9b9f35474fb202387d1b394b09633dae84feaffb3bc9bbfedc14f526c0",
-    ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4)): "53cacd96b0c9c4a1d67c3bfb5b7862132f8fa25f5f1efb81bf181d174c9ecf7a",
-    ("ra-proto", ScRaParams(6, 6, 16, M=6)): "530c390a9f6bcd68a7402822cd190f767caaa0c7129bde02a81c7afda61ce106",
-    ("ldpc-proto", ScLdpcParams(4, 8, 16, M=8)): "d7810936768e2707200db6a8ea2e3e54d4a4b4334fd203e6caabd4ab0badf29b",
+    AVX512_KERNELS: {
+        "ra-w": "5ddb6a9b9f35474fb202387d1b394b09633dae84feaffb3bc9bbfedc14f526c0",
+        "ldpc-w": "53cacd96b0c9c4a1d67c3bfb5b7862132f8fa25f5f1efb81bf181d174c9ecf7a",
+        "ra-proto": "530c390a9f6bcd68a7402822cd190f767caaa0c7129bde02a81c7afda61ce106",
+        "ldpc-proto": "d7810936768e2707200db6a8ea2e3e54d4a4b4334fd203e6caabd4ab0badf29b",
+    },
+    (): {
+        "ra-w": "26694c499dd4b4a5c94d99c8f1ef09a10c9a40f23d5a1c2310773e826243a7ab",
+        "ldpc-w": "c19c973c50a3932460f9e491ee7632e9364ddff61ff1cf227d50ca23cb73eefc",
+        "ra-proto": "ffd690460f91554fa015f53d59f74767a0a7f91f7bd0ff3eb49bbda3a2e483a5",
+        "ldpc-proto": "f435640cde429c8f81c2b169895b40b801dbf37584b3e077c60758cab14014dc",
+    },
 }
 
 
-@pytest.mark.parametrize("kind,p", list(STATE_DIGESTS))
-def test_state_digests(kind, p):
+def avx512_kernels() -> tuple[str, ...]:
+    """Those of numpy's AVX-512 kernel sets that this process dispatches to."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return tuple(name for name in AVX512_KERNELS if __cpu_features__.get(name))
+
+
+def state_digest(kind, p) -> str:
     model = make_de_model(kind, p)
     s = model.initial_state(0.4976)
     for _ in range(499):
@@ -334,7 +363,30 @@ def test_state_digests(kind, p):
     for a in (s.x, s.y, z):
         if a is not None:
             h.update(a.tobytes())
-    assert h.hexdigest() == STATE_DIGESTS[kind, p]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind,p", STATE_CASES)
+def test_state_digests(kind, p):
+    kernels = avx512_kernels()
+    assert kernels in STATE_DIGESTS, f"no state digests are pinned for numpy's AVX-512 kernels {kernels}"
+    assert state_digest(kind, p) == STATE_DIGESTS[kernels][kind]
+
+
+def test_state_digests_without_avx512_kernels():
+    """The digests in a process with numpy's AVX-512 kernels turned off, so that a host that has
+    them checks both pins."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_KERNELS),
+               PYTHONPATH=os.pathsep.join([str(tests), *sys.path]))
+    script = ("import json, test_de as t; "
+              "print(json.dumps([t.avx512_kernels(), [t.state_digest(k, p) for k, p in t.STATE_CASES]]))")
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    kernels, digests = json.loads(run.stdout)
+    assert kernels == []
+    assert digests == [STATE_DIGESTS[()][kind] for kind, _ in STATE_CASES]
 
 
 def _block_cases():

@@ -8,10 +8,10 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from oracles import stop_prefix
-from scra import simulate
+from oracles import stop_prefix, toy_code as hand_code, trial_rows_reference
+from scra import codec, simulate
 from scra.cli import main as cli_main
-from scra.codec import decode_peel
+from scra.codec import decode_peel, transmit_bec
 from scra.construct import build_sc_ldpc, build_sc_ra, load_descriptor, save_descriptor
 from scra.ensembles import ScLdpcParams, ScRaParams
 from scra.simulate import (
@@ -65,6 +65,51 @@ def test_trial_stream_is_counter_based():
     d = trial_stream(2, 2, 3).random(8)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c) and not np.array_equal(a, d)
+
+
+# (code, eps below, near and above its waterfall): eps 0 and 1 are added to each
+LANE_CODES = {
+    "ra": (lambda: build_sc_ra(ScRaParams(6, 6, 16, M=20), 3), (0.40, 0.45, 0.52)),
+    "ldpc": (lambda: build_sc_ldpc(ScLdpcParams(4, 8, 16, M=40), 3), (0.36, 0.43, 0.50)),
+    # a check of degree one and a variable in no check
+    "toy": (lambda: hand_code([[0], [0, 1, 5], [1, 2, 6], [2, 3, 5, 7], [0, 4, 7], [3, 4, 6]], 9),
+            (0.2, 0.45, 0.7)),
+}
+LANE_TASKS = (1, 40, simulate.LANES, 2 * simulate.LANES + 22)  # trials per task; the last refills
+LANE_CASES = [pytest.param(name, eps, id=f"{name}-{eps}")
+              for name, (_, band) in LANE_CODES.items() for eps in (0.0, *band, 1.0)]
+
+
+@pytest.mark.parametrize("name,eps", LANE_CASES)
+@pytest.mark.parametrize("handoff", [simulate.HANDOFF, 0])
+def test_lane_kernel_matches_decode_peel(monkeypatch, name, eps, handoff):
+    """Every trial's four tallies from the bit-lane kernel equal those of its own channel draw
+    and decode_peel, at every budget and task size, with and without the hand-off."""
+    code = LANE_CODES[name][0]()
+    monkeypatch.setattr(simulate, "HANDOFF", handoff)
+    for max_iters in (1, 2, 5, 1000):
+        for size in LANE_TASKS:
+            lo = 3 * size  # tasks start mid-stream as run_sweep's do
+            got = simulate._trial_rows(code, eps, 2, lo, lo + size, max_iters, 9)
+            np.testing.assert_array_equal(got, trial_rows_reference(code, eps, 2, lo, lo + size,
+                                                                    max_iters, 9),
+                                          err_msg=f"max_iters={max_iters} size={size}")
+
+
+def test_lane_hand_off_resumes_a_trial_mid_peel(monkeypatch):
+    """Lanes still live when the task runs out of trials finish in decode_peel from their current
+    pattern with the rest of their budget, and the tallies still equal the reference."""
+    code = LANE_CODES["ra"][0]()
+    budgets = []
+
+    def recorded(c, word, max_iters):
+        budgets.append(max_iters)
+        return decode_peel(c, word, max_iters)
+
+    monkeypatch.setattr(codec, "decode_peel", recorded)
+    got = simulate._trial_rows(code, 0.45, 1, 0, 150, 1000, 4)
+    assert 0 < len(budgets) <= simulate.HANDOFF and min(budgets) < 1000
+    np.testing.assert_array_equal(got, trial_rows_reference(code, 0.45, 1, 0, 150, 1000, 4))
 
 
 def test_wilson_interval_edges_and_value():
@@ -183,7 +228,7 @@ def _csv(result):
 
 @pytest.mark.parametrize("jobs,max_trials,workers", [
     (64, simulate.BATCH, [2]),  # one batch per rate, two rates: two workers
-    (8, 200, [8]),  # 4 batches per rate, 8 in all
+    (8, 4 * simulate.BATCH, [8]),  # 4 batches per rate, 8 in all
     (3, 2 * simulate.BATCH + 1, [3]),
     (2, 200, [2]),
 ])
@@ -198,28 +243,31 @@ def test_pool_is_sized_to_the_batches(monkeypatch, jobs, max_trials, workers):
     assert _csv(got) == _csv(ref)
 
 
+PEELING_TABLES = ("padded_var_checks", "lane_tables")
+
+
 class _TablePool(_InlinePool):
-    """Records, as the pool starts, whether the code it hands its workers holds the peeling table."""
+    """Records, as the pool starts, which peeling tables the code it hands its workers holds."""
 
     cached: list = []
 
     def __init__(self, max_workers, initializer, initargs):
-        self.cached.append("padded_var_checks" in vars(initargs[0]))
+        self.cached.append([name in vars(initargs[0]) for name in PEELING_TABLES])
         super().__init__(max_workers, initializer, initargs)
 
 
 def test_pool_workers_inherit_the_peeling_table(monkeypatch):
-    """The table is built once before the pool starts, not once in every worker."""
+    """The tables are built once before the pool starts, not once in every worker."""
     code = toy_code()
-    assert "padded_var_checks" not in vars(code)
+    assert not any(name in vars(code) for name in PEELING_TABLES)
     _use_pool(monkeypatch, _TablePool)
     monkeypatch.setattr(_TablePool, "cached", [])
     run_sweep(code, SweepPlan((0.4, 0.5), max_trials=200, max_word_errors=None, seed=12), jobs=2)
-    assert _TablePool.cached == [True]
+    assert _TablePool.cached == [[True] * len(PEELING_TABLES)]
 
 
 def test_pool_counts_every_rate_of_a_small_budget(monkeypatch, tmp_path):
-    """--trials 50 is one batch per rate; over three rates --jobs 2 gets both its workers,
+    """--trials 100 is one batch per rate; over three rates --jobs 2 gets both its workers,
     and a sweep of one batch in all runs inline."""
     base = tmp_path / "code"
     assert cli_main(["construct", "--family", "ra", "--q", "3", "--a", "3",
@@ -228,7 +276,7 @@ def test_pool_counts_every_rate_of_a_small_budget(monkeypatch, tmp_path):
 
     def simulate_csv(eps, jobs):
         out = tmp_path / f"sim_{eps}_{jobs}.csv"
-        assert cli_main(["simulate", "--code", f"{base}.json", "--eps", eps, "--trials", "50",
+        assert cli_main(["simulate", "--code", f"{base}.json", "--eps", eps, "--trials", "100",
                          "--seed", "12", "--jobs", jobs, "--out", str(out)]) == 0
         return out.read_bytes()
 
@@ -238,10 +286,11 @@ def test_pool_counts_every_rate_of_a_small_budget(monkeypatch, tmp_path):
     assert _InlinePool.sizes == [2]
 
 
-# eps 0.8 and 0.7 fail nearly every trial, so a stop above BATCH keeps more
-# than one batch of a rate in flight at once.  They lead the grid, so the
+# eps 0.8 and 0.7 fail nearly every trial, so a stop above SMALL_BATCH keeps
+# more than one batch of a rate in flight at once.  They lead the grid, so the
 # rate's later batches are the newest tasks and _ReversePool returns them first.
 STOP_GRID = (0.8, 0.7, 0.5, 0.45, 0.4)
+SMALL_BATCH = 50  # the stop tests' budgets span several batches of this size; BATCH is larger
 
 
 @pytest.mark.parametrize("max_word_errors", [20, 120, None])
@@ -250,11 +299,12 @@ def test_no_decoded_trial_is_thrown_away(monkeypatch, max_word_errors):
     plan = SweepPlan(STOP_GRID, max_trials=300, max_word_errors=max_word_errors, seed=14)
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(*args, **kwargs):  # every decoded trial draws its erasures once
         calls.append(1)
-        return decode_peel(*args, **kwargs)
+        return transmit_bec(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "decode_peel", counted)
+    monkeypatch.setattr(simulate, "BATCH", SMALL_BATCH)
+    monkeypatch.setattr(simulate, "transmit_bec", counted)
     inline = run_sweep(code, plan, jobs=1)
     assert len(calls) == inline.trials.sum()
     if max_word_errors is not None:  # the stop fires inside a BATCH-aligned block
@@ -279,6 +329,7 @@ def test_sweep_keeps_the_in_order_prefix(monkeypatch):
     """Seeded random plans: inline, newest-first and random completion each keep, per rate,
     the reference in-order prefix of the trials of the whole budget."""
     code = toy_code()
+    monkeypatch.setattr(simulate, "BATCH", SMALL_BATCH)
     mid_batch_stops = multi_batch_stops = 0
     for plan_seed in range(8):
         rng = np.random.default_rng(plan_seed)
@@ -288,7 +339,7 @@ def test_sweep_keeps_the_in_order_prefix(monkeypatch):
                          seed=plan_seed)
         ref = np.zeros((len(grid), 5), dtype=np.int64)
         for ei, eps in enumerate(grid):
-            rows = simulate._trial_rows(code, eps, ei, 0, plan.max_trials, plan.max_iters, plan.seed)
+            rows = trial_rows_reference(code, eps, ei, 0, plan.max_trials, plan.max_iters, plan.seed)
             rows = rows[:stop_prefix(rows[:, 0], stop)]
             ref[ei] = len(rows), *rows.sum(axis=0)
             fired = stop is not None and ref[ei, 1] == stop

@@ -4,18 +4,20 @@ Transmission uses the all-zero codeword (erasure decoding is blind to the
 transmitted values, which toy-code tests verify), so a trial is only its
 erasure pattern.  Every trial draws from a counter-based stream keyed by
 (seed, eps index, trial index).  Batches of trials stream through the
-workers across all rates, and no batch starts that could run past a
-rate's N-th word error in index order, so every decoded trial is kept
-and results are identical for any worker count.
+workers, and a batch may hold trials of several rates, each rate's as
+one segment of consecutive trial indices.  No segment starts that could
+run past its rate's N-th word error in index order, so every decoded
+trial is kept and results are identical for any worker count; neither
+the results nor the worker count depend on how trials are grouped.
 
 A batch peels up to LANES trials at once, trial by trial in the bit
 lanes of one uint64 word per variable, in sweeps of whole-array bit
 operations over the code's slot-major tables.  When a lane's trial ends,
-the lane takes the batch's next trial (refill), so a sweep serves up to
-LANES live trials until the batch runs out.  Then, once at most HANDOFF
-lanes are live, each finishes alone in decode_peel (the hand-off), which
-costs less than a sweep over all lanes.  Each trial's tallies are those
-of decode_peel on its own draw, bit for bit.
+the lane takes the batch's next trial, whatever its rate (refill), so a
+sweep serves up to LANES live trials until the batch runs out.  Then,
+once at most HANDOFF lanes are live, each finishes alone in decode_peel
+(the hand-off), which costs less than a sweep over all lanes.  Each
+trial's tallies are those of decode_peel on its own draw, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from scra.codec import ERASED, decode_peel, transmit_bec  # noqa: F401 (decode_p
 from scra.construct import CodeInstance, _write_text
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-BATCH = 256  # most trials per task; near a word-error stop a task shrinks so as not to pass it
+BATCH = 256  # most trials per task; near a word-error stop a rate's segment shrinks so as not to pass it
 LANES = 64  # trials a batch peels at once, one bit of a uint64 each
 HANDOFF = 8  # once no trial is left, this many live lanes finish one by one in decode_peel
 
@@ -184,22 +186,26 @@ def _set_bits(mask: int):
         yield low.bit_length() - 1
 
 
-def _trial_rows(code: CodeInstance, eps: float, eps_idx: int, lo: int, hi: int,
+def _trial_rows(code: CodeInstance, segments: tuple[tuple[float, int, int, int], ...],
                 max_iters: int, seed: int) -> np.ndarray:
     """Per-trial tallies [word_err, msg_residual, all_residual, iters] for one batch.
 
-    Up to LANES trials peel together, trial by trial in bit lanes of one
-    uint64 erasure word per variable, and each sweep is one synchronous
-    peeling sweep in every lane.  A lane ends at its first sweep with no
-    progress, once it has no erasure left or when it has used its budget;
-    it then takes the batch's next trial.  Once no trial is left and at
+    The batch is its (eps, eps index, lo, hi) segments in order, trials lo
+    to hi - 1 of each; the rows follow the same order.  Up to LANES trials
+    peel together, trial by trial in bit lanes of one uint64 erasure word
+    per variable, and each sweep is one synchronous peeling sweep in every
+    lane.  A lane ends at its first sweep with no progress, once it has no
+    erasure left or when it has used its budget; it then takes the batch's
+    next trial, of whichever segment that is.  Once no trial is left and at
     most HANDOFF lanes are live, each finishes alone in decode_peel from
     its current pattern with the rest of its budget, which gives the same
     sweeps, since a sweep depends only on the pattern it starts from.
     """
     check_slots, var_slots = code.lane_tables
     n, n_msg = code.n, code.n_msg
-    out = np.zeros((hi - lo, 4), dtype=np.int64)
+    total = sum(hi - lo for _, _, lo, hi in segments)
+    draws = ((eps, eps_idx, t) for eps, eps_idx, lo, hi in segments for t in range(lo, hi))
+    out = np.zeros((total, 4), dtype=np.int64)
     zero = np.zeros(n, dtype=np.int8)
     words = np.zeros(n + 1, dtype=np.uint64)  # bit b of words[v]: v erased in lane b; n never is
     erased = words[:n]
@@ -210,22 +216,23 @@ def _trial_rows(code: CodeInstance, eps: float, eps_idx: int, lo: int, hi: int,
     lane_word = np.empty(n, dtype=np.uint64)
     trial, start = [0] * LANES, [0] * LANES  # each lane's row in out and its first sweep
     live = 0  # bit b set while lane b holds a trial
-    nxt = lo
+    nxt = 0  # the batch's next trial, as a row of out
     sweep = 0
 
     def take_trial(lane: int) -> None:
         nonlocal nxt
-        word = transmit_bec(zero, eps, trial_stream(seed, eps_idx, nxt))
+        eps, eps_idx, t = next(draws)
+        word = transmit_bec(zero, eps, trial_stream(seed, eps_idx, t))
         np.copyto(lane_word.view(np.int64), word)  # ERASED widens to all ones, 0 to 0
         np.bitwise_and(lane_word, np.uint64(1 << lane), out=lane_word)
         np.bitwise_or(erased, lane_word, out=erased)
-        trial[lane], start[lane] = nxt - lo, sweep
+        trial[lane], start[lane] = nxt, sweep
         nxt += 1
 
-    for lane in range(min(LANES, hi - lo)):
+    for lane in range(min(LANES, total)):
         take_trial(lane)
         live |= 1 << lane
-    while live and (nxt < hi or live.bit_count() > HANDOFF):
+    while live and (nxt < total or live.bit_count() > HANDOFF):
         # checks: per lane, once marks an erased neighbour, twice a second one; every index
         # is in range, and mode="clip" spares take the copy it makes of out to check them
         np.take(words, check_slots, out=gathered, mode="clip")
@@ -257,7 +264,7 @@ def _trial_rows(code: CodeInstance, eps: float, eps_idx: int, lo: int, hi: int,
             else:
                 out[trial[b], 3] = iters
             live ^= 1 << b
-            if nxt < hi:
+            if nxt < total:
                 take_trial(b)
                 live |= 1 << b
     for b in _set_bits(live):
@@ -270,24 +277,26 @@ def _trial_rows(code: CodeInstance, eps: float, eps_idx: int, lo: int, hi: int,
 
 
 def _worker_entry(args) -> np.ndarray:
-    eps, eps_idx, lo, hi, max_iters, seed = args
-    return _trial_rows(_worker_code, eps, eps_idx, lo, hi, max_iters, seed)
+    return _trial_rows(_worker_code, *args)
 
 
 def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
     """Run the sweep; each rate keeps its trials up to its N-th word error.
 
-    Up to jobs batches run at once, across all rates, in a process pool of
-    at most one worker per BATCH trials of the whole sweep's budget, every
-    rate's trials counted (inline when that is one).  A rate's next batch
-    holds at most as many trials as word errors could still come before
-    its stop, counting every trial in flight as one, so no batch starts
-    that could run past the N-th word error in index order: the stop can
-    fall only on a batch's last trial, every decoded trial is kept, and a
-    batch folds into the tallies as soon as it returns.  It also holds at
-    most a 1/jobs share of the trials all rates can still start, so the
-    batches shrink at the end of the sweep and no worker waits alone on
-    the last one.  The result is identical for any jobs value.
+    Up to jobs batches run at once in a process pool of at most one worker
+    per BATCH trials of the whole sweep's budget, every rate's trials
+    counted (inline when that is one).  A batch is filled walking the
+    rates in grid order, so it may hold a segment of consecutive trials of
+    each of several rates.  A rate's segment holds at most as many trials
+    as word errors could still come before its stop, counting every trial
+    in flight as one, so no segment starts that could run past the N-th
+    word error in index order: the stop can fall only on a segment's last
+    trial, every decoded trial is kept, and a batch folds into the
+    tallies as soon as it returns.  A batch holds at most BATCH trials and
+    at most a 1/jobs share of the trials all rates can still start, so
+    the batches shrink at the end of the sweep and no worker waits alone
+    on the last one.  The result is identical for any jobs value, and
+    neither it nor the worker count depends on how trials are grouped.
     """
     if jobs < 1:
         raise SimulationError("jobs must be >= 1")
@@ -298,35 +307,44 @@ def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
     tallies = np.zeros((n_eps, 4), dtype=np.int64)
     submitted = [0] * n_eps  # trials started for each rate, all of them kept
     in_flight = [0] * n_eps  # trials started and not yet folded
-    pending = {}  # future -> eps index
+    pending = {}  # future -> its batch's segments
 
     def sure_room(ei: int) -> int:
         room = plan.max_trials - submitted[ei]
         return room if stop is None else min(room, stop - int(tallies[ei, 0]) - in_flight[ei])
 
-    def sure_batch(ei: int) -> int:
-        return min(BATCH, sure_room(ei), -(-sum(map(sure_room, range(n_eps))) // jobs))
+    def take_batch() -> tuple:
+        cap = min(BATCH, -(-sum(map(sure_room, range(n_eps))) // jobs))
+        segments = []
+        for ei, eps in enumerate(plan.eps_grid):
+            if (size := min(cap, sure_room(ei))) > 0:
+                segments.append((eps, ei, submitted[ei], submitted[ei] + size))
+                submitted[ei] += size
+                in_flight[ei] += size
+                cap -= size
+        return tuple(segments)
+
+    def fold(segments, rows) -> None:
+        for _, ei, lo, hi in segments:
+            in_flight[ei] -= hi - lo
+            tallies[ei] += rows[:hi - lo].sum(axis=0)
+            rows = rows[hi - lo:]
 
     code.lane_tables  # build the peeling tables once, here, so pool workers get them with the code
     with (ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(code,))
           if jobs > 1 else nullcontext()) as pool:
         while True:
-            for ei, eps in enumerate(plan.eps_grid):
-                while len(pending) < jobs and (size := sure_batch(ei)) > 0:
-                    task = (eps, ei, submitted[ei], submitted[ei] + size, plan.max_iters, plan.seed)
-                    submitted[ei] += size
-                    if pool is None:
-                        tallies[ei] += _trial_rows(code, *task).sum(axis=0)
-                    else:
-                        in_flight[ei] += size
-                        pending[pool.submit(_worker_entry, task)] = ei
+            while len(pending) < jobs and (segments := take_batch()):
+                task = (segments, plan.max_iters, plan.seed)
+                if pool is None:
+                    fold(segments, _trial_rows(code, *task))
+                else:
+                    pending[pool.submit(_worker_entry, task)] = segments
             if not pending:
                 break
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for f in done:
-                ei, rows = pending.pop(f), f.result()
-                in_flight[ei] -= len(rows)
-                tallies[ei] += rows.sum(axis=0)
+                fold(pending.pop(f), f.result())
 
     meta = {
         "build": code_build_id(code),

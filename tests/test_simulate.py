@@ -1,5 +1,6 @@
 """Monte Carlo sweep machinery: determinism, stop rule, statistics."""
 
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -90,7 +91,7 @@ def test_lane_kernel_matches_decode_peel(monkeypatch, name, eps, handoff):
     for max_iters in (1, 2, 5, 1000):
         for size in LANE_TASKS:
             lo = 3 * size  # tasks start mid-stream as run_sweep's do
-            got = simulate._trial_rows(code, eps, 2, lo, lo + size, max_iters, 9)
+            got = simulate._trial_rows(code, ((eps, 2, lo, lo + size),), max_iters, 9)
             np.testing.assert_array_equal(got, trial_rows_reference(code, eps, 2, lo, lo + size,
                                                                     max_iters, 9),
                                           err_msg=f"max_iters={max_iters} size={size}")
@@ -107,9 +108,27 @@ def test_lane_hand_off_resumes_a_trial_mid_peel(monkeypatch):
         return decode_peel(c, word, max_iters)
 
     monkeypatch.setattr(codec, "decode_peel", recorded)
-    got = simulate._trial_rows(code, 0.45, 1, 0, 150, 1000, 4)
+    got = simulate._trial_rows(code, ((0.45, 1, 0, 150),), 1000, 4)
     assert 0 < len(budgets) <= simulate.HANDOFF and min(budgets) < 1000
     np.testing.assert_array_equal(got, trial_rows_reference(code, 0.45, 1, 0, 150, 1000, 4))
+
+
+@pytest.mark.parametrize("name", LANE_CODES)
+@pytest.mark.parametrize("handoff", [simulate.HANDOFF, 0])
+def test_lane_refill_crosses_rates(monkeypatch, name, handoff):
+    """One task of segments at eps 0, below, near, above and 1, one of them a single trial and
+    more than 2 * LANES trials in all: a lane's next trial may be of another rate, and every
+    row still equals the reference of its own segment."""
+    make, (below, near, above) = LANE_CODES[name]
+    code = make()
+    monkeypatch.setattr(simulate, "HANDOFF", handoff)
+    segments = ((0.0, 0, 5, 35), (below, 1, 40, 41), (near, 2, 17, 77), (above, 3, 0, 50),
+                (1.0, 4, 100, 112))
+    assert sum(hi - lo for *_, lo, hi in segments) > 2 * simulate.LANES
+    for max_iters in (1, 2, 5, 1000):
+        got = simulate._trial_rows(code, segments, max_iters, 9)
+        ref = np.concatenate([trial_rows_reference(code, *seg, max_iters, 9) for seg in segments])
+        np.testing.assert_array_equal(got, ref, err_msg=f"max_iters={max_iters}")
 
 
 def test_wilson_interval_edges_and_value():
@@ -240,6 +259,34 @@ def test_pool_is_sized_to_the_batches(monkeypatch, jobs, max_trials, workers):
     got = run_sweep(code, plan, jobs=jobs)
     assert _InlinePool.sizes == workers
     ref = run_sweep(code, plan, jobs=1)
+    assert _csv(got) == _csv(ref)
+
+
+def test_batches_fill_across_rates(monkeypatch):
+    """15 rates of 50 trials and no stop run inline as ceil(750 / BATCH) full batches but the
+    last, walking the rates in grid order, and the CSV is that of the per-rate reference."""
+    code = toy_code()
+    plan = SweepPlan(eps_range(0.30, 0.65, 0.025), max_trials=50, max_word_errors=None, seed=21)
+    batches = []
+    trial_rows = simulate._trial_rows
+
+    def recorded(c, segments, max_iters, seed):
+        batches.append(segments)
+        return trial_rows(c, segments, max_iters, seed)
+
+    monkeypatch.setattr(simulate, "_trial_rows", recorded)
+    got = run_sweep(code, plan, jobs=1)
+    sizes = [sum(hi - lo for *_, lo, hi in segments) for segments in batches]
+    assert len(plan.eps_grid) == 15
+    assert sizes == [simulate.BATCH, simulate.BATCH, 750 - 2 * simulate.BATCH]
+    assert any(len(segments) > 1 for segments in batches)
+    walk = [(ei, lo, hi) for segments in batches for _, ei, lo, hi in segments]
+    assert walk == sorted(walk)
+    rows = np.array([trial_rows_reference(code, eps, ei, 0, 50, plan.max_iters, plan.seed).sum(axis=0)
+                     for ei, eps in enumerate(plan.eps_grid)])
+    ref = dataclasses.replace(got, trials=np.full(15, 50), word_errors=rows[:, 0],
+                              bit_errors_message=rows[:, 1], bit_errors_all=rows[:, 2],
+                              iteration_sum=rows[:, 3])
     assert _csv(got) == _csv(ref)
 
 

@@ -47,11 +47,12 @@ class DensityEvolutionError(RuntimeError):
 
 @dataclass
 class DeState:
-    """Erasure probabilities of one DE recursion after `iteration` steps.
+    """Erasure probabilities of one DE recursion at one step.
 
     x: message-to-check erasure; per message position, index 0 at the left
        termination (smoothed), or x[i, d] for the bundle from message
-       position i into check position i+d (structured).
+       position i into check position i+d (structured).  len(x) is the
+       number of chain positions; a chain of one position has no front.
     y: parity-to-check erasure, None for LDPC; per active check position
        (smoothed), or shape (2, n_chk_pos) with rows from the left and the
        right accumulator neighbor (structured).
@@ -60,35 +61,31 @@ class DeState:
     x: np.ndarray
     y: np.ndarray | None
     eps: float
-    iteration: int
-
-
-class _Driver:
-    """What the DE drivers share: a step into fresh arrays, the states de_run
-    steps through and the decoding front (see de_run for the driver contract)."""
-
-    def step(self, s: DeState) -> DeState:
-        """One step into fresh arrays, so a state the caller holds is never overwritten."""
-        x, y = np.empty_like(s.x), None if s.y is None else np.empty_like(s.y)
-        self.step_into(s.x, s.y, s.eps, x, y)
-        return DeState(x, y, s.eps, s.iteration + 1)
-
-    @cached_property
-    def history(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """DE_BLOCK + 1 values of x, and of y (None without y), for de_run to step through."""
-        s = self.initial_state(0.0)
-        rows = DE_BLOCK + 1
-        return np.empty((rows, *s.x.shape)), None if s.y is None else np.empty((rows, *s.y.shape))
-
-    def front(self, x: np.ndarray) -> int:
-        """The decoding front of the values x: how many chain positions have their largest
-        message erasure below FRONT_DECODED; x holds one row (or value) per position."""
-        return int(np.count_nonzero(np.maximum.reduce(x.reshape(len(x), -1), 1) < FRONT_DECODED))
 
 
 def _residuals(xs: np.ndarray) -> np.ndarray:
     """The residual of each state in a stack: its largest message erasure x."""
     return np.maximum.reduce(xs.reshape(len(xs), -1), 1)
+
+
+class _Driver:
+    """What the DE drivers share: the parameters, a step into fresh arrays and the
+    decoding front (see de_run for the driver contract)."""
+
+    def __init__(self, p: ScRaParams | ScLdpcParams):
+        self.p = p
+        self.is_ra = isinstance(p, ScRaParams)
+
+    def step(self, s: DeState) -> DeState:
+        """One step into fresh arrays, so a state the caller holds is never overwritten."""
+        x, y = np.empty_like(s.x), None if s.y is None else np.empty_like(s.y)
+        self.step_into(s.x, s.y, s.eps, x, y)
+        return DeState(x, y, s.eps)
+
+    def front(self, x: np.ndarray) -> int:
+        """The decoding front of the values x: how many chain positions have their largest
+        message erasure below FRONT_DECODED; x holds one row (or value) per position."""
+        return int(np.count_nonzero(_residuals(x) < FRONT_DECODED))
 
 
 def _changes(xs: np.ndarray, ys: np.ndarray | None) -> np.ndarray:
@@ -107,10 +104,6 @@ def _changes(xs: np.ndarray, ys: np.ndarray | None) -> np.ndarray:
 class _WModel(_Driver):
     """Driver for the smoothed recursions; make_de_model has checked the window."""
 
-    def __init__(self, p: ScRaParams | ScLdpcParams):
-        self.p = p
-        self.is_ra = isinstance(p, ScRaParams)
-
     @cached_property
     def _tables(self) -> tuple:
         """Constants and scratch for step_into, built on first use so make_de_model stays
@@ -127,7 +120,7 @@ class _WModel(_Driver):
 
     def initial_state(self, eps: float) -> DeState:
         y = np.full(2 * self.p.L + self.p.w, eps) if self.is_ra else None
-        return DeState(np.full(self.p.span, eps), y, eps, 0)
+        return DeState(np.full(self.p.span, eps), y, eps)
 
     def step_into(self, x, y, eps, x_out, y_out) -> None:
         """One synchronous update from the iteration-(l) state; each new y[t] reads the old y[t]."""
@@ -157,20 +150,14 @@ class _WModel(_Driver):
 class _ProtoModel(_Driver):
     """Driver for the structured (protograph) recursion."""
 
-    def __init__(self, p: ScRaParams | ScLdpcParams):
-        self.p = p
-        self.is_ra = isinstance(p, ScRaParams)
-        self.width = p.width
-        self.span = p.span
-        self.n_chk = p.n_chk_pos
-
     @cached_property
     def _tables(self) -> tuple:
         """Constants, index tables, scratch and views of it for step_into, built on first
         use so make_de_model stays cheap; 1 is a 0-d float64 array, as in _WModel."""
-        w, span, n_chk = self.width, self.span, self.n_chk
-        n_sources = self.p.sources_per_check_pos().astype(np.float64)  # bundles into each check position
-        mean_deg = self.p.combine * n_sources / w  # and its mean message degree
+        p = self.p
+        w, span, n_chk = p.width, p.span, p.n_chk_pos
+        n_sources = p.sources_per_check_pos().astype(np.float64)  # bundles into each check position
+        mean_deg = p.combine * n_sources / w  # and its mean message degree
         window = np.arange(span)[:, None] + np.arange(w)  # [i, d] -> i + d, where bundle x[i, d] enters
         # buf is zero but for buf[d, i + d] = diag[d, i], so its column sums add the bundles in order of d
         flat = np.zeros(w * (n_chk + 1))
@@ -188,8 +175,9 @@ class _ProtoModel(_Driver):
         return np.array(1.0), n_sources, mean_deg - 1.0, mean_deg, buf, gather, z, zg, c, omx, clean, omy, *views
 
     def initial_state(self, eps: float) -> DeState:
-        y = np.full((2, self.n_chk), eps) if self.is_ra else None
-        return DeState(np.full((self.span, self.width), eps), y, eps, 0)
+        p = self.p
+        y = np.full((2, p.n_chk_pos), eps) if self.is_ra else None
+        return DeState(np.full((p.span, p.width), eps), y, eps)
 
     def step_into(self, x, y, eps, x_out, y_out) -> None:
         (one, n_sources, deg_m1, deg, buf, gather, z, zg, c, omx, clean, omy,
@@ -214,16 +202,9 @@ class _ProtoModel(_Driver):
             np.multiply(eps, y_out, out=y_out)
 
 
-class _Uncoupled(_WModel):
-    """The smoothed recursion at L=0, w=1.  It has no chain and so no front: near its BP
-    threshold a run can plateau, then converge."""
-
-    front = None
-
-
-def _ra_uncoupled(p: ScRaParams) -> _Uncoupled:
+def _ra_uncoupled(p: ScRaParams) -> _WModel:
     """The smoothed recursion at L=0, w=1: the single-position RA fixed-point iteration."""
-    return _Uncoupled(ScRaParams(q=p.q, a=p.a, L=0, M=p.a, w=1))
+    return _WModel(ScRaParams(q=p.q, a=p.a, L=0, M=p.a, w=1))
 
 
 # kind -> (parameter type, window w required (True), forbidden (False) or ignored (None), factory);
@@ -274,12 +255,15 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
     that is larger) falls below DELTA_STALL first, reporting
     non-convergence; a NaN change counts as a stall, so a recursion that
     breaks down stops at once rather than running out the budget.  Front
-    stall, for a driver with a front: at each iteration t that is a
-    multiple of FRONT_EVERY, let h be t/2 rounded down to a multiple of
-    FRONT_EVERY and at least FRONT_EVERY; the run fails as "front-stalled"
-    when front(t) equals front(h) and change(t) <= change(h) / FRONT_DROP.
-    The result is that of checking success, then stall, then the front
-    stall after every step.
+    stall, for a driver with a front on a chain of more than one position
+    (len(x) > 1): at each iteration t that is a multiple of FRONT_EVERY,
+    let h be t/2 rounded down to a multiple of FRONT_EVERY and at least
+    FRONT_EVERY; the run fails as "front-stalled" when front(t) equals
+    front(h) and change(t) <= change(h) / FRONT_DROP.  A chain of one
+    position, such as ra-uncoupled or any ensemble at L=0, has no front:
+    near its BP threshold a run can plateau, then converge.  The result is
+    that of checking success, then stall, then the front stall after every
+    step.
 
     model is a driver from make_de_model, or any object with:
       initial_state(eps) -> DeState, the state before the first step;
@@ -288,13 +272,10 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
         where the state has no y, and whose result depends on those alone;
         de_run passes eps as a 0-d float64 array, and the step must be bit
         for bit the one the float gives;
-      history, a pair of arrays of DE_BLOCK + 1 values of x and of y (or
-        None), which de_run overwrites;
       and optionally front(x) -> int, the decoding front of the values x
-        (see _Driver.front); a driver without one, or with front None, is
-        never front-stalled.
-    A driver may also keep scratch of its own that every step overwrites;
-    that and the history are why one model runs one de_run at a time.
+        (see _Driver.front); a driver without one is never front-stalled.
+    A driver may also keep scratch of its own that every step overwrites,
+    which is why one model runs one de_run at a time.
     The steps go in blocks of 1, 1, 2, 4, .. up to DE_BLOCK steps, so every
     multiple of DE_BLOCK ends a block.  Success and stall are checked once
     per block, for all its steps in whole array passes, and the front at
@@ -303,15 +284,16 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
     """
     if not 0.0 <= eps <= 1.0:
         raise ParameterError(f"eps must lie in [0, 1], got {eps}")
-    xs, ys = model.history
     s = model.initial_state(eps)
+    # DE_BLOCK + 1 values of x, and of y (None without y): a block's start, then its steps
+    xs, ys = (None if a is None else np.empty((DE_BLOCK + 1, *a.shape)) for a in (s.x, s.y))
     xs[0] = s.x
     if ys is not None:
         ys[0] = s.y
     y_rows = [None] * len(xs) if ys is None else list(ys)
     steps = list(zip(xs, y_rows, xs[1:], y_rows[1:]))  # (x, y, x_out, y_out) of each step of a block
     step_into, e = model.step_into, np.array(eps, dtype=np.float64)
-    front = getattr(model, "front", None)
+    front = getattr(model, "front", None) if len(s.x) > 1 else None
     marks = []  # (front, change) at each multiple of FRONT_EVERY
     done = 0
     while done < max_iters:
@@ -369,14 +351,14 @@ def threshold(model, precision: float = BISECT_PRECISION, max_iters: int = MAX_I
 
     The bracket narrows to `precision`, or until lo and hi are adjacent
     doubles; the returned lo converged and hi failed, each verified by an
-    actual run.  hi may rest on a front stall (see de_run), which ends a
-    failing run before its change falls below DELTA_STALL.  That such a
-    run fails was checked offline, not here: every probe the rule stops in
-    the default Fig. 4 grids and the pinned test searches also fails in a
-    plain run of 10^6 iterations.  A probe that runs out of max_iters
-    counts as a failure too.  A failure at eps=0 or a success at eps=1
-    means the convergence predicate is not monotone in the way bisection
-    needs, and raises DensityEvolutionError.
+    actual run.  On a chain of more than one position, hi may rest on a
+    front stall (see de_run), which ends a failing run before its change
+    falls below DELTA_STALL.  That such a run fails was checked offline,
+    not here: every probe the rule stops in the default Fig. 4 grids and
+    the pinned test searches also fails in a plain run of 10^6 iterations.
+    A probe that runs out of max_iters counts as a failure too.  A failure
+    at eps=0 or a success at eps=1 means the convergence predicate is not
+    monotone in the way bisection needs, and raises DensityEvolutionError.
     """
     if not precision > 0:
         raise ParameterError(f"precision must be > 0, got {precision}")

@@ -293,10 +293,11 @@ def de_run_reference(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResu
     Each step goes into fresh arrays through model.step.  The residual is
     the largest x; the change is the largest move of x, taken with that of
     y through Python's max, so a NaN move of x stops the run and one of y
-    alone does not.  A model with a front also gets the front rule at
-    every multiple of FRONT_EVERY, after the converged and stall checks;
-    the front is counted here, as the positions whose largest x is below
-    FRONT_DECODED, not taken from the model.
+    alone does not.  A model with a front, on a chain of more than one
+    position, also gets the front rule at every multiple of FRONT_EVERY,
+    after the converged and stall checks; the front is counted here, as
+    the positions whose largest x is below FRONT_DECODED, not taken from
+    the model.  The iterations are counted here too.
     """
 
     def residual(s: DeState) -> float:
@@ -311,25 +312,24 @@ def de_run_reference(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResu
     def front(s: DeState) -> int:
         return sum(float(np.max(row)) < FRONT_DECODED for row in s.x)
 
-    has_front = getattr(model, "front", None) is not None
-    marks = {}  # iteration -> (front, change)
     state = model.initial_state(eps)
-    for _ in range(max_iters):
+    has_front = getattr(model, "front", None) is not None and len(state.x) > 1
+    marks = {}  # iteration -> (front, change)
+    for t in range(1, max_iters + 1):
         new = model.step(state)
         res = residual(new)
         if res < DELTA_SUCCESS:
-            return DeRunResult("converged", new.iteration, res)
+            return DeRunResult("converged", t, res)
         chg = change(state, new)
         if not chg >= DELTA_STALL:
-            return DeRunResult("stalled", new.iteration, res)
-        t = new.iteration
+            return DeRunResult("stalled", t, res)
         if has_front and t % FRONT_EVERY == 0:
             marks[t] = front(new), chg
             h = max(t // 2 // FRONT_EVERY * FRONT_EVERY, FRONT_EVERY)
             if marks[t][0] == marks[h][0] and chg <= marks[h][1] / FRONT_DROP:
                 return DeRunResult("front-stalled", t, res)
         state = new
-    return DeRunResult("budget", state.iteration, residual(state))
+    return DeRunResult("budget", max(max_iters, 0), residual(state))
 
 
 def stop_prefix(word_err_flags: np.ndarray, max_word_errors: int | None) -> int | None:

@@ -231,7 +231,7 @@ def test_c10_de_matches_simulation():
         z = proto_step_reference(model, state)[3]  # the check-to-message erasure of this step
         state = model.step(state)
         # a-posteriori message erasure per position: eps times the w check messages
-        profiles.append(state.eps * sliding_window_view(z, model.width).prod(axis=1))
+        profiles.append(state.eps * sliding_window_view(z, model.p.width).prod(axis=1))
     predicted = np.stack(profiles)
 
     code = build_sc_ra(ScRaParams(6, 6, 8, 2000), seed=3)

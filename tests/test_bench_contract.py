@@ -7,7 +7,8 @@ set-up of each sweep workload to catch that in the test suite: build,
 save, alist export, reload, equality with the built code and encoding,
 on the large fig5 codes too.  It also calls each wrapped attribute whose
 span the benchmark describes, so that the span attributes the per-layer
-metrics read are checked as well.
+metrics read are checked as well, and times one DE step of each coupled
+model as the thresholds workload does.
 """
 
 import sys
@@ -69,3 +70,14 @@ def test_benchmark_spans_carry_their_attributes(tmp_path):
     assert len(attrs["codec.decode_peel"]) == 1
     assert len(attrs["codec.transmit_bec"]) == 1 + 2 * 4
     assert attrs["simulate.run_sweep"] == [{"kept": 8}]
+
+
+def test_benchmark_times_a_de_step(tmp_path):
+    """layers.step_us steps a DeState through model.step on the thresholds set-up models,
+    a path no threshold search takes."""
+    models, _, errors = WORKLOADS["thresholds"].setup(0, str(tmp_path))
+    assert errors == []
+    times = layers.step_us(models, calls=1, batches=1)
+    kinds = ("ra-w", "ldpc-w", "ra-proto", "ldpc-proto")
+    assert sorted(times) == sorted(f"de.step_us.{kind}" for kind in kinds)
+    assert all(t > 0 for t in times.values())

@@ -68,7 +68,7 @@ def test_all_ones_is_fixed_point_at_eps_one():
 def test_w1_L0_reduces_to_scalar_recursion(q, a):
     model = make_de_model("ra-w", ScRaParams(q, a, 0, M=a, w=1))
     eps = 0.4
-    s = DeState(np.array([eps]), np.array([eps]), eps, 0)
+    s = DeState(np.array([eps]), np.array([eps]), eps)
     x, y = eps, eps
     for _ in range(60):
         s = model.step(s)
@@ -207,7 +207,6 @@ def test_w_step_componentwise_monotone():
             lo.x + rng.random(lo.x.shape) * (1 - lo.x),
             lo.y + rng.random(lo.y.shape) * (1 - lo.y),
             lo.eps,
-            0,
         )
         slo, shi = model.step(lo), model.step(hi)
         assert np.all(slo.x <= shi.x + 1e-12)
@@ -429,8 +428,9 @@ def test_blocked_run_matches_reference_loop(kind, p, eps, max_iters):
 
 
 def test_runs_share_no_state_through_the_history():
-    """Runs alternate between two models, and between eps values on one model, many stopping
-    inside a block; each gives what the same run on a fresh model gives."""
+    """de_run steps through blocks of states it allocates itself, so no run reads what an
+    earlier one left.  Runs alternate between two models, and between eps values on one
+    model, many stopping inside a block; each gives what the same run on a fresh model gives."""
     a = ("ra-proto", ScRaParams(6, 6, 16, M=6))
     b = ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4))
     models = {a: make_de_model(*a), b: make_de_model(*b)}
@@ -492,7 +492,7 @@ def _state_bytes(*arrays) -> bytes:
 
 
 def _cached_arrays(model) -> list:
-    """Every array a driver holds: its constants, scratch, views of them and history."""
+    """Every array a driver holds: its constants, scratch and views of them."""
     values = [a for v in vars(model).values() for a in (v if isinstance(v, tuple) else (v,))]
     return [a for a in values if isinstance(a, np.ndarray)]
 
@@ -519,8 +519,8 @@ def test_step_into_gives_the_same_bits_for_a_float_and_a_0d_eps(kind, p, eps):
 
 @pytest.mark.parametrize("kind", MODELS)
 def test_make_de_model_builds_no_table_or_scratch(kind):
-    """A driver builds its constants, scratch and history on first use, so building the
-    models of a sweep or a benchmark set-up costs no array work."""
+    """A driver builds its constants and scratch on first use, so building the models of a
+    sweep or a benchmark set-up costs no array work."""
     model = make_de_model(kind, CHANGE_PARAMS[kind])
     assert _cached_arrays(model) == [] and "_tables" not in vars(model)
     model.step(model.initial_state(0.45))
@@ -529,7 +529,7 @@ def test_make_de_model_builds_no_table_or_scratch(kind):
 
 @pytest.mark.parametrize("kind", MODELS)
 def test_step_shares_no_memory_with_the_driver(kind):
-    """step returns arrays of its own, never a view of the driver's scratch or history."""
+    """step returns arrays of its own, never a view of the driver's constants or scratch."""
     model = make_de_model(kind, CHANGE_PARAMS[kind])
     de_run(model, 0.45, 10)
     s = model.step(model.step(model.initial_state(0.45)))
@@ -580,7 +580,7 @@ class _NoFront:
     """A driver's recursion with the front rule left out: the stops a plain run takes."""
 
     def __init__(self, model):
-        self.initial_state, self.step_into, self.history = model.initial_state, model.step_into, model.history
+        self.initial_state, self.step_into = model.initial_state, model.step_into
 
 
 @pytest.mark.parametrize("kind,p", [PINNED_THRESHOLDS[1][:2], PINNED_THRESHOLDS[3][:2]])
@@ -635,10 +635,8 @@ def test_coupling_never_hurts():
 class _Stuck:
     """Never converges, any eps."""
 
-    history = np.empty((DE_BLOCK + 1, 1)), None
-
     def initial_state(self, eps):
-        return DeState(np.array([1.0]), None, eps, 0)
+        return DeState(np.array([1.0]), None, eps)
 
     def step_into(self, x, y, eps, x_out, y_out):
         x_out[...] = x
@@ -647,19 +645,17 @@ class _Stuck:
 class _Instant:
     """Converges everywhere, even eps=1."""
 
-    history = np.empty((DE_BLOCK + 1, 1)), None
-
     def initial_state(self, eps):
-        return DeState(np.array([0.0]), None, eps, 0)
+        return DeState(np.array([0.0]), None, eps)
 
     def step_into(self, x, y, eps, x_out, y_out):
         x_out[...] = x
 
 
 def test_drivers_without_a_front_keep_the_plain_rule():
-    """ra-uncoupled, which can plateau near its BP threshold and then converge, and drivers
-    with no front never report a front stall.  At this eps an uncoupled run passes the
-    rule's second check and stalls later."""
+    """ra-uncoupled, a chain of one position that can plateau near its BP threshold and then
+    converge, and drivers with no front never report a front stall.  At this eps an
+    uncoupled run passes the rule's second check and stalls later."""
     model = make_de_model("ra-uncoupled", ScRaParams(6, 6, 0, M=6))
     r = de_run(model, 0.4124298095703125)
     assert (r.outcome, r.iterations) == ("stalled", 2419) and r.iterations > 2 * FRONT_EVERY
@@ -667,6 +663,17 @@ def test_drivers_without_a_front_keep_the_plain_rule():
         for eps in (0.0, 0.2, 0.4124298095703125, 0.5, 1.0):
             assert de_run(driver, eps).outcome != "front-stalled"
     assert pinned_search("ra-uncoupled", ScRaParams(6, 6, 0, M=6)).front_stalled == 0
+
+
+def test_a_chain_of_one_position_has_no_front():
+    """The front rule follows the chain, not the ensemble's name: ra-w at L=0, w=1 is the
+    ra-uncoupled recursion and takes its probes, and ldpc-w at L=0, w=1, the (3,6) recursion,
+    front-stalls no probe and brackets its BP threshold 0.42944."""
+    ra_w = threshold(make_de_model("ra-w", ScRaParams(6, 6, 0, M=6, w=1)), precision=1e-5)
+    ra = threshold(make_de_model("ra-uncoupled", ScRaParams(6, 6, 0, M=6)), precision=1e-5)
+    assert ra_w == ra and ra.front_stalled == 0
+    ldpc = threshold(make_de_model("ldpc-w", ScLdpcParams(3, 6, 0, M=6, w=1)))
+    assert ldpc.front_stalled == 0 and ldpc.lo <= 0.42944 <= ldpc.hi
 
 
 def test_threshold_detects_non_monotone_predicate():

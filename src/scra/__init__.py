@@ -9,7 +9,7 @@ from scra.ensembles import (
     ScRaParams,
     ScLdpcParams,
     ParameterError,
-    rate_sc_ra_w,
+    smoothed_rate,
     code_size,
     design_rate,
     density_matched_q,

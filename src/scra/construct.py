@@ -225,15 +225,13 @@ def validate_instance(c: CodeInstance) -> None:
     """
     if c.m == 0:
         raise ConstructionError("code has no checks")
-    starts = c.check_indptr[:-1]
-    ends = c.check_indptr[1:]
     # boundary checks may carry few message edges, but never none at all
-    if np.any(ends - starts < 1):
+    if np.any(np.diff(c.check_indptr) < 1):
         raise ConstructionError("check of degree 0")
     # tested before any n-sized allocation: n may come from an untrusted file
     if c.n > len(c.check_vars):
         raise ConstructionError("variable of degree 0")
-    edge_chk = np.repeat(np.arange(c.m, dtype=np.int64), ends - starts)
+    edge_chk = c.edge_checks  # built once here, for every later user of the instance
     # strictly ascending neighbor lists <=> no parallel edges
     same_check = edge_chk[1:] == edge_chk[:-1]
     if np.any(np.diff(c.check_vars)[same_check] <= 0):

@@ -10,7 +10,7 @@ checks modeled through their mean message degree (a real-valued exponent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -22,7 +22,7 @@ from scra.ensembles import (
     ScRaParams,
     density_matched_q,
     design_rate,
-    rate_sc_ra_w,
+    smoothed_rate,
 )
 from scra.construct import _write_text
 
@@ -53,13 +53,14 @@ class DeState:
        termination (smoothed), or x[i, d] for the bundle from message
        position i into check position i+d (structured).  len(x) is the
        number of chain positions; a chain of one position has no front.
-    y: parity-to-check erasure, None for LDPC; per active check position
-       (smoothed), or shape (2, n_chk_pos) with rows from the left and the
-       right accumulator neighbor (structured).
+    y: parity-to-check erasure; per active check position (smoothed), or
+       shape (2, n_chk_pos) with rows from the left and the right
+       accumulator neighbor (structured).  LDPC has no parity, so its y is
+       empty: shape (0,) smoothed, (2, 0) structured.
     """
 
     x: np.ndarray
-    y: np.ndarray | None
+    y: np.ndarray
     eps: float
 
 
@@ -78,7 +79,7 @@ class _Driver:
 
     def step(self, s: DeState) -> DeState:
         """One step into fresh arrays, so a state the caller holds is never overwritten."""
-        x, y = np.empty_like(s.x), None if s.y is None else np.empty_like(s.y)
+        x, y = np.empty_like(s.x), np.empty_like(s.y)
         self.step_into(s.x, s.y, s.eps, x, y)
         return DeState(x, y, s.eps)
 
@@ -88,17 +89,13 @@ class _Driver:
         return int(np.count_nonzero(_residuals(x) < FRONT_DECODED))
 
 
-def _changes(xs: np.ndarray, ys: np.ndarray | None) -> np.ndarray:
+def _changes(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The change into each state of a stack from the one before it: the largest
-    move of x, or of y where that is larger.  A NaN move of x is the change; one
-    of y alone is not, as in Python's max(dx, dy)."""
-    d = np.subtract(xs[1:], xs[:-1])
-    d = np.maximum.reduce(np.abs(d, out=d).reshape(len(xs) - 1, -1), 1)
-    if ys is not None:
-        dy = np.subtract(ys[1:], ys[:-1])
-        dy = np.maximum.reduce(np.abs(dy, out=dy).reshape(len(ys) - 1, -1), 1)
-        d = np.where(dy > d, dy, d)
-    return d
+    move of x, or of y where that is larger; an empty y (LDPC) moves by 0.  A NaN
+    move of x is the change; one of y alone is not, as in Python's max(dx, dy)."""
+    dx, dy = (np.subtract(a[1:], a[:-1]) for a in (xs, ys))
+    dx, dy = (np.maximum.reduce(np.abs(d, out=d).reshape(len(d), -1), 1, initial=0.0) for d in (dx, dy))
+    return np.where(dy > dx, dy, dx)
 
 
 class _WModel(_Driver):
@@ -119,8 +116,8 @@ class _WModel(_Driver):
         return np.ones(p.w), p.w > p.span, *consts, *np.empty((3, 2 * p.L + p.w))
 
     def initial_state(self, eps: float) -> DeState:
-        y = np.full(2 * self.p.L + self.p.w, eps) if self.is_ra else None
-        return DeState(np.full(self.p.span, eps), y, eps)
+        p = self.p
+        return DeState(np.full(p.span, eps), np.full(2 * p.L + p.w if self.is_ra else 0, eps), eps)
 
     def step_into(self, x, y, eps, x_out, y_out) -> None:
         """One synchronous update from the iteration-(l) state; each new y[t] reads the old y[t]."""
@@ -129,18 +126,18 @@ class _WModel(_Driver):
         omx = np.correlate(ones, x[::-1], "full") if swap else np.correlate(x, ones, "full")
         np.divide(omx, w, out=omx)
         np.subtract(one, omx, out=omx)
-        if y is None:
-            np.power(omx, e_chk, out=g)
-        else:
+        if self.is_ra:
             np.subtract(one, y, out=omy)
             np.multiply(omy, omy, out=g)
             np.multiply(g, np.power(omx, e_chk, out=t), out=g)
+        else:
+            np.power(omx, e_chk, out=g)
         v = np.correlate(g, ones, "valid")
         np.divide(v, w, out=v)
         np.subtract(one, v, out=v)
         np.power(v, e_var, out=v)
         np.multiply(eps, v, out=x_out)
-        if y is not None:
+        if self.is_ra:
             np.power(omx, e_par, out=t)
             np.multiply(omy, t, out=t)
             np.subtract(one, t, out=t)
@@ -176,8 +173,8 @@ class _ProtoModel(_Driver):
 
     def initial_state(self, eps: float) -> DeState:
         p = self.p
-        y = np.full((2, p.n_chk_pos), eps) if self.is_ra else None
-        return DeState(np.full((p.span, p.width), eps), y, eps)
+        y_shape = 2, p.n_chk_pos if self.is_ra else 0  # LDPC has no accumulator neighbors
+        return DeState(np.full((p.span, p.width), eps), np.full(y_shape, eps), eps)
 
     def step_into(self, x, y, eps, x_out, y_out) -> None:
         (one, n_sources, deg_m1, deg, buf, gather, z, zg, c, omx, clean, omy,
@@ -266,10 +263,11 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
     step.
 
     model is a driver from make_de_model, or any object with:
-      initial_state(eps) -> DeState, the state before the first step;
+      initial_state(eps) -> DeState, the state before the first step, whose
+        y is empty where the ensemble has no parity;
       step_into(x, y, eps, x_out, y_out), which writes the step from the
-        values (x, y) at eps into x_out and y_out, y and y_out being None
-        where the state has no y, and whose result depends on those alone;
+        values (x, y) at eps into x_out and y_out, and whose result depends
+        on those alone;
         de_run passes eps as a 0-d float64 array, and the step must be bit
         for bit the one the float gives;
       and optionally front(x) -> int, the decoding front of the values x
@@ -285,13 +283,10 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
     if not 0.0 <= eps <= 1.0:
         raise ParameterError(f"eps must lie in [0, 1], got {eps}")
     s = model.initial_state(eps)
-    # DE_BLOCK + 1 values of x, and of y (None without y): a block's start, then its steps
-    xs, ys = (None if a is None else np.empty((DE_BLOCK + 1, *a.shape)) for a in (s.x, s.y))
-    xs[0] = s.x
-    if ys is not None:
-        ys[0] = s.y
-    y_rows = [None] * len(xs) if ys is None else list(ys)
-    steps = list(zip(xs, y_rows, xs[1:], y_rows[1:]))  # (x, y, x_out, y_out) of each step of a block
+    # DE_BLOCK + 1 values of x and of y: a block's start, then its steps
+    xs, ys = (np.empty((DE_BLOCK + 1, *a.shape)) for a in (s.x, s.y))
+    xs[0], ys[0] = s.x, s.y
+    steps = list(zip(xs, ys, xs[1:], ys[1:]))  # (x, y, x_out, y_out) of each step of a block
     step_into, e = model.step_into, np.array(eps, dtype=np.float64)
     front = getattr(model, "front", None) if len(s.x) > 1 else None
     marks = []  # (front, change) at each multiple of FRONT_EVERY
@@ -301,7 +296,7 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
         for x, y, x_out, y_out in steps[:k]:
             step_into(x, y, e, x_out, y_out)
         res = _residuals(xs[1 : k + 1])
-        chg = _changes(xs[: k + 1], None if ys is None else ys[: k + 1])
+        chg = _changes(xs[: k + 1], ys[: k + 1])
         decided = (res < DELTA_SUCCESS) | ~(chg >= DELTA_STALL)
         if decided.any():
             j = int(decided.argmax())
@@ -313,9 +308,7 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
             front_h, change_h = marks[max(len(marks) // 2, 1) - 1]
             if marks[-1][0] == front_h and chg[-1] <= change_h / FRONT_DROP:
                 return DeRunResult("front-stalled", done, float(res[-1]))
-        xs[0] = xs[k]
-        if ys is not None:
-            ys[0] = ys[k]
+        xs[0], ys[0] = xs[k], ys[k]
     return DeRunResult("budget", done, float(_residuals(xs[:1])[0]))
 
 
@@ -411,14 +404,16 @@ def sweep_fig4(
     """Threshold sweep over density-matched degree families.
 
     variant "4a" uses the smoothed ensembles (RA with w=q, LDPC with
-    w=dl); variant "4b" uses the structured ensembles.  Each LDPC degree
-    dl is paired with the RA repetition factor of equal edge density at
-    the uncoupled rate FIG4_RATE.
+    w=dl) and their smoothed_rate; variant "4b" uses the structured
+    ensembles and their design_rate.  Each LDPC degree dl is paired with
+    the RA repetition factor of equal edge density at the uncoupled rate
+    FIG4_RATE.
     """
     if variant not in ("4a", "4b"):
         raise ParameterError(f"variant must be '4a' or '4b', got {variant!r}")
     smoothed = variant == "4a"
     ra_kind, ldpc_kind = ("ra-w", "ldpc-w") if smoothed else ("ra-proto", "ldpc-proto")
+    rate = smoothed_rate if smoothed else design_rate
     rows: list[Fig4Row] = []
     for dl in ldpc_degrees:
         q = density_matched_q(dl, FIG4_RATE)
@@ -426,12 +421,10 @@ def sweep_fig4(
         for L in Ls:
             ra_p = ScRaParams(q=q, a=q, L=L, M=1, w=q if smoothed else None)
             res = threshold(make_de_model(ra_kind, ra_p), precision=precision, max_iters=max_iters)
-            ra_rate = rate_sc_ra_w(ra_p) if smoothed else float(design_rate(ra_p))
-            rows.append(Fig4Row("ra", q, L, ra_p.w, ra_rate, res.lo, res.hi, res.iters))
+            rows.append(Fig4Row("ra", q, L, ra_p.w, float(rate(ra_p)), res.lo, res.hi, res.iters))
             ld_p = ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=dl if smoothed else None)
             res = threshold(make_de_model(ldpc_kind, ld_p), precision=precision, max_iters=max_iters)
-            ld_rate = float(design_rate(replace(ld_p, w=None)))  # the terminated rate in both variants
-            rows.append(Fig4Row("ldpc", dl, L, ld_p.w, ld_rate, res.lo, res.hi, res.iters))
+            rows.append(Fig4Row("ldpc", dl, L, ld_p.w, float(rate(ld_p)), res.lo, res.hi, res.iters))
     return rows
 
 

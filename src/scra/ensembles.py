@@ -2,8 +2,8 @@
 
 The design rate of the terminated coupled repeat-accumulate ensemble and
 of the coupled LDPC baseline is k/n of code_size, an exact rational, so
-that size bookkeeping stays integer-exact; the smoothed-ensemble rate is
-a float.
+that size bookkeeping stays integer-exact; the smoothed-ensemble rate of
+either family is a float.
 """
 
 from __future__ import annotations
@@ -142,17 +142,20 @@ class ScLdpcParams(_Chain):
 FAMILY_PARAMS = {cls.family: cls for cls in (ScRaParams, ScLdpcParams)}
 
 
-def rate_sc_ra_w(p: ScRaParams) -> float:
-    """Design rate of the smoothed coupled RA ensemble with window w.
+def smoothed_rate(p: ScRaParams | ScLdpcParams) -> float:
+    """Design rate of the smoothed coupled ensemble with window w, either family.
 
-    (2L+1) / ((2L+1) + (q/a) * [2L - w + 2(w + 1 - sum_{i=0..w} (i/w)^a)]).
-    Collapses to a/(a+q) at w=1.
+    Less the expected boundary checks with no edge, 2L+w check positions hold
+    c = (q/a or dl/dr)(2L + w - 2 sum_{i=1..w-1} (i/w)^(a or dr)) checks per
+    unit of M, so the rate is span/(span + c) for RA, each check bringing its
+    parity bit, and (span - c)/span for LDPC, Lemma 3 of Kudekar, Richardson
+    and Urbanke (arXiv:1001.1826).  At w=1 it is a/(a+q), or 1 - dl/dr.
     """
     if p.w is None:
-        raise ParameterError("rate_sc_ra_w needs the smoothing window w")
-    boundary = sum((i / p.w) ** p.a for i in range(p.w + 1))
-    overhead = 2 * p.L - p.w + 2 * (p.w + 1 - boundary)
-    return p.span / (p.span + (p.q / p.a) * overhead)
+        raise ParameterError("smoothed_rate applies to the smoothed ensemble; w must be set")
+    empty = 2 * sum((i / p.w) ** p.combine for i in range(1, p.w))
+    c = (p.width / p.combine) * (2 * p.L + p.w - empty)
+    return p.span / (p.span + c) if p.family == "ra" else (p.span - c) / p.span
 
 
 def code_size(p: ScRaParams | ScLdpcParams) -> tuple[int, int]:

@@ -261,7 +261,7 @@ def proto_step_reference(model, s: DeState):
     """The structured step as a loop over the coupling width, with sliding windows.
 
     Returns the new x, the new left and right accumulator rows of y (None
-    for LDPC) and the check-to-message erasure z of the step.
+    for LDPC, whose y is empty) and the check-to-message erasure z of the step.
     """
     p = model.p
     n_sources = p.sources_per_check_pos().astype(np.float64)
@@ -271,7 +271,7 @@ def proto_step_reference(model, s: DeState):
         tot[d : d + p.span] += s.x[:, d]
     xbar = tot / n_sources
     clean = (1.0 - xbar) ** (mean_deg - 1.0)
-    if s.y is not None:
+    if s.y.size:
         y_left, y_right = s.y
         clean = clean * (1.0 - y_left) * (1.0 - y_right)
     z = 1.0 - clean
@@ -281,7 +281,7 @@ def proto_step_reference(model, s: DeState):
     suf = np.ones_like(zw)
     suf[:, :-1] = np.cumprod(zw[:, :0:-1], axis=1)[:, ::-1]
     x = s.eps * pre * suf
-    if s.y is None:
+    if not s.y.size:
         return x, None, None, z
     through = (1.0 - xbar) ** mean_deg
     return x, s.eps * (1.0 - (1.0 - y_left) * through), s.eps * (1.0 - (1.0 - y_right) * through), z
@@ -305,7 +305,7 @@ def de_run_reference(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResu
 
     def change(old: DeState, new: DeState) -> float:
         d = float(np.maximum.reduce(np.abs(new.x - old.x), None))
-        if new.y is not None:
+        if new.y.size:
             d = max(d, float(np.maximum.reduce(np.abs(new.y - old.y), None)))
         return d
 

@@ -145,7 +145,7 @@ def test_proto_step_matches_loop_reference(kind, p):
     rng = np.random.default_rng(p.width)
     s = model.initial_state(0.47)
     s.x = rng.random(s.x.shape) * 0.47
-    if s.y is not None:
+    if s.y.size:
         s.y = rng.random(s.y.shape) * 0.47
     for _ in range(3):
         new = model.step(s)
@@ -161,8 +161,8 @@ def _reference_w_step(model, s):
     """The smoothed step as np.convolve expressions, each new array fresh."""
     p, ones = model.p, np.ones(model.p.w)
     omx = 1.0 - np.convolve(s.x, ones, "full") / p.w
-    if s.y is None:
-        return s.eps * (1.0 - np.convolve(omx ** (p.dr - 1), ones, "valid") / p.w) ** (p.dl - 1), None
+    if not s.y.size:
+        return s.eps * (1.0 - np.convolve(omx ** (p.dr - 1), ones, "valid") / p.w) ** (p.dl - 1), np.empty(0)
     omy = 1.0 - s.y
     g = omy ** 2 * omx ** (p.a - 1)
     return s.eps * (1.0 - np.convolve(g, ones, "valid") / p.w) ** (p.q - 1), s.eps * (1.0 - omy * omx ** p.a)
@@ -186,14 +186,13 @@ def test_w_step_matches_convolve_reference(kind, p):
         new = model.step(s)
         x, y = _reference_w_step(model, s)
         np.testing.assert_array_equal(new.x, x)
-        if y is not None:
-            np.testing.assert_array_equal(new.y, y)
+        np.testing.assert_array_equal(new.y, y)
 
 
 def random_w_state(model, rng, eps):
     s = model.initial_state(eps)
     s.x = rng.random(s.x.shape) * eps
-    if s.y is not None:
+    if s.y.size:
         s.y = rng.random(s.y.shape) * eps
     return s
 
@@ -235,7 +234,7 @@ def test_values_stay_in_unit_interval(eps):
         for _ in range(50):
             s = model.step(s)
             assert 0.0 <= s.x.min() and s.x.max() <= 1.0
-            if s.y is not None:
+            if s.y.size:
                 assert 0.0 <= s.y.min() and s.y.max() <= 1.0
 
 
@@ -451,8 +450,7 @@ CHANGE_PARAMS = {
 
 def _change(old, new):
     """The change de_run takes from state old to state new."""
-    ys = None if new.y is None else np.stack((old.y, new.y))
-    return float(_changes(np.stack((old.x, new.x)), ys)[0])
+    return float(_changes(np.stack((old.x, new.x)), np.stack((old.y, new.y)))[0])
 
 
 @pytest.mark.parametrize("kind", MODELS)
@@ -466,12 +464,32 @@ def test_change_tracks_every_parity_value(kind):
     x.flat[i] += 1e-3
     assert _change(s, replace(s, x=x)) == pytest.approx(x.flat[i] - s.x.flat[i], abs=1e-15)
     if kind.startswith("ldpc"):
-        assert s.y is None  # change reads x only
+        assert s.y.size == 0  # change reads x only
         return
     y = s.y.copy()
     at = (1, y.shape[1] // 2) if y.ndim == 2 else y.size // 2  # structured view: row 1, a right neighbor
     y[at] += 1e-3
     assert _change(s, replace(s, y=y)) == pytest.approx(y[at] - s.y[at], abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_every_state_has_a_y_array(kind):
+    """Every kind's state holds y as an array, empty exactly for LDPC, which has no parity;
+    a step keeps both shapes, and an LDPC change is the move of x alone, a NaN one too."""
+    model = make_de_model(kind, CHANGE_PARAMS[kind])
+    states = [model.initial_state(0.45)]
+    for _ in range(3):
+        states.append(model.step(states[-1]))
+    for s in states:
+        assert isinstance(s.y, np.ndarray) and s.y.ndim == s.x.ndim
+        assert (s.x.shape, s.y.shape) == (states[0].x.shape, states[0].y.shape)
+    assert (states[0].y.size == 0) == kind.startswith("ldpc")
+    if kind.startswith("ldpc"):
+        xs, ys = np.stack([s.x for s in states]), np.stack([s.y for s in states])
+        dx = [float(np.max(np.abs(new.x - old.x))) for old, new in zip(states, states[1:])]
+        assert _changes(xs, ys).tolist() == dx
+        xs[2].flat[0] = np.nan
+        assert np.isnan(_changes(xs, ys)[1:]).all() and _changes(xs, ys)[0] == dx[0]
 
 
 @pytest.mark.parametrize("kind", ["ra-w", "ra-proto"])
@@ -488,7 +506,7 @@ def test_change_is_nan_only_for_a_nan_move_of_x(kind):
 
 
 def _state_bytes(*arrays) -> bytes:
-    return b"".join(a.tobytes() for a in arrays if a is not None)
+    return b"".join(a.tobytes() for a in arrays)
 
 
 def _cached_arrays(model) -> list:
@@ -509,7 +527,7 @@ def test_step_into_gives_the_same_bits_for_a_float_and_a_0d_eps(kind, p, eps):
         s = model.step(model.step(model.initial_state(eps)))
         outs = []
         for e in (eps, np.array(eps, dtype=np.float64)):
-            x, y = np.empty_like(s.x), None if s.y is None else np.empty_like(s.y)
+            x, y = np.empty_like(s.x), np.empty_like(s.y)
             model.step_into(s.x, s.y, e, x, y)
             outs.append(_state_bytes(x, y))
     assert outs[0] == outs[1]
@@ -537,7 +555,7 @@ def test_step_shares_no_memory_with_the_driver(kind):
     assert len(held) > 2
     for a in held:
         for b in (s.x, s.y):
-            assert b is None or not np.shares_memory(a, b)
+            assert not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("kind", MODELS)
@@ -636,7 +654,7 @@ class _Stuck:
     """Never converges, any eps."""
 
     def initial_state(self, eps):
-        return DeState(np.array([1.0]), None, eps)
+        return DeState(np.array([1.0]), np.empty(0), eps)
 
     def step_into(self, x, y, eps, x_out, y_out):
         x_out[...] = x
@@ -646,7 +664,7 @@ class _Instant:
     """Converges everywhere, even eps=1."""
 
     def initial_state(self, eps):
-        return DeState(np.array([0.0]), None, eps)
+        return DeState(np.array([0.0]), np.empty(0), eps)
 
     def step_into(self, x, y, eps, x_out, y_out):
         x_out[...] = x

@@ -14,7 +14,7 @@ from scra.ensembles import (
     code_size,
     density_matched_q,
     design_rate,
-    rate_sc_ra_w,
+    smoothed_rate,
 )
 
 
@@ -66,6 +66,36 @@ def test_message_count_is_span_times_M(p):
     assert c.n_msg == p.span * p.M == (c.k if p.family == "ra" else c.n)  # systematic bits, or all bits
 
 
+def smoothed_rate_ra_reference(p: ScRaParams) -> Fraction:
+    """The smoothed coupled RA rate as its own closed form, exact:
+    (2L+1) / ((2L+1) + (q/a) * [2L - w + 2(w + 1 - sum_{i=0..w} (i/w)^a)])."""
+    boundary = sum(Fraction(i, p.w) ** p.a for i in range(p.w + 1))
+    return p.span / (p.span + Fraction(p.q, p.a) * (2 * p.L - p.w + 2 * (p.w + 1 - boundary)))
+
+
+def smoothed_rate_ldpc_reference(p: ScLdpcParams) -> Fraction:
+    """Lemma 3 of Kudekar, Richardson and Urbanke, "Threshold saturation via spatial
+    coupling" (arXiv:1001.1826), exact: the design rate of the (dl, dr, L, w) ensemble is
+    (1 - dl/dr) - (dl/dr) (w + 1 - 2 sum_{i=0..w} (i/w)^dr) / (2L + 1)."""
+    boundary = sum(Fraction(i, p.w) ** p.dr for i in range(p.w + 1))
+    return 1 - Fraction(p.dl, p.dr) - Fraction(p.dl, p.dr) * (p.w + 1 - 2 * boundary) / p.span
+
+
+@pytest.mark.parametrize("L", [0, 1, 4, 16, 64])
+def test_smoothed_rate_matches_closed_forms(L):
+    """One form of smoothed_rate gives either family's closed form."""
+    for w in range(1, 8):
+        for q in range(2, 9):
+            for a in range(1, q + 1):
+                p = ScRaParams(q=q, a=a, L=L, M=a, w=w)
+                np.testing.assert_allclose(smoothed_rate(p), float(smoothed_rate_ra_reference(p)), rtol=1e-12)
+        for dl in range(2, 7):
+            for dr in range(dl, 13):
+                p = ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=w)
+                ref = float(smoothed_rate_ldpc_reference(p))
+                assert smoothed_rate(p) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
 # Independently derived with exact rational arithmetic and frozen here.
 SMOOTHED_RATE_ORACLE = [
     (6, 6, 16, 6, Fraction(769824, 1635773)),
@@ -77,7 +107,7 @@ SMOOTHED_RATE_ORACLE = [
 
 @pytest.mark.parametrize("q,a,L,w,expect", SMOOTHED_RATE_ORACLE)
 def test_rate_w_frozen_values(q, a, L, w, expect):
-    got = rate_sc_ra_w(ScRaParams(q=q, a=a, L=L, M=a, w=w))
+    got = smoothed_rate(ScRaParams(q=q, a=a, L=L, M=a, w=w))
     np.testing.assert_allclose(got, float(expect), rtol=1e-12)
 
 
@@ -85,8 +115,16 @@ def test_rate_w_frozen_values(q, a, L, w, expect):
 def test_rate_w_collapses_to_asymptotic_at_w1(q, a):
     """At w=1 the smoothing overhead vanishes and the rate is a/(a+q)."""
     for L in (0, 1, 4, 16):
-        got = rate_sc_ra_w(ScRaParams(q=q, a=a, L=L, M=a, w=1))
+        got = smoothed_rate(ScRaParams(q=q, a=a, L=L, M=a, w=1))
         np.testing.assert_allclose(got, a / (a + q), rtol=1e-12)
+
+
+@pytest.mark.parametrize("dl,dr", [(2, 4), (3, 6), (4, 8), (3, 9), (5, 5)])
+def test_ldpc_rate_w_collapses_to_uncoupled_at_w1(dl, dr):
+    """At w=1 no check is empty, and the rate is that of the uncoupled (dl, dr) ensemble."""
+    for L in (0, 1, 4, 16):
+        got = smoothed_rate(ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=1))
+        assert got == pytest.approx(1 - dl / dr, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("q", range(3, 11))
@@ -95,7 +133,7 @@ def test_rate_w_at_full_window_dominates_terminated_rate(q):
     a = q
     for L in (2, 8, 16):
         plain = float(design_rate(ScRaParams(q=q, a=a, L=L)))
-        smooth = rate_sc_ra_w(ScRaParams(q=q, a=a, L=L, M=a, w=q))
+        smooth = smoothed_rate(ScRaParams(q=q, a=a, L=L, M=a, w=q))
         assert smooth >= plain - 1e-12
 
 
@@ -103,12 +141,12 @@ def test_rates_increase_with_L_and_tend_to_asymptotic():
     prev_plain, prev_smooth = -1.0, -1.0
     for L in (1, 2, 4, 8, 16, 32):
         plain = float(design_rate(ScRaParams(6, 6, L)))
-        smooth = rate_sc_ra_w(ScRaParams(6, 6, L, M=6, w=6))
+        smooth = smoothed_rate(ScRaParams(6, 6, L, M=6, w=6))
         assert plain > prev_plain and smooth > prev_smooth
         prev_plain, prev_smooth = plain, smooth
     big = ScRaParams(6, 6, 10**6)
     assert abs(float(design_rate(big)) - 0.5) < 1e-5
-    assert abs(rate_sc_ra_w(ScRaParams(6, 6, 10**6, M=6, w=6)) - 0.5) < 1e-5
+    assert abs(smoothed_rate(ScRaParams(6, 6, 10**6, M=6, w=6)) - 0.5) < 1e-5
 
 
 def test_rate_dispatch_guards():
@@ -117,7 +155,9 @@ def test_rate_dispatch_guards():
     with pytest.raises(ParameterError):
         design_rate(ScLdpcParams(4, 8, 16, M=2, w=4))
     with pytest.raises(ParameterError):
-        rate_sc_ra_w(ScRaParams(6, 6, 16))
+        smoothed_rate(ScRaParams(6, 6, 16))
+    with pytest.raises(ParameterError):
+        smoothed_rate(ScLdpcParams(4, 8, 16, M=2))
 
 
 def test_node_counts_paper_point():

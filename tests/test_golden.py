@@ -67,7 +67,7 @@ DESCRIPTOR_PIN = {
 ENCODE_PIN = "d02d85dd5676ce66747c8176283edef18518406e0febe5688e37f807e86a9531"
 BUILD_ID_PIN = {"ra": "9a6c6342d0e5", "ldpc": "bd3f0cdb761d"}
 FIG4_PIN = {
-    "4a": "4142fc109728043ba8f23beefcf577fd86d23d03e4cd52d5e17f2aa14cdb2ac5",
+    "4a": "efcfd59a781c84976769c01a48fdf90dfe50d95601b6f3bdbb2856c06459254a",
     "4b": "4d8aa9e0c673844c44c2b57aed01b3ca7389173a938b8a224402685475b83398",
 }
 

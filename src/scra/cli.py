@@ -258,7 +258,6 @@ def _cmd_simulate(cfg: dict) -> int:
     if cfg["preset"] is not None:
         if cfg["code"] is not None:
             raise ParameterError(f"--code is not used by --preset {cfg['preset']}")
-        _refuse_unwritable(cfg["out"], creates=True)
         eps = _parse_eps(cfg["eps"]) if cfg["eps"] else eps_range(0.43, 0.50, 0.005)
         plan = SweepPlan(eps, cfg["trials"], cfg["word_errors"], cfg["max_iters"], cfg["seed"])
         for name, p in _FIG5_CODES:
@@ -271,7 +270,6 @@ def _cmd_simulate(cfg: dict) -> int:
 
     if cfg["code"] is None or cfg["eps"] is None:
         raise ParameterError("--code and --eps are required without a preset")
-    _refuse_unwritable(cfg["out"], creates=False)
     code = load_descriptor(cfg["code"])
     plan = SweepPlan(_parse_eps(cfg["eps"]), cfg["trials"], cfg["word_errors"], cfg["max_iters"], cfg["seed"])
     result = run_sweep(code, plan, jobs=cfg["jobs"])
@@ -293,10 +291,7 @@ def _de_model(cfg: dict):
 
 
 def _cmd_de_threshold(cfg: dict) -> int:
-    model = _de_model(cfg)
-    if cfg["out"] is not None:
-        _refuse_unwritable(cfg["out"], creates=False)
-    res = threshold(model, precision=cfg["precision"], max_iters=cfg["max_iters"])
+    res = threshold(_de_model(cfg), precision=cfg["precision"], max_iters=cfg["max_iters"])
     print(
         f"ensemble={cfg['ensemble']} threshold_lo={res.lo:.6f} threshold_hi={res.hi:.6f} "
         f"probes={len(res.probes)} iters={res.iters}"
@@ -318,7 +313,6 @@ def _cmd_de_sweep(cfg: dict) -> int:
         degrees = tuple(int(tok) for tok in cfg["degrees"].split(","))
     except ValueError:
         raise ParameterError("--L-values and --degrees must be comma lists of integers") from None
-    _refuse_unwritable(cfg["out"], creates=False)
     rows = sweep_fig4(cfg["figure"], Ls=Ls, ldpc_degrees=degrees,
                       precision=cfg["precision"], max_iters=cfg["max_iters"])
     write_fig4_csv(rows, cfg["out"], {"figure": cfg["figure"], "precision": cfg["precision"]})
@@ -391,7 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        return ns.func(_resolve(ns, ns.cmd))
+        cfg = _resolve(ns, ns.cmd)
+        if cfg["out"] is not None:  # before any work; only the fig5 preset's --out is a directory
+            _refuse_unwritable(cfg["out"], creates=cfg.get("preset") is not None)
+        return ns.func(cfg)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

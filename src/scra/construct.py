@@ -283,6 +283,12 @@ def _write_text(dest, text: str) -> None:
             fh.write(text)
 
 
+def _write_csv(dest, tag: str, metadata: dict, columns: str, rows) -> None:
+    """Write '# tag', the sorted '# key=value' metadata lines, the column line and the rows, one a line."""
+    meta = [f"# {key}={metadata[key]}" for key in sorted(metadata)]
+    _write_text(dest, "".join(line + "\n" for line in [f"# {tag}", *meta, columns, *rows]))
+
+
 def _read_text(src) -> str:
     """Read all text from a path or from an open text handle."""
     if hasattr(src, "read"):

@@ -24,7 +24,7 @@ from scra.ensembles import (
     design_rate,
     smoothed_rate,
 )
-from scra.construct import _write_text
+from scra.construct import _write_csv
 
 DELTA_SUCCESS = 1e-8
 DELTA_STALL = 1e-12
@@ -382,7 +382,7 @@ def threshold(model, precision: float = BISECT_PRECISION, max_iters: int = MAX_I
 
 @dataclass
 class Fig4Row:
-    """One point of the threshold-vs-rate comparison."""
+    """One point of the threshold-vs-rate comparison; degree is the searched chain's width, q or dl."""
 
     family: str
     degree: int
@@ -412,31 +412,25 @@ def sweep_fig4(
     if variant not in ("4a", "4b"):
         raise ParameterError(f"variant must be '4a' or '4b', got {variant!r}")
     smoothed = variant == "4a"
-    ra_kind, ldpc_kind = ("ra-w", "ldpc-w") if smoothed else ("ra-proto", "ldpc-proto")
-    rate = smoothed_rate if smoothed else design_rate
+    view, rate = ("w", smoothed_rate) if smoothed else ("proto", design_rate)
     rows: list[Fig4Row] = []
     for dl in ldpc_degrees:
         q = density_matched_q(dl, FIG4_RATE)
         dr = int(dl / (1 - FIG4_RATE))
         for L in Ls:
-            ra_p = ScRaParams(q=q, a=q, L=L, M=1, w=q if smoothed else None)
-            res = threshold(make_de_model(ra_kind, ra_p), precision=precision, max_iters=max_iters)
-            rows.append(Fig4Row("ra", q, L, ra_p.w, float(rate(ra_p)), res.lo, res.hi, res.iters))
-            ld_p = ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=dl if smoothed else None)
-            res = threshold(make_de_model(ldpc_kind, ld_p), precision=precision, max_iters=max_iters)
-            rows.append(Fig4Row("ldpc", dl, L, ld_p.w, float(rate(ld_p)), res.lo, res.hi, res.iters))
+            for p in (ScRaParams(q=q, a=q, L=L, M=1, w=q if smoothed else None),
+                      ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=dl if smoothed else None)):
+                res = threshold(make_de_model(f"{p.family}-{view}", p), precision=precision, max_iters=max_iters)
+                rows.append(Fig4Row(p.family, p.width, L, p.w, float(rate(p)), res.lo, res.hi, res.iters))
     return rows
 
 
 def write_fig4_csv(rows: list[Fig4Row], dest, metadata: dict | None = None) -> None:
-    """Write threshold sweep rows as CSV with '#' metadata header lines."""
-    lines = ["# scra-de-sweep v1"]
-    for key in sorted(metadata or {}):
-        lines.append(f"# {key}={metadata[key]}")
-    lines.append("family,degree,L,w,rate,threshold_lo,threshold_hi,iters")
-    for r in rows:
-        w = "" if r.w is None else str(r.w)
-        lines.append(
-            f"{r.family},{r.degree},{r.L},{w},{r.rate:.10g},{r.threshold_lo:.10g},{r.threshold_hi:.10g},{r.iters}"
-        )
-    _write_text(dest, "\n".join(lines) + "\n")
+    """Write threshold sweep rows as a tagged CSV."""
+    lines = (
+        f"{r.family},{r.degree},{r.L},{'' if r.w is None else r.w},{r.rate:.10g},"
+        f"{r.threshold_lo:.10g},{r.threshold_hi:.10g},{r.iters}"
+        for r in rows
+    )
+    columns = "family,degree,L,w,rate,threshold_lo,threshold_hi,iters"
+    _write_csv(dest, "scra-de-sweep v1", metadata or {}, columns, lines)

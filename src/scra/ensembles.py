@@ -142,6 +142,13 @@ class ScLdpcParams(_Chain):
 FAMILY_PARAMS = {cls.family: cls for cls in (ScRaParams, ScLdpcParams)}
 
 
+def _flag_degenerate(p: ScRaParams | ScLdpcParams, r: Fraction | float) -> Fraction | float:
+    """The rate r of p, with a warning if it is not positive; such an ensemble is degenerate."""
+    if r <= 0:
+        warnings.warn(f"degenerate coupled {p.family} ensemble: design rate {r} is not positive")
+    return r
+
+
 def smoothed_rate(p: ScRaParams | ScLdpcParams) -> float:
     """Design rate of the smoothed coupled ensemble with window w, either family.
 
@@ -149,13 +156,14 @@ def smoothed_rate(p: ScRaParams | ScLdpcParams) -> float:
     c = (q/a or dl/dr)(2L + w - 2 sum_{i=1..w-1} (i/w)^(a or dr)) checks per
     unit of M, so the rate is span/(span + c) for RA, each check bringing its
     parity bit, and (span - c)/span for LDPC, Lemma 3 of Kudekar, Richardson
-    and Urbanke (arXiv:1001.1826).  At w=1 it is a/(a+q), or 1 - dl/dr.
+    and Urbanke (arXiv:1001.1826).  At w=1 it is a/(a+q), or 1 - dl/dr.  A
+    nonpositive rate is flagged as degenerate, as in design_rate.
     """
     if p.w is None:
         raise ParameterError("smoothed_rate applies to the smoothed ensemble; w must be set")
     empty = 2 * sum((i / p.w) ** p.combine for i in range(1, p.w))
     c = (p.width / p.combine) * (2 * p.L + p.w - empty)
-    return p.span / (p.span + c) if p.family == "ra" else (p.span - c) / p.span
+    return _flag_degenerate(p, p.span / (p.span + c) if p.family == "ra" else (p.span - c) / p.span)
 
 
 def code_size(p: ScRaParams | ScLdpcParams) -> tuple[int, int]:
@@ -182,10 +190,7 @@ def design_rate(p: ScRaParams | ScLdpcParams) -> Fraction:
     """
     if p.w is not None:
         raise ParameterError("design_rate applies to the structured ensemble; w must be None")
-    r = Fraction(*code_size(p))
-    if r <= 0:
-        warnings.warn(f"degenerate coupled {p.family} ensemble: design rate {r} is not positive")
-    return r
+    return _flag_degenerate(p, Fraction(*code_size(p)))
 
 
 def density_matched_q(dl: int, rate: Fraction | float | int | str) -> int:

@@ -31,7 +31,7 @@ import numpy as np
 
 from scra import codec
 from scra.codec import ERASED, decode_peel, transmit_bec  # noqa: F401 (decode_peel: perfbench wraps it here)
-from scra.construct import CodeInstance, _write_text
+from scra.construct import CodeInstance, _write_csv
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 BATCH = 256  # most trials per task; near a word-error stop a rate's segment shrinks so as not to pass it
@@ -141,17 +141,14 @@ class SimResult:
         ber_m = self.ber_message()
         ber_a = self.ber_all()
         mi = self.mean_iters()
-        lines = ["# scra-sim v1"]
-        for key in sorted(self.metadata):
-            lines.append(f"# {key}={self.metadata[key]}")
-        lines.append("eps,trials,word_err,wer,wer_lo,wer_hi,bit_err_msg,ber_msg,ber_all,mean_iters")
-        for i in range(len(self.eps)):
-            lines.append(
-                f"{self.eps[i]:.6f},{int(self.trials[i])},{int(self.word_errors[i])},"
-                f"{wer[i]:.10g},{lo[i]:.10g},{hi[i]:.10g},"
-                f"{int(self.bit_errors_message[i])},{ber_m[i]:.10g},{ber_a[i]:.10g},{mi[i]:.10g}"
-            )
-        _write_text(dest, "\n".join(lines) + "\n")
+        lines = (
+            f"{self.eps[i]:.6f},{int(self.trials[i])},{int(self.word_errors[i])},"
+            f"{wer[i]:.10g},{lo[i]:.10g},{hi[i]:.10g},"
+            f"{int(self.bit_errors_message[i])},{ber_m[i]:.10g},{ber_a[i]:.10g},{mi[i]:.10g}"
+            for i in range(len(self.eps))
+        )
+        columns = "eps,trials,word_err,wer,wer_lo,wer_hi,bit_err_msg,ber_msg,ber_all,mean_iters"
+        _write_csv(dest, "scra-sim v1", self.metadata, columns, lines)
 
 
 def code_build_id(c: CodeInstance) -> str:

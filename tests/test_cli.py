@@ -200,6 +200,22 @@ def test_de_refuses_unwritable_out_before_any_work(tmp_path, monkeypatch, capsys
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", *TOY],
+    ["encode", "--code", "code.json", "--message", "0x2A"],
+], ids=["construct", "encode"])
+def test_construct_and_encode_refuse_unwritable_out_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a code was built or loaded for an --out that cannot be written")
+
+    monkeypatch.setattr("scra.cli._build", no_work)
+    monkeypatch.setattr("scra.cli.load_descriptor", no_work)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "missing_dir/x"]) == 2
+    assert "error: --out missing_dir/x: missing_dir is not a writable directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_encode_hex_and_file_agree(tmp_path, capsys):
     base = construct_toy(tmp_path)
     capsys.readouterr()

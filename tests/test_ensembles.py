@@ -92,8 +92,11 @@ def test_smoothed_rate_matches_closed_forms(L):
         for dl in range(2, 7):
             for dr in range(dl, 13):
                 p = ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=w)
-                ref = float(smoothed_rate_ldpc_reference(p))
-                assert smoothed_rate(p) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+                ref = smoothed_rate_ldpc_reference(p)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    assert smoothed_rate(p) == pytest.approx(float(ref), rel=1e-12, abs=1e-15)
+                assert len(caught) == (ref <= 0)  # the degenerate warning, exactly when due
 
 
 # Independently derived with exact rational arithmetic and frozen here.
@@ -123,8 +126,11 @@ def test_rate_w_collapses_to_asymptotic_at_w1(q, a):
 def test_ldpc_rate_w_collapses_to_uncoupled_at_w1(dl, dr):
     """At w=1 no check is empty, and the rate is that of the uncoupled (dl, dr) ensemble."""
     for L in (0, 1, 4, 16):
-        got = smoothed_rate(ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = smoothed_rate(ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=1))
         assert got == pytest.approx(1 - dl / dr, rel=1e-12, abs=1e-15)
+        assert len(caught) == (dl == dr)  # a rate of 0 is degenerate
 
 
 @pytest.mark.parametrize("q", range(3, 11))

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,6 +33,8 @@ from scra.construct import (
 )
 from scra.density_evolution import (
     BISECT_PRECISION,
+    FIG4_DEGREES,
+    FIG4_LS,
     MAX_ITERS,
     MODELS,
     make_de_model,
@@ -186,9 +189,11 @@ def _refuse_unwritable(out: str, creates: bool) -> None:
     """Refuse an --out that cannot be written, before any work and creating nothing.
 
     With creates, out is a directory made on demand, so its nearest existing
-    ancestor must be a writable directory; otherwise out is a file, whose
-    directory must already be one.
+    ancestor must be a writable directory; otherwise out is a file, or a file
+    prefix, whose directory must already be one and which names no directory.
     """
+    if not creates and (os.path.isdir(out) or not os.path.basename(out)):
+        raise ParameterError(f"--out {out}: names a directory, not a file")
     d = out if creates else os.path.dirname(out) or "."
     while creates and not os.path.exists(d):
         d = os.path.dirname(d) or "."
@@ -200,27 +205,25 @@ def _build(p: ScRaParams | ScLdpcParams, seed: int):
     return (build_sc_ra if p.family == "ra" else build_sc_ldpc)(p, seed)
 
 
-def _cmd_construct(cfg: dict) -> int:
+def _cmd_construct(cfg: dict) -> str:
     cls = FAMILY_PARAMS[cfg["family"]]
     code = _build(cls(**_params(cfg, cls, f"the {cfg['family']} family")), cfg["seed"])
     save_descriptor(code, cfg["out"] + ".json")
     export_alist(code, cfg["out"] + ".alist")
-    _write_config("construct", cfg, cfg["out"])
     mean_degree = len(code.check_vars) / code.n  # edges per variable
     print(f"n={code.n} k={code.k} rate={float(design_rate(code.params)):.4f} mean_var_degree={mean_degree:.4f}")
-    return 0
+    return cfg["out"]
 
 
-def _cmd_encode(cfg: dict) -> int:
+def _cmd_encode(cfg: dict) -> str:
     code = load_descriptor(cfg["code"])
     bits = _read_message(cfg["message"], code.k)
     word = encode(code, bits)
     _write_text(cfg["out"], "".join(str(int(b)) for b in word) + "\n")
-    _write_config("encode", cfg, cfg["out"])
     last_msg_pos = code.params.span - 1
     for j in range(code.params.n_chk_pos):
         print(f"parity position {j}: ready after message position {min(j, last_msg_pos)}")
-    return 0
+    return cfg["out"]
 
 
 def _read_message(spec: str, k: int) -> np.ndarray:
@@ -250,33 +253,25 @@ _FIG5_CODES = (
 )
 
 
-def _cmd_simulate(cfg: dict) -> int:
+def _cmd_simulate(cfg: dict) -> str:
     if cfg["jobs"] < 1:  # before any code is built or loaded
         raise ParameterError("jobs must be >= 1")
-    if cfg["trials"] is None:
-        cfg["trials"] = 1000 if cfg["preset"] is not None else 10_000
-    if cfg["preset"] is not None:
-        if cfg["code"] is not None:
-            raise ParameterError(f"--code is not used by --preset {cfg['preset']}")
-        eps = _parse_eps(cfg["eps"]) if cfg["eps"] else eps_range(0.43, 0.50, 0.005)
-        plan = SweepPlan(eps, cfg["trials"], cfg["word_errors"], cfg["max_iters"], cfg["seed"])
-        for name, p in _FIG5_CODES:
-            result = run_sweep(_build(p, cfg["seed"]), plan, jobs=cfg["jobs"])
-            os.makedirs(cfg["out"], exist_ok=True)  # after run_sweep, so none of its checks leaves a directory
-            result.to_csv(os.path.join(cfg["out"], name + ".csv"))
-            print(f"{name}: wrote {os.path.join(cfg['out'], name + '.csv')}")
-        _write_config("simulate", cfg, os.path.join(cfg["out"], "fig5"))
-        return 0
-
-    if cfg["code"] is None or cfg["eps"] is None:
+    if cfg["preset"] and cfg["code"] is not None:
+        raise ParameterError(f"--code is not used by --preset {cfg['preset']}")
+    if not cfg["preset"] and (cfg["code"] is None or cfg["eps"] is None):
         raise ParameterError("--code and --eps are required without a preset")
-    code = load_descriptor(cfg["code"])
-    plan = SweepPlan(_parse_eps(cfg["eps"]), cfg["trials"], cfg["word_errors"], cfg["max_iters"], cfg["seed"])
-    result = run_sweep(code, plan, jobs=cfg["jobs"])
-    result.to_csv(cfg["out"])
-    _write_config("simulate", cfg, cfg["out"])
-    print(f"wrote {cfg['out']} ({len(plan.eps_grid)} rates)")
-    return 0
+    if cfg["trials"] is None:
+        cfg["trials"] = 1000 if cfg["preset"] else SweepPlan.max_trials
+    eps = eps_range(0.43, 0.50, 0.005) if cfg["preset"] and not cfg["eps"] else _parse_eps(cfg["eps"])
+    plan = SweepPlan(eps, cfg["trials"], cfg["word_errors"], cfg["max_iters"], cfg["seed"])
+    runs = ([(os.path.join(cfg["out"], name + ".csv"), partial(_build, p, cfg["seed"])) for name, p in _FIG5_CODES]
+            if cfg["preset"] else [(cfg["out"], partial(load_descriptor, cfg["code"]))])
+    for path, code in runs:
+        result = run_sweep(code(), plan, jobs=cfg["jobs"])
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)  # after run_sweep: a failed run leaves no directory
+        result.to_csv(path)
+        print(f"wrote {path} ({len(plan.eps_grid)} rates)")
+    return os.path.join(cfg["out"], "fig5") if cfg["preset"] else cfg["out"]
 
 
 def _de_model(cfg: dict):
@@ -290,7 +285,7 @@ def _de_model(cfg: dict):
     return make_de_model(kind, replace(p, w=p.width) if windowed and p.w is None else p)
 
 
-def _cmd_de_threshold(cfg: dict) -> int:
+def _cmd_de_threshold(cfg: dict) -> str | None:
     res = threshold(_de_model(cfg), precision=cfg["precision"], max_iters=cfg["max_iters"])
     print(
         f"ensemble={cfg['ensemble']} threshold_lo={res.lo:.6f} threshold_hi={res.hi:.6f} "
@@ -303,11 +298,10 @@ def _cmd_de_threshold(cfg: dict) -> int:
             "ensemble,threshold_lo,threshold_hi,probes,iters\n"
             f"{cfg['ensemble']},{res.lo:.10g},{res.hi:.10g},{len(res.probes)},{res.iters}\n",
         )
-        _write_config("de-threshold", cfg, cfg["out"])
-    return 0
+    return cfg["out"]
 
 
-def _cmd_de_sweep(cfg: dict) -> int:
+def _cmd_de_sweep(cfg: dict) -> str:
     try:
         Ls = tuple(int(tok) for tok in cfg["L_values"].split(","))
         degrees = tuple(int(tok) for tok in cfg["degrees"].split(","))
@@ -316,9 +310,8 @@ def _cmd_de_sweep(cfg: dict) -> int:
     rows = sweep_fig4(cfg["figure"], Ls=Ls, ldpc_degrees=degrees,
                       precision=cfg["precision"], max_iters=cfg["max_iters"])
     write_fig4_csv(rows, cfg["out"], {"figure": cfg["figure"], "precision": cfg["precision"]})
-    _write_config("de-sweep", cfg, cfg["out"])
     print(f"wrote {cfg['out']} ({len(rows)} rows)")
-    return 0
+    return cfg["out"]
 
 
 # command -> (handler, help, flags).  Each flag is declared here once; the parser,
@@ -340,8 +333,9 @@ _COMMANDS = {
         "preset": Flag(choices=("fig5",)),
         "eps": Flag(help="start:stop:step or comma list"),
         "trials": Flag(int),
-        "word_errors": Flag(_stop_count, 100, help="stop after this many word errors per point; 'none' disables"),
-        "max_iters": Flag(int, 1000),
+        "word_errors": Flag(_stop_count, SweepPlan.max_word_errors,
+                            help="stop after this many word errors per point; 'none' disables"),
+        "max_iters": Flag(int, SweepPlan.max_iters),
         "seed": Flag(int, _default_seed),
         "jobs": Flag(int, 1),
         "out": Flag(required=True),
@@ -355,8 +349,8 @@ _COMMANDS = {
     }),
     "de-sweep": (_cmd_de_sweep, "threshold table over degree families", {
         "figure": Flag(choices=("4a", "4b"), required=True),
-        "L_values": Flag(default="4,8,16,32,64"),
-        "degrees": Flag(default="3,4,5,6"),
+        "L_values": Flag(default=",".join(map(str, FIG4_LS))),
+        "degrees": Flag(default=",".join(map(str, FIG4_DEGREES))),
         "precision": Flag(float, BISECT_PRECISION),
         "max_iters": Flag(int, MAX_ITERS),
         "out": Flag(required=True),
@@ -388,7 +382,10 @@ def main(argv=None) -> int:
         cfg = _resolve(ns, ns.cmd)
         if cfg["out"] is not None:  # before any work; only the fig5 preset's --out is a directory
             _refuse_unwritable(cfg["out"], creates=cfg.get("preset") is not None)
-        return ns.func(cfg)
+        base = ns.func(cfg)
+        if base is not None:  # a handler returns the base path of its outputs, None if it wrote none
+            _write_config(ns.cmd, cfg, base)
+        return 0
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,8 @@ MAX_ITERS = 20000
 DE_BLOCK = 64  # most steps de_run takes between checks of its stop conditions
 BISECT_PRECISION = 1e-4
 FIG4_RATE = Fraction(1, 2)  # uncoupled design rate of the Fig. 4 degree families
+FIG4_LS = (4, 8, 16, 32, 64)  # the default Fig. 4 grid: chain lengths and LDPC variable degrees
+FIG4_DEGREES = (3, 4, 5, 6)
 
 
 class DensityEvolutionError(RuntimeError):
@@ -396,8 +398,8 @@ class Fig4Row:
 
 def sweep_fig4(
     variant: str,
-    Ls: tuple[int, ...] = (4, 8, 16, 32, 64),
-    ldpc_degrees: tuple[int, ...] = (3, 4, 5, 6),
+    Ls: tuple[int, ...] = FIG4_LS,
+    ldpc_degrees: tuple[int, ...] = FIG4_DEGREES,
     precision: float = BISECT_PRECISION,
     max_iters: int = MAX_ITERS,
 ) -> list[Fig4Row]:

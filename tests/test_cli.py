@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in process through main()."""
 
 import json
+import os
 import re
 
 import numpy as np
@@ -145,23 +146,31 @@ def test_preset_refusing_jobs_leaves_no_directory(tmp_path, capsys):
 
 
 def _no_work(*args, **kwargs):
-    raise AssertionError("a code was built or loaded for a refused --jobs")
+    raise AssertionError("a code was built or loaded for a refused plan")
 
 
 @pytest.mark.parametrize("mode", ["preset", "code"])
 def test_simulate_refuses_jobs_before_any_work(tmp_path, monkeypatch, capsys, mode):
+    """--jobs and every value of the sweep plan are checked before any code is built or
+    loaded, in both modes, and a refused value creates nothing."""
     base = construct_toy(tmp_path)
     monkeypatch.setattr("scra.cli._build", _no_work)
     monkeypatch.setattr("scra.cli.load_descriptor", _no_work)
     monkeypatch.chdir(tmp_path)
     before = sorted(p.name for p in tmp_path.rglob("*"))
-    if mode == "preset":
-        argv, out = ["--preset", "fig5", "--eps", "0.4", "--trials", "1"], "runs"
-    else:
-        argv, out = ["--code", str(base) + ".json", "--eps", "0.4"], "x.csv"
-    assert main(["simulate", *argv, "--jobs", "0", "--out", out]) == 2
-    assert "error: jobs must be >= 1" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+    argv, out = (["--preset", "fig5"], "runs") if mode == "preset" else (["--code", str(base) + ".json"], "x.csv")
+    for flags, message in [
+        (["--eps", "0.4", "--trials", "1", "--jobs", "0"], "jobs must be >= 1"),
+        (["--eps", "0.4,oops"], "bad eps value in '0.4,oops'"),
+        (["--eps", "0.4,1.5"], "every eps must lie in [0, 1]"),
+        (["--eps", "0.4", "--trials", "0"], "max_trials must be >= 1"),
+        (["--eps", "0.4", "--word-errors", "0"], "max_word_errors must be >= 1 or None"),
+        (["--eps", "0.4", "--max-iters", "0"], "max_iters must be >= 1, got 0"),
+        (["--eps", "0.4", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    ]:
+        assert main(["simulate", *argv, *flags, "--out", out]) == 2, flags
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
 
 def _no_sweep(*args, **kwargs):
@@ -214,6 +223,29 @@ def test_construct_and_encode_refuse_unwritable_out_before_any_work(tmp_path, mo
     assert main([*argv, "--out", "missing_dir/x"]) == 2
     assert "error: --out missing_dir/x: missing_dir is not a writable directory" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["construct", *TOY], "adir/"),
+    (["construct", *TOY], "adir"),
+    (["encode", "--code", "code.json", "--message", "0x2A"], "adir"),
+    (["simulate", "--code", "code.json", "--eps", "0.4", "--trials", "5"], "adir"),
+    (["de", "threshold", "--ensemble", "ra-uncoupled", "--q", "3", "--a", "3"], "adir"),
+    (["de", "sweep", "--figure", "4b", "--L-values", "2", "--degrees", "3"], "adir"),
+], ids=["construct-slash", "construct", "encode", "simulate", "de-threshold", "de-sweep"])
+def test_out_naming_a_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, out):
+    """A file --out that is a directory, or a prefix with no file name, would write into
+    or beside the directory (adir/.json) or fail only after the work; it is refused first."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran for an --out that names a directory")
+
+    for name in ("_build", "load_descriptor", "run_sweep", "threshold", "sweep_fig4"):
+        monkeypatch.setattr(f"scra.cli.{name}", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    assert main([*argv, "--out", out]) == 2
+    assert f"error: --out {out}: names a directory, not a file" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
 
 
 def test_encode_hex_and_file_agree(tmp_path, capsys):
@@ -369,6 +401,24 @@ def test_config_reruns_byte_identical(tmp_path, monkeypatch, command, argv, outp
     assert second == {**first, "args": {**first["args"], "out": "second"}}
     if "--word-errors" in argv:
         assert first["args"]["word_errors"] == (None if "none" in argv else 3)
+
+
+FIG5_CSVS = ["ldpc_M220.csv", "ldpc_M660.csv", "ra_M100.csv", "ra_M300.csv"]
+
+
+def test_preset_config_reruns_byte_identical(tmp_path, monkeypatch, capsys):
+    """The preset's fig5.config.json, fed back through --config, writes the same four CSVs."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--preset", "fig5", "--eps", "0.45", "--trials", "1", "--out", "a"]) == 0
+    assert sorted(capsys.readouterr().out.splitlines()) == [f"wrote a/{name} (1 rates)" for name in FIG5_CSVS]
+    assert main(["simulate", "--config", "a/fig5.config.json", "--out", "b"]) == 0
+    assert sorted(os.listdir("a")) == sorted(os.listdir("b")) == sorted([*FIG5_CSVS, "fig5.config.json"])
+    for name in FIG5_CSVS:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    first = json.loads((tmp_path / "a" / "fig5.config.json").read_text())
+    second = json.loads((tmp_path / "b" / "fig5.config.json").read_text())
+    assert second == {**first, "args": {**first["args"], "out": "b"}}
+    assert first["args"]["trials"] == 1 and first["args"]["preset"] == "fig5"
 
 
 def test_simulate_word_error_stop_controls(tmp_path):

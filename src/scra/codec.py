@@ -15,9 +15,6 @@ import numpy as np
 
 ERASED = -1
 
-FULLY_RECOVERED = "fully-recovered"
-STALLED = "stalled"
-
 
 class CodecError(ValueError):
     """Raised for words or instances a codec operation cannot accept."""
@@ -27,11 +24,10 @@ class CodecError(ValueError):
 class DecodeOutcome:
     """Result of one decoding attempt.
 
-    word holds the partially or fully recovered values with ERASED at
-    unresolved indices; residual counts split by variable kind.
+    word holds the recovered values with ERASED at unresolved indices;
+    residual counts split by variable kind; recovered means none is left.
     """
 
-    status: str
     word: np.ndarray
     iterations: int
     residual_message_bits: int
@@ -39,7 +35,7 @@ class DecodeOutcome:
 
     @property
     def recovered(self) -> bool:
-        return self.status == FULLY_RECOVERED
+        return self.residual_all_bits == 0
 
 
 def _as_word(c, word) -> np.ndarray:
@@ -55,9 +51,9 @@ def _as_word(c, word) -> np.ndarray:
 def encode(c, message) -> np.ndarray:
     """Encode a message on a coupled RA instance.
 
-    The parity of each check's message neighbors is accumulated along the
-    chain in one forward pass, so parity bits at a check position depend
-    only on message positions up to that point.
+    The parity bits accumulate, in one forward pass along the chain, the
+    syndrome of the message word with every parity bit 0, so parity bits
+    at a check position depend only on message positions up to that point.
 
     Parameters
     ----------
@@ -78,12 +74,9 @@ def encode(c, message) -> np.ndarray:
         raise CodecError(f"message length {msg.shape} does not match k={c.k}")
     if ((msg < 0) | (msg > 1)).any():
         raise CodecError("message entries must be 0 or 1")
-    edge_chk = c.edge_checks
-    is_msg_edge = c.check_vars < c.k
-    ones = msg[c.check_vars[is_msg_edge]] == 1
-    per_check = np.bincount(edge_chk[is_msg_edge][ones], minlength=c.m)
-    parity = (np.cumsum(per_check) & 1).astype(np.int8)
-    return np.concatenate([msg, parity])
+    word = np.concatenate([msg, np.zeros(c.m, dtype=np.int8)])
+    word[c.k :] = np.cumsum(syndrome(c, word)) & 1
+    return word
 
 
 def syndrome(c, word) -> np.ndarray:
@@ -133,7 +126,7 @@ def decode_peel(c, word, max_iters: int = 1000) -> DecodeOutcome:
     erased = np.flatnonzero(work == ERASED)
     n_unknown = erased.size
     if n_unknown == 0:
-        return DecodeOutcome(FULLY_RECOVERED, work, 0, 0, 0)
+        return DecodeOutcome(work, 0, 0, 0)
 
     m = c.m
     var_chk = c.padded_var_checks
@@ -176,5 +169,4 @@ def decode_peel(c, word, max_iters: int = 1000) -> DecodeOutcome:
                 np.add.at(acc, touched, vals.repeat(dmax))
         candidates = touched
 
-    status = FULLY_RECOVERED if n_unknown == 0 else STALLED
-    return DecodeOutcome(status, work, iters, int(np.count_nonzero(work[: c.n_msg] == ERASED)), n_unknown)
+    return DecodeOutcome(work, iters, int(np.count_nonzero(work[: c.n_msg] == ERASED)), n_unknown)

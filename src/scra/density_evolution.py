@@ -111,7 +111,7 @@ class _WModel(_Driver):
         which ufuncs take faster than Python numbers, to the same result, and rows for
         1 - y, the check factor and a power, one value per check position."""
         p = self.p
-        exponents = (p.a - 1, p.q - 1, p.a) if self.is_ra else (p.dr - 1, p.dl - 1, 0)
+        exponents = (p.combine - 1, p.width - 1, p.combine)
         # np.convolve puts the longer operand first; a window wider than the chain
         # swaps the two, and the sums of each window then run in the other order
         consts = (np.array(float(v)) for v in (1, p.w, *exponents))
@@ -415,15 +415,19 @@ def sweep_fig4(
         raise ParameterError(f"variant must be '4a' or '4b', got {variant!r}")
     smoothed = variant == "4a"
     view, rate = ("w", smoothed_rate) if smoothed else ("proto", design_rate)
-    rows: list[Fig4Row] = []
+    # the whole grid is built, and refused if any point is bad, before the first search
+    grid = []
     for dl in ldpc_degrees:
         q = density_matched_q(dl, FIG4_RATE)
         dr = int(dl / (1 - FIG4_RATE))
         for L in Ls:
             for p in (ScRaParams(q=q, a=q, L=L, M=1, w=q if smoothed else None),
                       ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=dl if smoothed else None)):
-                res = threshold(make_de_model(f"{p.family}-{view}", p), precision=precision, max_iters=max_iters)
-                rows.append(Fig4Row(p.family, p.width, L, p.w, float(rate(p)), res.lo, res.hi, res.iters))
+                grid.append((p, make_de_model(f"{p.family}-{view}", p), float(rate(p))))
+    rows: list[Fig4Row] = []
+    for p, model, r in grid:
+        res = threshold(model, precision=precision, max_iters=max_iters)
+        rows.append(Fig4Row(p.family, p.width, p.L, p.w, r, res.lo, res.hi, res.iters))
     return rows
 
 

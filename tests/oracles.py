@@ -5,7 +5,8 @@ codes and an alist reader, the descriptor as a dict, the two-key edge
 sort, the per-sweep peeling trace, the peeling loop that resets its
 sentinel every sweep, the Monte Carlo trials one decode_peel at a
 time, the structured DE step as a loop, the per-iteration DE loop with
-its front rule and the in-order word-error stop.  They check the
+its front rule, the in-order word-error stop, and the GF(2) rank and
+greedy triangulation gap that count an encoder's work.  They check the
 library from outside, so they live with the tests; pytest does not
 collect this module.
 """
@@ -17,8 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from scra.codec import (
     ERASED,
-    FULLY_RECOVERED,
-    STALLED,
     CodecError,
     DecodeOutcome,
     _as_word,
@@ -117,7 +116,7 @@ def decode_ml_oracle(c, word) -> DecodeOutcome:
     e = len(unknown_idx)
     if e == 0:
         res_m, res_a = _residuals(c, work == ERASED)
-        return DecodeOutcome(FULLY_RECOVERED, work, 0, res_m, res_a)
+        return DecodeOutcome(work, 0, res_m, res_a)
 
     col_of = np.full(c.n, -1, dtype=np.int64)
     col_of[unknown_idx] = np.arange(e)
@@ -156,7 +155,6 @@ def decode_ml_oracle(c, word) -> DecodeOutcome:
     if np.any(rows[rank:, rhs_word] & rhs_bit):
         raise CodecError("inconsistent erasure word: no codeword completion exists")
 
-    filled = 0
     for r, col in enumerate(pivot_cols):
         row = rows[r].copy()
         row[col >> 6] &= ~(np.uint64(1) << np.uint64(col & 63))
@@ -164,12 +162,9 @@ def decode_ml_oracle(c, word) -> DecodeOutcome:
         row[rhs_word] &= ~rhs_bit
         if not row.any():  # support is the pivot alone: uniquely determined
             work[unknown_idx[col]] = value
-            filled += 1
 
-    unknown = work == ERASED
-    res_m, res_a = _residuals(c, unknown)
-    status = FULLY_RECOVERED if filled == e else STALLED
-    return DecodeOutcome(status, work, 0, res_m, res_a)
+    res_m, res_a = _residuals(c, work == ERASED)
+    return DecodeOutcome(work, 0, res_m, res_a)
 
 
 def peel_trace(c, word, max_iters: int) -> np.ndarray:
@@ -205,7 +200,7 @@ def peel_reference(c, word, max_iters: int = 1000) -> DecodeOutcome:
     erased = np.flatnonzero(work == ERASED)
     n_unknown = erased.size
     if n_unknown == 0:
-        return DecodeOutcome(FULLY_RECOVERED, work, 0, 0, 0)
+        return DecodeOutcome(work, 0, 0, 0)
 
     m = c.m
     var_chk = c.padded_var_checks
@@ -242,8 +237,7 @@ def peel_reference(c, word, max_iters: int = 1000) -> DecodeOutcome:
         cnt[m] = isum[m] = acc[m] = 0
         candidates = touched
 
-    status = FULLY_RECOVERED if n_unknown == 0 else STALLED
-    return DecodeOutcome(status, work, iters, int(np.count_nonzero(work[: c.n_msg] == ERASED)), n_unknown)
+    return DecodeOutcome(work, iters, int(np.count_nonzero(work[: c.n_msg] == ERASED)), n_unknown)
 
 
 def trial_rows_reference(c, eps: float, eps_idx: int, lo: int, hi: int,
@@ -340,3 +334,63 @@ def stop_prefix(word_err_flags: np.ndarray, max_word_errors: int | None) -> int 
     if cum[-1] < max_word_errors:
         return None
     return int(np.searchsorted(cum, max_word_errors)) + 1
+
+
+def gf2_rank(c) -> int:
+    """Rank of the parity-check matrix over GF(2), by elimination on rows packed 64
+    columns to a word."""
+    rows = np.zeros((c.m, (c.n + 63) // 64), dtype=np.uint64)
+    np.bitwise_or.at(rows, (c.edge_checks, c.check_vars >> 6),
+                     np.uint64(1) << (c.check_vars & 63).astype(np.uint64))
+    rank = 0
+    for col in range(c.n):
+        w, b = col >> 6, np.uint64(1) << np.uint64(col & 63)
+        hit = rank + np.flatnonzero(rows[rank:, w] & b)
+        if hit.size == 0:
+            continue
+        rows[[rank, hit[0]]] = rows[[hit[0], rank]]
+        rows[hit[1:]] ^= rows[rank]
+        rank += 1
+        if rank == c.m:
+            break
+    return rank
+
+
+def greedy_gap(c, first=()) -> int:
+    """The gap of a greedy triangulation of the parity-check matrix.
+
+    Peels the all-unknown word.  Whenever no check has exactly one unknown
+    neighbour, it declares a variable known: the next still unknown one of
+    first, then the lowest unknown neighbour of the lowest-id live check with
+    the fewest unknowns.  Richardson and Urbanke encode in O(n + g^2) work,
+    with g the number declared less the true k = n - rank(H): the size of the
+    dense solve that peeling leaves.  g is never negative, since the declared
+    bits and the checks fix every bit.
+    """
+    var_chk = c.padded_var_checks
+    # pad entries land on check m, whose count starts at 0 and only falls
+    cnt = np.append(np.diff(c.check_indptr), 0)
+    unknown = np.ones(c.n, dtype=bool)
+    first, declared = iter(first), 0
+    while unknown.any():
+        v = next(first, None)
+        if v is None:
+            # every variable has a check, so an unknown one leaves a check live
+            live = np.flatnonzero(cnt[: c.m] > 0)
+            nb = check_neighbors(c, live[np.argmin(cnt[live])])
+            v = nb[unknown[nb]][0]
+        elif not unknown[v]:
+            continue
+        declared += 1
+        todo = [v]
+        while todo:
+            v = todo.pop()
+            if not unknown[v]:
+                continue
+            unknown[v] = False
+            checks = var_chk[v]
+            np.subtract.at(cnt, checks, 1)
+            for t in checks[cnt[checks] == 1]:
+                nb = check_neighbors(c, t)
+                todo.append(nb[unknown[nb]][0])
+    return declared - (c.n - gf2_rank(c))

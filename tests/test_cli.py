@@ -627,6 +627,25 @@ def test_de_sweep_writes_table(tmp_path, capsys):
     assert sum(1 for ln in lines if ln and not ln.startswith("#")) >= 2
 
 
+def _no_search(*args, **kwargs):
+    raise AssertionError("a threshold search ran for a refused grid")
+
+
+@pytest.mark.parametrize("figure", ["4a", "4b"])
+def test_de_sweep_refuses_bad_grid_before_any_search(tmp_path, monkeypatch, capsys, figure):
+    """Every point of the grid is checked before the first threshold search, so a bad
+    degree or L after good ones exits 2, naming it, and writes nothing."""
+    monkeypatch.setattr("scra.density_evolution.threshold", _no_search)
+    out = tmp_path / "s.csv"
+    for grid, message in [
+        (["--degrees", "3,1", "--L-values", "4,8"], "dl must be an integer >= 2, got 1"),
+        (["--degrees", "3", "--L-values", "4,-1"], "L must be an integer >= 0, got -1"),
+    ]:
+        assert main(["de", "sweep", "--figure", figure, *grid, "--out", str(out)]) == 2, grid
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_de_sweep_flag_errors(tmp_path):
     assert main(["de", "sweep", "--L-values", "2", "--out", str(tmp_path / "x")]) == 2
     assert main(["de", "sweep", "--figure", "4b"]) == 2

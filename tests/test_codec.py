@@ -236,7 +236,7 @@ def test_peel_matches_reference(max_iters):
             for _ in range(8):
                 word = np.where(rng.random(c.n) < eps, ERASED, sent).astype(np.int8)
                 got, want = decode_peel(c, word, max_iters), peel_reference(c, word, max_iters)
-                assert (got.status, got.iterations) == (want.status, want.iterations)
+                assert (got.recovered, got.iterations) == (want.recovered, want.iterations)
                 assert got.residual_message_bits == want.residual_message_bits
                 assert got.residual_all_bits == want.residual_all_bits
                 assert got.word.dtype == np.int8 and got.word.tobytes() == want.word.tobytes()
@@ -434,7 +434,7 @@ def test_decoding_is_permutation_equivariant():
         pword[perm] = word
         res = decode_peel(c, word)
         pres = decode_peel(cp, pword)
-        assert res.status == pres.status and res.iterations == pres.iterations
+        assert res.recovered == pres.recovered and res.iterations == pres.iterations
         np.testing.assert_array_equal(pres.word[perm], res.word)
 
 
@@ -451,7 +451,7 @@ def test_success_depends_only_on_erasure_pattern():
         w_sent[pattern] = ERASED
         a = decode_peel(c, w_zero)
         b = decode_peel(c, w_sent)
-        assert a.status == b.status and a.iterations == b.iterations
+        assert a.recovered == b.recovered and a.iterations == b.iterations
         np.testing.assert_array_equal(a.word == ERASED, b.word == ERASED)
 
 
@@ -476,7 +476,7 @@ def test_position_trace_rows_match_residuals():
 @pytest.mark.parametrize("family", ["ra", "ldpc"])
 def test_resumed_single_sweeps_match_one_call(family):
     """Peeling one sweep at a time, each from the previous word, ends where
-    one call ends: same word, same summed sweeps, same status and residuals."""
+    one call ends: same word, same summed sweeps, same recovered flag and residuals."""
     if family == "ra":
         c = build_sc_ra(ScRaParams(4, 4, 3, 8), seed=11)
     else:
@@ -495,6 +495,6 @@ def test_resumed_single_sweeps_match_one_call(family):
                 step = decode_peel(c, step.word, max_iters=1)
             np.testing.assert_array_equal(step.word, one.word)
             assert sweeps == one.iterations
-            assert step.status == one.status
+            assert step.recovered == one.recovered
             assert (step.residual_message_bits, step.residual_all_bits) == (
                 one.residual_message_bits, one.residual_all_bits)

@@ -1,5 +1,6 @@
-"""The library opens files for writing in one place, construct._write_text, and
-records each run in one place, the _write_config call in cli.main."""
+"""The library opens files for writing in one place, construct._write_text,
+records each run in one place, the _write_config call in cli.main, and computes
+check parities in one place, codec.syndrome, which codec.encode accumulates."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,13 @@ def test_only_main_writes_the_config():
     """Every command's .config.json is written by one call, after its handler returns."""
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in calls(path.read_text(), path.stem, "_write_config")]
     assert [where for where, _ in found] == ["cli.main"], f"_write_config called outside cli.main: {found}"
+
+
+def test_encode_accumulates_the_syndrome():
+    """codec.encode takes its check parities from syndrome and tallies none itself."""
+    source = (SRC / "codec.py").read_text()
+    assert "codec.encode" in [where for where, _ in calls(source, "codec", "syndrome")]
+    encode = next(node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.name == "encode")
+    tallies = [node.lineno for node in ast.walk(encode) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", getattr(node.func, "id", None)) == "bincount"]
+    assert tallies == [], f"codec.encode calls bincount at lines {tallies}"

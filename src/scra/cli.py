@@ -38,6 +38,7 @@ from scra.density_evolution import (
     MAX_ITERS,
     MODELS,
     make_de_model,
+    positive_rate,
     sweep_fig4,
     threshold,
     write_fig4_csv,
@@ -282,7 +283,9 @@ def _de_model(cfg: dict):
     entries = _params(cfg, cls, f"ensemble {kind}", skip, optional=("w",))
     # DE reads no M; M equal to the second field, a (or dr), keeps the check count whole
     p = cls(**{"L": 0, **entries, "M": entries[fields(cls)[1].name]})
-    return make_de_model(kind, replace(p, w=p.width) if windowed and p.w is None else p)
+    p = replace(p, w=p.width) if windowed and p.w is None else p
+    positive_rate(p)  # a degenerate ensemble is refused before any probe
+    return make_de_model(kind, p)
 
 
 def _cmd_de_threshold(cfg: dict) -> str | None:
@@ -310,6 +313,9 @@ def _cmd_de_sweep(cfg: dict) -> str:
     rows = sweep_fig4(cfg["figure"], Ls=Ls, ldpc_degrees=degrees,
                       precision=cfg["precision"], max_iters=cfg["max_iters"])
     write_fig4_csv(rows, cfg["out"], {"figure": cfg["figure"], "precision": cfg["precision"]})
+    for r in rows:
+        print(f"family={r.family} degree={r.degree} L={r.L} w={'' if r.w is None else r.w} "
+              f"capped={r.capped} front_stalled={r.front_stalled}", file=sys.stderr)
     print(f"wrote {cfg['out']} ({len(rows)} rows)")
     return cfg["out"]
 

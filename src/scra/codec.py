@@ -9,6 +9,7 @@ whose pad entries land on a sentinel check m whose count never reaches 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,14 +91,22 @@ def syndrome(c, word) -> np.ndarray:
 
 
 def transmit_bec(codeword, eps: float, rng: np.random.Generator) -> np.ndarray:
-    """Erase each bit independently with probability eps."""
+    """Erase each bit independently with probability eps.
+
+    Bit i is erased where rng.random(n)[i] < eps, decided on the raw words
+    of the generator's stream: random() is (raw >> 11) * 2**-53, so the
+    compare is (raw >> 11) < ceil(eps * 2**53), exactly, and it leaves the
+    generator where random(n) would.
+    """
     if not 0.0 <= eps <= 1.0:
         raise CodecError(f"erasure probability must lie in [0, 1], got {eps}")
     word = np.asarray(codeword, dtype=np.int8)
     if (word.view(np.uint8) > 1).any():
         raise CodecError("codeword entries must be 0 or 1")
+    raw = rng.bit_generator.random_raw(len(word))
+    below = np.uint64(math.ceil(eps * 2.0**53))  # eps * 2**53 is exact: a power of two scales it
     # ERASED is all ones in int8: OR each bit with 0 or -1 from the negated draw mask
-    erase = (rng.random(len(word)) < eps).view(np.int8)
+    erase = (np.right_shift(raw, np.uint64(11), out=raw) < below).view(np.int8)
     return np.bitwise_or(word, np.negative(erase, out=erase), out=erase)
 
 

@@ -104,18 +104,28 @@ class CodeInstance:
         return padded
 
     @cached_property
-    def lane_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two tables of the bit-lane peeler, slot-major, cached.
+    def lane_tables(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The tables of the bit-lane peeler, slot-major, cached.
 
-        Row s of the first, of shape (max check degree, m + 1), holds every
-        check's s-th neighbor; unused entries and the sentinel column m hold
-        the spare variable id n.  The second is padded_var_checks transposed.
+        Row s of the check table, of shape (max check degree, m + 1), holds
+        every check's s-th neighbor; unused entries and the sentinel column m
+        hold the spare variable id n.  The variable blocks split
+        padded_var_checks at n_msg, message bits then parity bits (an empty
+        side has no block), each transposed and only as tall as the largest
+        degree in it, so an RA parity bit has 2 slots, not q.  Their unused
+        entries hold the sentinel check m.
         """
         deg = np.diff(self.check_indptr)
         check_slots = np.full((int(deg.max(initial=0)), self.m + 1), self.n, dtype=np.intp)
         edge_chk = self.edge_checks
         check_slots[np.arange(len(edge_chk)) - self.check_indptr[edge_chk], edge_chk] = self.check_vars
-        return check_slots, np.ascontiguousarray(self.padded_var_checks.T)
+        # rows ascend and m is above every check id, so a row's pads are its last entries
+        var_deg = np.bincount(self.check_vars, minlength=self.n)
+        var_blocks = tuple(
+            np.ascontiguousarray(self.padded_var_checks[lo:hi, : int(var_deg[lo:hi].max())].T)
+            for lo, hi in ((0, self.n_msg), (self.n_msg, self.n)) if lo < hi
+        )
+        return check_slots, var_blocks
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CodeInstance):

@@ -2,19 +2,22 @@
 
 Transmission uses the all-zero codeword (erasure decoding is blind to the
 transmitted values, which toy-code tests verify), so a trial is only its
-erasure pattern.  Every trial draws from a counter-based stream keyed by
-(seed, eps index, trial index).  Batches of trials stream through the
-workers, and a batch may hold trials of several rates, each rate's as
-one segment of consecutive trial indices.  No segment starts that could
-run past its rate's N-th word error in index order, so every decoded
-trial is kept and results are identical for any worker count; neither
-the results nor the worker count depend on how trials are grouped.
+erasure pattern.  Every trial draws from a counter-based Philox stream
+keyed by (seed, eps index, trial index), through codec.transmit_bec.
+Trials run in tasks, and a task may hold trials of several rates, each
+rate's as one segment of consecutive trial indices.  Through a process
+pool, tasks of at most BATCH trials stream through the workers; inline,
+one task takes every trial the word-error stop lets start.  No segment
+starts that could run past its rate's N-th word error in index order, so
+every decoded trial is kept and results are identical for any worker
+count; neither the results nor the worker count depend on how trials are
+grouped.
 
-A batch peels up to LANES trials at once, trial by trial in the bit
+A task peels up to LANES trials at once, trial by trial in the bit
 lanes of one uint64 word per variable, in sweeps of whole-array bit
 operations over the code's slot-major tables.  When a lane's trial ends,
-the lane takes the batch's next trial, whatever its rate (refill), so a
-sweep serves up to LANES live trials until the batch runs out.  Then,
+the lane takes the task's next trial, whatever its rate (refill), so a
+sweep serves up to LANES live trials until the task runs out.  Then,
 once at most HANDOFF lanes are live, each finishes alone in decode_peel
 (the hand-off), which costs less than a sweep over all lanes.  Each
 trial's tallies are those of decode_peel on its own draw, bit for bit.
@@ -34,8 +37,8 @@ from scra.codec import ERASED, decode_peel, transmit_bec  # noqa: F401 (decode_p
 from scra.construct import CodeInstance, _write_csv
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-BATCH = 256  # most trials per task; near a word-error stop a rate's segment shrinks so as not to pass it
-LANES = 64  # trials a batch peels at once, one bit of a uint64 each
+BATCH = 256  # most trials per pool task, to balance the workers; a segment also shrinks near a word-error stop
+LANES = 64  # trials a task peels at once, one bit of a uint64 each
 HANDOFF = 8  # once no trial is left, this many live lanes finish one by one in decode_peel
 
 
@@ -185,20 +188,20 @@ def _set_bits(mask: int):
 
 def _trial_rows(code: CodeInstance, segments: tuple[tuple[float, int, int, int], ...],
                 max_iters: int, seed: int) -> np.ndarray:
-    """Per-trial tallies [word_err, msg_residual, all_residual, iters] for one batch.
+    """Per-trial tallies [word_err, msg_residual, all_residual, iters] for one task.
 
-    The batch is its (eps, eps index, lo, hi) segments in order, trials lo
+    The task is its (eps, eps index, lo, hi) segments in order, trials lo
     to hi - 1 of each; the rows follow the same order.  Up to LANES trials
     peel together, trial by trial in bit lanes of one uint64 erasure word
     per variable, and each sweep is one synchronous peeling sweep in every
     lane.  A lane ends at its first sweep with no progress, once it has no
-    erasure left or when it has used its budget; it then takes the batch's
+    erasure left or when it has used its budget; it then takes the task's
     next trial, of whichever segment that is.  Once no trial is left and at
     most HANDOFF lanes are live, each finishes alone in decode_peel from
     its current pattern with the rest of its budget, which gives the same
     sweeps, since a sweep depends only on the pattern it starts from.
     """
-    check_slots, var_slots = code.lane_tables
+    check_slots, var_blocks = code.lane_tables
     n, n_msg = code.n, code.n_msg
     total = sum(hi - lo for _, _, lo, hi in segments)
     draws = ((eps, eps_idx, t) for eps, eps_idx, lo, hi in segments for t in range(lo, hi))
@@ -208,12 +211,15 @@ def _trial_rows(code: CodeInstance, segments: tuple[tuple[float, int, int, int],
     erased = words[:n]
     gathered = np.empty(check_slots.shape, dtype=np.uint64)
     once, twice, both = (np.empty(check_slots.shape[1], dtype=np.uint64) for _ in range(3))
-    fanned = np.empty(var_slots.shape, dtype=np.uint64)
     resolved = np.empty(n, dtype=np.uint64)
+    fans, lo = [], 0  # each variable block's table, gather buffer and slice of resolved
+    for table in var_blocks:
+        fans.append((table, np.empty(table.shape, dtype=np.uint64), resolved[lo : lo + table.shape[1]]))
+        lo += table.shape[1]
     lane_word = np.empty(n, dtype=np.uint64)
     trial, start = [0] * LANES, [0] * LANES  # each lane's row in out and its first sweep
     live = 0  # bit b set while lane b holds a trial
-    nxt = 0  # the batch's next trial, as a row of out
+    nxt = 0  # the task's next trial, as a row of out
     sweep = 0
 
     def take_trial(lane: int) -> None:
@@ -242,8 +248,9 @@ def _trial_rows(code: CodeInstance, segments: tuple[tuple[float, int, int, int],
         np.bitwise_not(twice, out=twice)
         np.bitwise_and(once, twice, out=once)  # exactly one; never at the sentinel check m
         # variables: an erased bit resolves in each lane in which one of its checks marks it
-        np.take(once, var_slots, out=fanned, mode="clip")
-        np.bitwise_or.reduce(fanned, axis=0, out=resolved)
+        for table, fanned, part in fans:
+            np.take(once, table, out=fanned, mode="clip")
+            np.bitwise_or.reduce(fanned, axis=0, out=part)
         np.bitwise_and(resolved, erased, out=resolved)
         np.bitwise_xor(erased, resolved, out=erased)
         sweep += 1
@@ -280,38 +287,41 @@ def _worker_entry(args) -> np.ndarray:
 def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
     """Run the sweep; each rate keeps its trials up to its N-th word error.
 
-    Up to jobs batches run at once in a process pool of at most one worker
+    Up to jobs tasks run at once in a process pool of at most one worker
     per BATCH trials of the whole sweep's budget, every rate's trials
-    counted (inline when that is one).  A batch is filled walking the
+    counted (inline when that is one).  A task is filled walking the
     rates in grid order, so it may hold a segment of consecutive trials of
     each of several rates.  A rate's segment holds at most as many trials
     as word errors could still come before its stop, counting every trial
     in flight as one, so no segment starts that could run past the N-th
     word error in index order: the stop can fall only on a segment's last
-    trial, every decoded trial is kept, and a batch folds into the
-    tallies as soon as it returns.  A batch holds at most BATCH trials and
-    at most a 1/jobs share of the trials all rates can still start, so
-    the batches shrink at the end of the sweep and no worker waits alone
-    on the last one.  The result is identical for any jobs value, and
-    neither it nor the worker count depends on how trials are grouped.
+    trial, every decoded trial is kept, and a task folds into the
+    tallies as soon as it returns.  In a pool a task holds at most BATCH
+    trials and at most a 1/jobs share of the trials all rates can still
+    start, so the tasks shrink at the end of the sweep and no worker waits
+    alone on the last one.  Inline, a task takes every trial that may
+    start, up to LANES * BATCH so that its rows stay bounded, since every
+    task end drains its lanes and BATCH serves only the workers.  The result
+    is identical for any jobs value, and neither it nor the worker count
+    depends on how trials are grouped.
     """
     if jobs < 1:
         raise SimulationError("jobs must be >= 1")
-    # a fork pool starts every worker at once, so start no more than there are batches
+    # a fork pool starts every worker at once, so start no more than there are BATCH-sized tasks
     jobs = min(jobs, -(-len(plan.eps_grid) * plan.max_trials // BATCH))
     stop = plan.max_word_errors
     n_eps = len(plan.eps_grid)
     tallies = np.zeros((n_eps, 4), dtype=np.int64)
     submitted = [0] * n_eps  # trials started for each rate, all of them kept
     in_flight = [0] * n_eps  # trials started and not yet folded
-    pending = {}  # future -> its batch's segments
+    pending = {}  # future -> its task's segments
 
     def sure_room(ei: int) -> int:
         room = plan.max_trials - submitted[ei]
         return room if stop is None else min(room, stop - int(tallies[ei, 0]) - in_flight[ei])
 
-    def take_batch() -> tuple:
-        cap = min(BATCH, -(-sum(map(sure_room, range(n_eps))) // jobs))
+    def take_task() -> tuple:
+        cap = min(BATCH if jobs > 1 else LANES * BATCH, -(-sum(map(sure_room, range(n_eps))) // jobs))
         segments = []
         for ei, eps in enumerate(plan.eps_grid):
             if (size := min(cap, sure_room(ei))) > 0:
@@ -331,7 +341,7 @@ def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
     with (ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(code,))
           if jobs > 1 else nullcontext()) as pool:
         while True:
-            while len(pending) < jobs and (segments := take_batch()):
+            while len(pending) < jobs and (segments := take_task()):
                 task = (segments, plan.max_iters, plan.seed)
                 if pool is None:
                     fold(segments, _trial_rows(code, *task))

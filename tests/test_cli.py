@@ -10,6 +10,7 @@ import pytest
 from scra.cli import main
 from scra.codec import encode
 from scra.construct import build_sc_ra, load_descriptor
+from scra.density_evolution import sweep_fig4
 from scra.ensembles import ScRaParams
 
 TOY = ["--family", "ra", "--q", "3", "--a", "3", "--L", "1", "--M", "2"]
@@ -644,6 +645,38 @@ def test_de_sweep_refuses_bad_grid_before_any_search(tmp_path, monkeypatch, caps
         assert main(["de", "sweep", "--figure", figure, *grid, "--out", str(out)]) == 2, grid
         assert f"error: {message}\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["de", "sweep", "--figure", "4b", "--L-values", "4,0", "--degrees", "3"],
+     "ldpc ensemble dl=3 dr=6 L=0 has rate -0.5"),
+    (["de", "threshold", "--ensemble", "ldpc-w", "--dl", "3", "--dr", "6", "--L", "0", "--w", "3"],
+     "ldpc ensemble dl=3 dr=6 L=0 w=3 has rate -0.410837"),
+], ids=["sweep", "threshold"])
+def test_de_refuses_a_degenerate_ensemble_before_any_probe(tmp_path, monkeypatch, capsys, argv, named):
+    """A point whose rate is not positive has no threshold to search: after the library's
+    warning it exits 2, naming its parameters, before any probe and writing nothing."""
+    monkeypatch.setattr("scra.density_evolution.threshold", _no_search)
+    monkeypatch.setattr("scra.cli.threshold", _no_search)
+    with pytest.warns(UserWarning, match="degenerate coupled ldpc ensemble"):
+        assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 2
+    assert f"error: {named}, not positive; it has no threshold\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_de_sweep_reports_capped_probes(tmp_path, capsys):
+    """At a budget of 10 iterations every failure in the brackets is a capped probe: each row's
+    counts go to stderr, one line per row, and the CSV columns stay as they were."""
+    out = tmp_path / "fig.csv"
+    assert main(["de", "sweep", "--figure", "4a", "--L-values", "4", "--degrees", "3",
+                 "--max-iters", "10", "--out", str(out)]) == 0
+    rows = sweep_fig4("4a", Ls=(4,), ldpc_degrees=(3,), max_iters=10)
+    assert all(r.capped > 0 for r in rows)
+    assert capsys.readouterr().err.splitlines() == [
+        f"family={r.family} degree={r.degree} L=4 w={r.w} capped={r.capped} front_stalled={r.front_stalled}"
+        for r in rows
+    ]
+    assert out.read_text().splitlines()[3] == "family,degree,L,w,rate,threshold_lo,threshold_hi,iters"
 
 
 def test_de_sweep_flag_errors(tmp_path):

@@ -136,6 +136,28 @@ def test_transmit_bec_matches_masked_where(eps):
     np.testing.assert_array_equal(word, sent)
 
 
+EDGE_EPS = (0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0), 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0))
+
+
+def test_transmit_bec_is_the_random_compare_bit_for_bit():
+    """On Philox streams the channel equals np.where(rng.random(n) < eps, ERASED, 0) and leaves
+    the generator where random(n) does: at the edge eps at every length 1-300, and at seeded eps
+    equal to a value the stream draws and at both its neighbouring doubles, where a compare by
+    <= or a bound rounded by floor in place of ceil would differ."""
+    cases = [(eps, n, n) for eps in EDGE_EPS for n in range(1, 301)]
+    rng = np.random.default_rng(28)
+    for seed in range(200):
+        n = int(rng.integers(1, 301))
+        u = np.random.Generator(np.random.Philox(seed)).random(n)[rng.integers(n)]
+        cases += [(e, n, seed) for e in (u, np.nextafter(u, 0.0), np.nextafter(u, 1.0))]
+    for eps, n, seed in cases:
+        got_rng, want_rng = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+        got = transmit_bec(np.zeros(n, dtype=np.int8), eps, got_rng)
+        want = np.where(want_rng.random(n) < eps, ERASED, 0).astype(np.int8)
+        assert got.tobytes() == want.tobytes(), (eps, n, seed)
+        np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+
 def test_validators_accept_exactly_their_symbols():
     """Over every int8 value: the channel takes only 0 and 1, a received word only 0, 1 and ERASED."""
     c = small_ra()

@@ -131,6 +131,23 @@ def test_lane_refill_crosses_rates(monkeypatch, name, handoff):
         np.testing.assert_array_equal(got, ref, err_msg=f"max_iters={max_iters}")
 
 
+@pytest.mark.parametrize("name,heights", [("ra", (6, 2)), ("ldpc", (4,)), ("toy", (3,))])
+def test_lane_variable_blocks_drop_only_pads(name, heights):
+    """The variable blocks split the variables at n_msg, each only as tall as the largest degree
+    in it; every real edge sits in them exactly once and every other entry is the sentinel m."""
+    code = LANE_CODES[name][0]()
+    _, blocks = code.lane_tables
+    deg = np.bincount(code.check_vars, minlength=code.n)
+    bounds = [(lo, hi) for lo, hi in ((0, code.n_msg), (code.n_msg, code.n)) if lo < hi]
+    assert [b.shape for b in blocks] == [(h, hi - lo) for h, (lo, hi) in zip(heights, bounds)]
+    assert [b.shape[0] for b in blocks] == [deg[lo:hi].max() for lo, hi in bounds]
+    assert all((b <= code.m).all() for b in blocks)
+    pairs = np.concatenate([np.column_stack([np.broadcast_to(np.arange(lo, hi), b.shape)[b < code.m], b[b < code.m]])
+                            for b, (lo, hi) in zip(blocks, bounds)])
+    edges = np.column_stack([code.check_vars, code.edge_checks])
+    np.testing.assert_array_equal(pairs[np.lexsort(pairs.T[::-1])], edges[np.lexsort(edges.T[::-1])])
+
+
 def test_wilson_interval_edges_and_value():
     lo, hi = wilson_interval(0, 100)
     assert lo == 0.0 and 0 < hi < 0.05
@@ -263,10 +280,12 @@ def test_pool_is_sized_to_the_batches(monkeypatch, jobs, max_trials, workers):
 
 
 def test_batches_fill_across_rates(monkeypatch):
-    """15 rates of 50 trials and no stop run inline as ceil(750 / BATCH) full batches but the
-    last, walking the rates in grid order, and the CSV is that of the per-rate reference."""
+    """15 rates of 50 trials and no stop run inline as one task of all 750 trials, and through a
+    pool at jobs=2 as tasks of at most BATCH, some of several rates; either way the tasks walk
+    the rates in grid order and the CSV is that of the per-rate reference."""
     code = toy_code()
     plan = SweepPlan(eps_range(0.30, 0.65, 0.025), max_trials=50, max_word_errors=None, seed=21)
+    assert len(plan.eps_grid) == 15
     batches = []
     trial_rows = simulate._trial_rows
 
@@ -275,19 +294,24 @@ def test_batches_fill_across_rates(monkeypatch):
         return trial_rows(c, segments, max_iters, seed)
 
     monkeypatch.setattr(simulate, "_trial_rows", recorded)
-    got = run_sweep(code, plan, jobs=1)
-    sizes = [sum(hi - lo for *_, lo, hi in segments) for segments in batches]
-    assert len(plan.eps_grid) == 15
-    assert sizes == [simulate.BATCH, simulate.BATCH, 750 - 2 * simulate.BATCH]
-    assert any(len(segments) > 1 for segments in batches)
-    walk = [(ei, lo, hi) for segments in batches for _, ei, lo, hi in segments]
-    assert walk == sorted(walk)
     rows = np.array([trial_rows_reference(code, eps, ei, 0, 50, plan.max_iters, plan.seed).sum(axis=0)
                      for ei, eps in enumerate(plan.eps_grid)])
-    ref = dataclasses.replace(got, trials=np.full(15, 50), word_errors=rows[:, 0],
+    inline = run_sweep(code, plan, jobs=1)
+    ref = dataclasses.replace(inline, trials=np.full(15, 50), word_errors=rows[:, 0],
                               bit_errors_message=rows[:, 1], bit_errors_all=rows[:, 2],
                               iteration_sum=rows[:, 3])
-    assert _csv(got) == _csv(ref)
+    assert batches == [tuple((eps, ei, 0, 50) for ei, eps in enumerate(plan.eps_grid))]
+    assert _csv(inline) == _csv(ref)
+
+    batches.clear()
+    _use_pool(monkeypatch, _InlinePool)
+    pooled = run_sweep(code, plan, jobs=2)
+    sizes = [sum(hi - lo for *_, lo, hi in segments) for segments in batches]
+    assert _InlinePool.sizes == [2] and max(sizes) <= simulate.BATCH
+    assert any(len(segments) > 1 for segments in batches)
+    walk = [(ei, t) for segments in batches for _, ei, lo, hi in segments for t in range(lo, hi)]
+    assert walk == [(ei, t) for ei in range(15) for t in range(50)]
+    assert _csv(pooled) == _csv(ref)
 
 
 PEELING_TABLES = ("padded_var_checks", "lane_tables")

@@ -1,6 +1,7 @@
 """The library opens files for writing in one place, construct._write_text,
-records each run in one place, the _write_config call in cli.main, and computes
-check parities in one place, codec.syndrome, which codec.encode accumulates."""
+records each run in one place, the _write_config call in cli.main, computes
+check parities in one place, codec.syndrome, which codec.encode accumulates, and
+draws erasures in one place, codec.transmit_bec, on each trial's own stream."""
 
 import ast
 from pathlib import Path
@@ -22,9 +23,8 @@ def open_mode(call: ast.Call) -> ast.expr:
     return ast.Constant("r")
 
 
-def calls(source: str, module: str, name: str, keep=lambda call: True) -> list[tuple[str, int]]:
-    """(enclosing module.class.function, line) of every call of the bare name in the
-    source that keep accepts."""
+def call_nodes(source: str, module: str) -> list[tuple[str, ast.Call]]:
+    """(enclosing module.class.function, node) of every call in the source."""
     found = []
 
     def visit(node, where):
@@ -32,12 +32,19 @@ def calls(source: str, module: str, name: str, keep=lambda call: True) -> list[t
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}")
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == name and keep(child):
-                found.append((where, child.lineno))
+            if isinstance(child, ast.Call):
+                found.append((where, child))
             visit(child, where)
 
     visit(ast.parse(source), module)
     return found
+
+
+def calls(source: str, module: str, name: str, keep=lambda call: True) -> list[tuple[str, int]]:
+    """(enclosing module.class.function, line) of every call of the bare name in the
+    source that keep accepts."""
+    return [(where, call.lineno) for where, call in call_nodes(source, module)
+            if isinstance(call.func, ast.Name) and call.func.id == name and keep(call)]
 
 
 def can_write(call: ast.Call) -> bool:
@@ -88,3 +95,19 @@ def test_encode_accumulates_the_syndrome():
     tallies = [node.lineno for node in ast.walk(encode) if isinstance(node, ast.Call)
                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "bincount"]
     assert tallies == [], f"codec.encode calls bincount at lines {tallies}"
+
+
+def test_transmit_bec_is_the_only_draw():
+    """Every random draw in the library is codec.transmit_bec's, and the lane kernel makes each
+    trial's through the simulate names transmit_bec and trial_stream, which perfbench wraps."""
+    found = [(where, call.lineno) for path in sorted(SRC.glob("*.py"))
+             for where, call in call_nodes(path.read_text(), path.stem)
+             if isinstance(call.func, ast.Attribute) and call.func.attr in ("random", "random_raw")]
+    assert {where for where, _ in found} == {"codec.transmit_bec"}, f"draws outside transmit_bec: {found}"
+    draws = [(where, call) for where, call in call_nodes((SRC / "simulate.py").read_text(), "simulate")
+             if "transmit_bec" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))]
+    assert draws and all(
+        where.startswith("simulate._trial_rows.") and isinstance(call.func, ast.Name)
+        and isinstance(call.args[-1], ast.Call) and getattr(call.args[-1].func, "id", None) == "trial_stream"
+        for where, call in draws
+    ), f"transmit_bec calls in simulate: {[(where, call.lineno) for where, call in draws]}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import string
 import sys
 from dataclasses import fields, replace
 from functools import partial
@@ -230,10 +231,9 @@ def _cmd_encode(cfg: dict) -> str:
 def _read_message(spec: str, k: int) -> np.ndarray:
     if spec.startswith("0x") or spec.startswith("0X"):
         digits = spec[2:]
-        try:
-            value = int(digits, 16)
-        except ValueError:
-            raise CodecError(f"bad hex message {spec!r}") from None
+        if not digits or not set(digits) <= set(string.hexdigits):  # int() would take a sign, spaces or "_"
+            raise CodecError(f"bad hex message {spec!r}")
+        value = int(digits, 16)
         if value >> k:
             raise CodecError(f"hex message needs more than k={k} bits")
         return np.array([(value >> (k - 1 - i)) & 1 for i in range(k)], dtype=np.int8)

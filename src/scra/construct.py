@@ -67,23 +67,6 @@ class CodeInstance:
         return self.params.span * self.params.M
 
     @cached_property
-    def check_pos(self) -> np.ndarray:
-        """Chain position of every check, cached."""
-        p = self.params
-        return np.repeat(np.arange(p.n_chk_pos, dtype=np.int32), p.checks_per_pos)
-
-    @cached_property
-    def var_pos(self) -> np.ndarray:
-        """Chain position of every variable, cached.
-
-        A parity bit sits at the position of its check.
-        """
-        return np.concatenate([
-            np.repeat(np.arange(self.params.span, dtype=np.int32), self.params.M),
-            self.check_pos[: self.n - self.n_msg],
-        ])
-
-    @cached_property
     def edge_checks(self) -> np.ndarray:
         """Check id of every edge in check_vars order, cached."""
         return np.repeat(np.arange(self.m, dtype=np.intp), np.diff(self.check_indptr))
@@ -102,30 +85,6 @@ class CodeInstance:
         padded = np.full((self.n, int(deg.max(initial=0))), self.m, dtype=np.intp)
         padded[var, np.arange(len(var)) - first[var]] = edge_chk[order]
         return padded
-
-    @cached_property
-    def lane_tables(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """The tables of the bit-lane peeler, slot-major, cached.
-
-        Row s of the check table, of shape (max check degree, m + 1), holds
-        every check's s-th neighbor; unused entries and the sentinel column m
-        hold the spare variable id n.  The variable blocks split
-        padded_var_checks at n_msg, message bits then parity bits (an empty
-        side has no block), each transposed and only as tall as the largest
-        degree in it, so an RA parity bit has 2 slots, not q.  Their unused
-        entries hold the sentinel check m.
-        """
-        deg = np.diff(self.check_indptr)
-        check_slots = np.full((int(deg.max(initial=0)), self.m + 1), self.n, dtype=np.intp)
-        edge_chk = self.edge_checks
-        check_slots[np.arange(len(edge_chk)) - self.check_indptr[edge_chk], edge_chk] = self.check_vars
-        # rows ascend and m is above every check id, so a row's pads are its last entries
-        var_deg = np.bincount(self.check_vars, minlength=self.n)
-        var_blocks = tuple(
-            np.ascontiguousarray(self.padded_var_checks[lo:hi, : int(var_deg[lo:hi].max())].T)
-            for lo, hi in ((0, self.n_msg), (self.n_msg, self.n)) if lo < hi
-        )
-        return check_slots, var_blocks
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CodeInstance):
@@ -260,14 +219,14 @@ def validate_instance(c: CodeInstance) -> None:
     if np.any(var_deg[:n_msg] != p.width):
         raise ConstructionError(f"message variable degree != {p.width}")
     # every message edge lies inside the one-sided window of its source
-    offs = c.check_pos[edge_chk[msg_edge]] - c.var_pos[c.check_vars[msg_edge]]
+    offs = edge_chk[msg_edge] // p.checks_per_pos - c.check_vars[msg_edge] // p.M
     if np.any(offs < 0) or np.any(offs >= p.width):
         raise ConstructionError("message edge outside its coupling window")
     msg_deg = np.bincount(edge_chk[msg_edge], minlength=c.m)
     if np.any(msg_deg > p.combine):
         raise ConstructionError(f"check absorbs more than {p.combine} message edges")
     # checks whose window of source positions is not cut by a chain end
-    full = (p.sources_per_check_pos() == p.width)[c.check_pos]
+    full = np.repeat(p.sources_per_check_pos() == p.width, p.checks_per_pos)
     if np.any(msg_deg[full] != p.combine):
         raise ConstructionError("interior check does not absorb exactly the combiner degree")
 

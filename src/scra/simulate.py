@@ -83,10 +83,12 @@ def eps_range(start: float, stop: float, step: float) -> tuple[float, ...]:
     """Inclusive rate grid; (0, 0, 1) is the single point 0."""
     if step <= 0:
         raise SimulationError("step must be positive")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    if not np.isfinite([start, stop, step, count]).all():
+        raise SimulationError(f"eps range {start}:{stop}:{step} needs a finite start, stop, step and count")
     if count < 1:
         raise SimulationError(f"empty eps range {start}:{stop}:{step}")
-    return tuple(float(start + i * step) for i in range(count))
+    return tuple(float(start + i * step) for i in range(int(count)))
 
 
 def trial_stream(seed: int, eps_index: int, trial_index: int) -> np.random.Generator:
@@ -160,22 +162,25 @@ def code_build_id(c: CodeInstance) -> str:
     Hashes (family, params, seed, n, k) and five arrays as int64, so a saved
     and reloaded code keeps its id whatever the arrays' dtypes.  The first
     three arrays (variable kinds, variable and check positions) follow from
-    the parameters, yet they are still hashed, so that every build id, and
-    with it every simulate CSV, stays what it was when codes stored them.
+    the parameters and are computed here, yet they are still hashed, so that
+    every build id, and with it every simulate CSV, stays what it was when
+    codes stored them.  A parity bit sits at the position of its check.
     """
     h = hashlib.sha256(repr((c.family, c.params, c.seed, c.n, c.k)).encode())
     var_kind = np.arange(c.n) >= c.n_msg  # 0 for message bits, 1 for parity bits
-    for arr in (var_kind, c.var_pos, c.check_pos, c.check_indptr, c.check_vars):
+    check_pos = np.arange(c.m) // c.params.checks_per_pos
+    var_pos = np.concatenate([np.arange(c.n_msg) // c.params.M, check_pos[: c.n - c.n_msg]])
+    for arr in (var_kind, var_pos, check_pos, c.check_indptr, c.check_vars):
         h.update(np.asarray(arr, dtype=np.int64).tobytes())
     return h.hexdigest()[:12]
 
 
-_worker_code: CodeInstance | None = None
+_worker_args: tuple | None = None  # (code, lane tables), set once in each pool worker
 
 
-def _init_worker(code: CodeInstance) -> None:
-    global _worker_code
-    _worker_code = code
+def _init_worker(code: CodeInstance, tables: tuple) -> None:
+    global _worker_args
+    _worker_args = code, tables
 
 
 def _set_bits(mask: int):
@@ -186,9 +191,34 @@ def _set_bits(mask: int):
         yield low.bit_length() - 1
 
 
-def _trial_rows(code: CodeInstance, segments: tuple[tuple[float, int, int, int], ...],
+def _lane_tables(code: CodeInstance) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The tables of the bit-lane peeler, slot-major.
+
+    Row s of the check table, of shape (max check degree, m + 1), holds
+    every check's s-th neighbor; unused entries and the sentinel column m
+    hold the spare variable id n.  The variable blocks split
+    padded_var_checks at n_msg, message bits then parity bits (an empty
+    side has no block), each transposed and only as tall as the largest
+    degree in it, so an RA parity bit has 2 slots, not q.  Their unused
+    entries hold the sentinel check m.
+    """
+    deg = np.diff(code.check_indptr)
+    check_slots = np.full((int(deg.max(initial=0)), code.m + 1), code.n, dtype=np.intp)
+    edge_chk = code.edge_checks
+    check_slots[np.arange(len(edge_chk)) - code.check_indptr[edge_chk], edge_chk] = code.check_vars
+    # rows ascend and m is above every check id, so a row's pads are its last entries
+    var_deg = np.bincount(code.check_vars, minlength=code.n)
+    var_blocks = tuple(
+        np.ascontiguousarray(code.padded_var_checks[lo:hi, : int(var_deg[lo:hi].max())].T)
+        for lo, hi in ((0, code.n_msg), (code.n_msg, code.n)) if lo < hi
+    )
+    return check_slots, var_blocks
+
+
+def _trial_rows(code: CodeInstance, tables: tuple, segments: tuple[tuple[float, int, int, int], ...],
                 max_iters: int, seed: int) -> np.ndarray:
-    """Per-trial tallies [word_err, msg_residual, all_residual, iters] for one task.
+    """Per-trial tallies [word_err, msg_residual, all_residual, iters] for one task,
+    peeled over the tables _lane_tables(code) returns.
 
     The task is its (eps, eps index, lo, hi) segments in order, trials lo
     to hi - 1 of each; the rows follow the same order.  Up to LANES trials
@@ -201,7 +231,7 @@ def _trial_rows(code: CodeInstance, segments: tuple[tuple[float, int, int, int],
     its current pattern with the rest of its budget, which gives the same
     sweeps, since a sweep depends only on the pattern it starts from.
     """
-    check_slots, var_blocks = code.lane_tables
+    check_slots, var_blocks = tables
     n, n_msg = code.n, code.n_msg
     total = sum(hi - lo for _, _, lo, hi in segments)
     draws = ((eps, eps_idx, t) for eps, eps_idx, lo, hi in segments for t in range(lo, hi))
@@ -281,7 +311,7 @@ def _trial_rows(code: CodeInstance, segments: tuple[tuple[float, int, int, int],
 
 
 def _worker_entry(args) -> np.ndarray:
-    return _trial_rows(_worker_code, *args)
+    return _trial_rows(*_worker_args, *args)
 
 
 def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
@@ -337,14 +367,14 @@ def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
             tallies[ei] += rows[:hi - lo].sum(axis=0)
             rows = rows[hi - lo:]
 
-    code.lane_tables  # build the peeling tables once, here, so pool workers get them with the code
-    with (ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(code,))
+    tables = _lane_tables(code)  # built once, here, so pool workers get them with the code
+    with (ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(code, tables))
           if jobs > 1 else nullcontext()) as pool:
         while True:
             while len(pending) < jobs and (segments := take_task()):
                 task = (segments, plan.max_iters, plan.seed)
                 if pool is None:
-                    fold(segments, _trial_rows(code, *task))
+                    fold(segments, _trial_rows(code, tables, *task))
                 else:
                     pending[pool.submit(_worker_entry, task)] = segments
             if not pending:

@@ -2,13 +2,13 @@
 
 The exact ML erasure oracle, the dense parity-check matrix, hand-built
 codes and an alist reader, the descriptor as a dict, the two-key edge
-sort, the per-sweep peeling trace, the peeling loop that resets its
-sentinel every sweep, the Monte Carlo trials one decode_peel at a
-time, the structured DE step as a loop, the per-iteration DE loop with
-its front rule, the in-order word-error stop, and the GF(2) rank and
-greedy triangulation gap that count an encoder's work.  They check the
-library from outside, so they live with the tests; pytest does not
-collect this module.
+sort, the chain positions, the per-sweep peeling trace, the peeling loop
+that resets its sentinel every sweep, the Monte Carlo trials one
+decode_peel at a time, the structured DE step as a loop, the
+per-iteration DE loop with its front rule, the in-order word-error stop,
+and the GF(2) rank and greedy triangulation gap that count an encoder's
+work.  They check the library from outside, so they live with the tests;
+pytest does not collect this module.
 """
 
 from __future__ import annotations
@@ -167,6 +167,16 @@ def decode_ml_oracle(c, word) -> DecodeOutcome:
     return DecodeOutcome(work, 0, res_m, res_a)
 
 
+def positions(c) -> tuple[np.ndarray, np.ndarray]:
+    """Chain positions of every variable and of every check, from the geometry.
+
+    Message bit v sits at v // M, check t at t // checks_per_pos, and a
+    parity bit at the position of its check.
+    """
+    check_pos = np.arange(c.m) // c.params.checks_per_pos
+    return np.concatenate([np.arange(c.n_msg) // c.params.M, check_pos[: c.n - c.n_msg]]), check_pos
+
+
 def peel_trace(c, word, max_iters: int) -> np.ndarray:
     """Fraction of still-erased message bits per position after each peeling sweep.
 
@@ -174,7 +184,7 @@ def peel_trace(c, word, max_iters: int) -> np.ndarray:
     row t is the state after sweep t+1.  Stops at max_iters or at the
     first sweep that resolves nothing, as one call of decode_peel does.
     """
-    msg_pos = c.var_pos[: c.n_msg]
+    msg_pos = positions(c)[0][: c.n_msg]
     totals = np.bincount(msg_pos)
     rows = []
     for _ in range(max_iters):

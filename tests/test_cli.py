@@ -164,6 +164,8 @@ def test_simulate_refuses_jobs_before_any_work(tmp_path, monkeypatch, capsys, mo
         (["--eps", "0.4", "--trials", "1", "--jobs", "0"], "jobs must be >= 1"),
         (["--eps", "0.4,oops"], "bad eps value in '0.4,oops'"),
         (["--eps", "0.4,1.5"], "every eps must lie in [0, 1]"),
+        (["--eps", "0.4:inf:0.1"], "eps range 0.4:inf:0.1 needs a finite start, stop, step and count"),
+        (["--eps", "0.4:1e300:1e-300"], "eps range 0.4:1e+300:1e-300 needs a finite start, stop, step and count"),
         (["--eps", "0.4", "--trials", "0"], "max_trials must be >= 1"),
         (["--eps", "0.4", "--word-errors", "0"], "max_word_errors must be >= 1 or None"),
         (["--eps", "0.4", "--max-iters", "0"], "max_iters must be >= 1, got 0"),
@@ -294,6 +296,18 @@ def test_encode_rejects_bad_messages(tmp_path, message, capsys):
                "--out", str(tmp_path / "w.txt")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message", ["0x-1", "0x+1f", "0x 1f", "0x1_f", "0x1f ", "0x", "0x\u0661"])
+def test_encode_takes_only_hex_digits_after_0x(tmp_path, message, capsys):
+    """int(..., 16) would take a sign, spaces, underscores and non-ASCII digits; the message
+    takes none of them, and a refused message writes no word."""
+    base = construct_toy(tmp_path)
+    capsys.readouterr()
+    word = tmp_path / "w.txt"
+    assert main(["encode", "--code", str(base) + ".json", "--message", message, "--out", str(word)]) == 2
+    assert f"error: bad hex message {message!r}\n" in capsys.readouterr().err
+    assert not word.exists()
 
 
 def test_encode_missing_flags(tmp_path):

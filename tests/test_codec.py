@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import check_neighbors, decode_ml_oracle, h_dense, peel_reference, peel_trace, toy_code
+from oracles import check_neighbors, decode_ml_oracle, h_dense, peel_reference, peel_trace, positions, toy_code
 from scra.codec import (
     ERASED,
     CodecError,
@@ -63,15 +63,16 @@ def test_parity_prefix_depends_only_on_message_prefix():
     c = build_sc_ra(ScRaParams(4, 4, 2, 4), seed=2)
     rng = np.random.default_rng(3)
     span = 2 * c.params.L + 1
+    var_pos, check_pos = positions(c)
     for prefix_end in range(span - 1):
         base = rng.integers(0, 2, c.k).astype(np.int8)
-        keep = c.var_pos[: c.k] <= prefix_end
+        keep = var_pos[: c.k] <= prefix_end
         w0 = encode(c, base)
         for _ in range(10):
             other = rng.integers(0, 2, c.k).astype(np.int8)
             other[keep] = base[keep]
             w1 = encode(c, other)
-            stable = np.flatnonzero(c.check_pos <= prefix_end)
+            stable = np.flatnonzero(check_pos <= prefix_end)
             np.testing.assert_array_equal(w0[c.k + stable], w1[c.k + stable])
 
 
@@ -485,9 +486,10 @@ def test_position_trace_rows_match_residuals():
     assert trace.shape[1] == 2 * c.params.L + 1
     assert trace.shape[0] == res.iterations
     is_msg = np.arange(c.n) < c.n_msg
-    totals = np.bincount(c.var_pos[is_msg])
+    var_pos = positions(c)[0]
+    totals = np.bincount(var_pos[is_msg])
     last = np.bincount(
-        c.var_pos[is_msg & (res.word == ERASED)], minlength=len(totals)
+        var_pos[is_msg & (res.word == ERASED)], minlength=len(totals)
     ) / totals
     np.testing.assert_allclose(trace[-1], last)
     # erased fractions only ever decrease

@@ -2,12 +2,14 @@
 
 import io
 import json
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from oracles import descriptor_dict, edge_order_reference, h_dense, read_alist, toy_code
+from oracles import descriptor_dict, edge_order_reference, h_dense, positions, read_alist, toy_code
 from scra.construct import (
+    CodeInstance,
     DescriptorError,
     _assemble,
     _rows_text,
@@ -110,9 +112,10 @@ def test_ra_instance_invariants(q, a, L, M):
     assert len(pairs) == len(c.check_vars)
 
     # one edge per window slot: each message bit hits positions i..i+q-1
+    var_pos, check_pos = positions(c)
     for v in np.flatnonzero(is_msg)[:: max(1, M // 2)]:
-        pos = sorted(c.check_pos[edge_chk[c.check_vars == v]])
-        i = c.var_pos[v]
+        pos = sorted(check_pos[edge_chk[c.check_vars == v]])
+        i = var_pos[v]
         assert pos == list(range(i, i + q))
 
     # interior check positions absorb exactly a message edges per check
@@ -120,13 +123,13 @@ def test_ra_instance_invariants(q, a, L, M):
     msg_deg = np.bincount(edge_chk[msg_edge], minlength=c.m)
     span = 2 * L + 1
     for t in range(c.m):
-        j = c.check_pos[t]
+        j = check_pos[t]
         n_src = min(span - 1, j) - max(0, j - q + 1) + 1
         if n_src == q:
             assert msg_deg[t] == a
     # boundary positions share their edges evenly (floor/ceil split)
     for j in range(2 * L + q):
-        degs = msg_deg[c.check_pos == j]
+        degs = msg_deg[check_pos == j]
         assert degs.max() - degs.min() <= 1
 
 
@@ -136,7 +139,8 @@ def test_ldpc_instance_invariants(dl, dr, L, M):
     var_deg = np.bincount(c.check_vars, minlength=c.n)
     assert np.all(var_deg == dl)
     edge_chk = np.repeat(np.arange(c.m), np.diff(c.check_indptr))
-    offs = c.check_pos[edge_chk] - c.var_pos[c.check_vars]
+    var_pos, check_pos = positions(c)
+    offs = check_pos[edge_chk] - var_pos[c.check_vars]
     assert offs.min() >= 0 and offs.max() < dl
     pairs = set(zip(edge_chk.tolist(), c.check_vars.tolist()))
     assert len(pairs) == len(c.check_vars)
@@ -165,6 +169,13 @@ def test_cached_tables_match_adjacency():
         assert (padded[v, deg[v] :] == c.m).all()
     assert c.padded_var_checks is padded and c.edge_checks is c.edge_checks  # computed once
     assert c == small_ra(3)  # cached tables take no part in equality
+
+
+def test_instance_caches_only_the_shared_adjacency_views():
+    """A code instance caches only the two adjacency views that several modules read: every
+    position is arithmetic on the chain geometry, and the lane tables belong to the sweep."""
+    cached = {name for name, attr in vars(CodeInstance).items() if isinstance(attr, cached_property)}
+    assert cached == {"edge_checks", "padded_var_checks"}
 
 
 def test_degree_profile_ra_mean():

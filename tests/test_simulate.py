@@ -57,6 +57,10 @@ def test_eps_range():
         eps_range(0.4, 0.5, 0.0)
     with pytest.raises(SimulationError):
         eps_range(0.5, 0.4, 0.01)
+    with pytest.raises(SimulationError, match="eps range 0.4:inf:0.1 needs a finite"):
+        eps_range(0.4, float("inf"), 0.1)
+    with pytest.raises(SimulationError, match=r"eps range 0.4:1e\+300:1e-300 needs a finite"):
+        eps_range(0.4, 1e300, 1e-300)  # finite ends, but the count overflows
 
 
 def test_trial_stream_is_counter_based():
@@ -87,11 +91,12 @@ def test_lane_kernel_matches_decode_peel(monkeypatch, name, eps, handoff):
     """Every trial's four tallies from the bit-lane kernel equal those of its own channel draw
     and decode_peel, at every budget and task size, with and without the hand-off."""
     code = LANE_CODES[name][0]()
+    tables = simulate._lane_tables(code)
     monkeypatch.setattr(simulate, "HANDOFF", handoff)
     for max_iters in (1, 2, 5, 1000):
         for size in LANE_TASKS:
             lo = 3 * size  # tasks start mid-stream as run_sweep's do
-            got = simulate._trial_rows(code, ((eps, 2, lo, lo + size),), max_iters, 9)
+            got = simulate._trial_rows(code, tables, ((eps, 2, lo, lo + size),), max_iters, 9)
             np.testing.assert_array_equal(got, trial_rows_reference(code, eps, 2, lo, lo + size,
                                                                     max_iters, 9),
                                           err_msg=f"max_iters={max_iters} size={size}")
@@ -108,7 +113,7 @@ def test_lane_hand_off_resumes_a_trial_mid_peel(monkeypatch):
         return decode_peel(c, word, max_iters)
 
     monkeypatch.setattr(codec, "decode_peel", recorded)
-    got = simulate._trial_rows(code, ((0.45, 1, 0, 150),), 1000, 4)
+    got = simulate._trial_rows(code, simulate._lane_tables(code), ((0.45, 1, 0, 150),), 1000, 4)
     assert 0 < len(budgets) <= simulate.HANDOFF and min(budgets) < 1000
     np.testing.assert_array_equal(got, trial_rows_reference(code, 0.45, 1, 0, 150, 1000, 4))
 
@@ -125,8 +130,9 @@ def test_lane_refill_crosses_rates(monkeypatch, name, handoff):
     segments = ((0.0, 0, 5, 35), (below, 1, 40, 41), (near, 2, 17, 77), (above, 3, 0, 50),
                 (1.0, 4, 100, 112))
     assert sum(hi - lo for *_, lo, hi in segments) > 2 * simulate.LANES
+    tables = simulate._lane_tables(code)
     for max_iters in (1, 2, 5, 1000):
-        got = simulate._trial_rows(code, segments, max_iters, 9)
+        got = simulate._trial_rows(code, tables, segments, max_iters, 9)
         ref = np.concatenate([trial_rows_reference(code, *seg, max_iters, 9) for seg in segments])
         np.testing.assert_array_equal(got, ref, err_msg=f"max_iters={max_iters}")
 
@@ -136,7 +142,7 @@ def test_lane_variable_blocks_drop_only_pads(name, heights):
     """The variable blocks split the variables at n_msg, each only as tall as the largest degree
     in it; every real edge sits in them exactly once and every other entry is the sentinel m."""
     code = LANE_CODES[name][0]()
-    _, blocks = code.lane_tables
+    _, blocks = simulate._lane_tables(code)
     deg = np.bincount(code.check_vars, minlength=code.n)
     bounds = [(lo, hi) for lo, hi in ((0, code.n_msg), (code.n_msg, code.n)) if lo < hi]
     assert [b.shape for b in blocks] == [(h, hi - lo) for h, (lo, hi) in zip(heights, bounds)]
@@ -251,7 +257,7 @@ class _ShufflePool(_ReversePool):
 def _use_pool(monkeypatch, pool):
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", pool)
-    monkeypatch.setattr(simulate, "_worker_code", None)
+    monkeypatch.setattr(simulate, "_worker_args", None)
     if issubclass(pool, _ReversePool):
         monkeypatch.setattr(simulate, "wait", pool.wait)
 
@@ -289,9 +295,9 @@ def test_batches_fill_across_rates(monkeypatch):
     batches = []
     trial_rows = simulate._trial_rows
 
-    def recorded(c, segments, max_iters, seed):
+    def recorded(c, tables, segments, max_iters, seed):
         batches.append(segments)
-        return trial_rows(c, segments, max_iters, seed)
+        return trial_rows(c, tables, segments, max_iters, seed)
 
     monkeypatch.setattr(simulate, "_trial_rows", recorded)
     rows = np.array([trial_rows_reference(code, eps, ei, 0, 50, plan.max_iters, plan.seed).sum(axis=0)
@@ -314,27 +320,32 @@ def test_batches_fill_across_rates(monkeypatch):
     assert _csv(pooled) == _csv(ref)
 
 
-PEELING_TABLES = ("padded_var_checks", "lane_tables")
-
-
 class _TablePool(_InlinePool):
-    """Records, as the pool starts, which peeling tables the code it hands its workers holds."""
+    """Records, as the pool starts, whether the code it hands its workers holds its padded
+    variable table, and the lane tables it hands them."""
 
-    cached: list = []
+    handed: list = []
 
     def __init__(self, max_workers, initializer, initargs):
-        self.cached.append([name in vars(initargs[0]) for name in PEELING_TABLES])
+        code, tables = initargs
+        self.handed.append(("padded_var_checks" in vars(code), tables))
         super().__init__(max_workers, initializer, initargs)
 
 
 def test_pool_workers_inherit_the_peeling_table(monkeypatch):
-    """The tables are built once before the pool starts, not once in every worker."""
+    """The tables are built once before the pool starts, not once in every worker: the pool
+    initializer gets the code with its padded variable table cached, and the lane tables."""
     code = toy_code()
-    assert not any(name in vars(code) for name in PEELING_TABLES)
+    assert "padded_var_checks" not in vars(code)
     _use_pool(monkeypatch, _TablePool)
-    monkeypatch.setattr(_TablePool, "cached", [])
+    monkeypatch.setattr(_TablePool, "handed", [])
     run_sweep(code, SweepPlan((0.4, 0.5), max_trials=200, max_word_errors=None, seed=12), jobs=2)
-    assert _TablePool.cached == [[True] * len(PEELING_TABLES)]
+    [(cached, (check_slots, var_blocks))] = _TablePool.handed
+    want_slots, want_blocks = simulate._lane_tables(code)
+    assert cached and len(var_blocks) == len(want_blocks)
+    np.testing.assert_array_equal(check_slots, want_slots)
+    for block, want in zip(var_blocks, want_blocks):
+        np.testing.assert_array_equal(block, want)
 
 
 def test_pool_counts_every_rate_of_a_small_budget(monkeypatch, tmp_path):

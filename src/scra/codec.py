@@ -95,8 +95,8 @@ def transmit_bec(codeword, eps: float, rng: np.random.Generator) -> np.ndarray:
 
     Bit i is erased where rng.random(n)[i] < eps, decided on the raw words
     of the generator's stream: random() is (raw >> 11) * 2**-53, so the
-    compare is (raw >> 11) < ceil(eps * 2**53), exactly, and it leaves the
-    generator where random(n) would.
+    compare is (raw >> 11) < ceil(eps * 2**53), or raw <= that bound << 11
+    minus 1, exactly, and it leaves the generator where random(n) would.
     """
     if not 0.0 <= eps <= 1.0:
         raise CodecError(f"erasure probability must lie in [0, 1], got {eps}")
@@ -104,9 +104,9 @@ def transmit_bec(codeword, eps: float, rng: np.random.Generator) -> np.ndarray:
     if (word.view(np.uint8) > 1).any():
         raise CodecError("codeword entries must be 0 or 1")
     raw = rng.bit_generator.random_raw(len(word))
-    below = np.uint64(math.ceil(eps * 2.0**53))  # eps * 2**53 is exact: a power of two scales it
-    # ERASED is all ones in int8: OR each bit with 0 or -1 from the negated draw mask
-    erase = (np.right_shift(raw, np.uint64(11), out=raw) < below).view(np.int8)
+    bound = (math.ceil(eps * 2.0**53) << 11) - 1  # eps * 2**53 is exact; bound -1 at eps 0, 2**64 - 1 at 1
+    # ERASED is all ones in int8: OR each bit with 0 or -1 from the negated draw mask, none at eps 0
+    erase = (raw <= np.uint64(bound) if bound >= 0 else np.zeros(len(raw), dtype=bool)).view(np.int8)
     return np.bitwise_or(word, np.negative(erase, out=erase), out=erase)
 
 

@@ -2,8 +2,10 @@
 
 Transmission uses the all-zero codeword (erasure decoding is blind to the
 transmitted values, which toy-code tests verify), so a trial is only its
-erasure pattern.  Every trial draws from a counter-based Philox stream
-keyed by (seed, eps index, trial index), through codec.transmit_bec.
+erasure pattern.  Every trial draws, through codec.transmit_bec, from a
+counter-based Philox stream keyed as numpy's SeedSequence(seed, spawn_key=
+(eps index, trial index)) keys it; a task derives all its trials' keys in
+one vectorised pass (trial_keys) and re-keys one generator per trial.
 Trials run in tasks, and a task may hold trials of several rates, each
 rate's as one segment of consecutive trial indices.  Through a process
 pool, tasks of at most BATCH trials stream through the workers; inline,
@@ -26,6 +28,7 @@ trial's tallies are those of decode_peel on its own draw, bit for bit.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -40,6 +43,9 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 BATCH = 256  # most trials per pool task, to balance the workers; a segment also shrinks near a word-error stop
 LANES = 64  # trials a task peels at once, one bit of a uint64 each
 HANDOFF = 8  # once no trial is left, this many live lanes finish one by one in decode_peel
+EPS_RESOLUTION = 1e-6  # the CSV prints eps as :.6f
+_M32 = 0xFFFFFFFF
+_STATE_HASH = np.array([0x8B51F9DD * 0x58F38DED**i & _M32 for i in range(5)], dtype=np.uint32)  # generate_state's
 
 
 class SimulationError(RuntimeError):
@@ -71,6 +77,8 @@ class SweepPlan:
             raise SimulationError("every eps must lie in [0, 1]")
         if self.max_trials < 1:
             raise SimulationError("max_trials must be >= 1")
+        if self.max_trials > 2**32:  # a trial index is one uint32 spawn-key word in trial_keys
+            raise SimulationError(f"max_trials must be at most 2**32, got {self.max_trials}")
         if self.max_word_errors is not None and self.max_word_errors < 1:
             raise SimulationError("max_word_errors must be >= 1 or None")
         if self.max_iters < 1:
@@ -88,13 +96,57 @@ def eps_range(start: float, stop: float, step: float) -> tuple[float, ...]:
         raise SimulationError(f"eps range {start}:{stop}:{step} needs a finite start, stop, step and count")
     if count < 1:
         raise SimulationError(f"empty eps range {start}:{stop}:{step}")
+    if step < EPS_RESOLUTION:  # its rows would repeat CSV eps values; so no grid in [0, 1] passes 1e6 points
+        raise SimulationError(f"eps range {start}:{stop}:{step} steps finer than the CSV's eps {EPS_RESOLUTION}")
+    if not 0.0 <= start <= start + (count - 1) * step <= 1.0:
+        raise SimulationError(f"eps range {start}:{stop}:{step} has points outside [0, 1]")
     return tuple(float(start + i * step) for i in range(int(count)))
 
 
+# numpy SeedSequence's hashmix (h and the hash constant after it) and mix, on Python ints or uint32 arrays
+def _hashmix(value, h, h_next):
+    value = (value ^ h) * h_next & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return value ^ value >> 16
+
+
+def trial_keys(seed: int, eps_index, trial_index) -> np.ndarray:
+    """Philox keys of the (rate, trial) cells, shape (..., 2) over the broadcast indices.
+
+    Each is np.random.SeedSequence(entropy=seed, spawn_key=(eps_index, trial_index))
+    .generate_state(2, np.uint64), for indices below 2**32 (one spawn-key word each).
+    The seed's words mix once in Python ints, the spawn key into every cell at once.
+    """
+    if seed < 0:
+        raise SimulationError(f"seed must be a non-negative integer, got {seed}")
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))  # a spawn key pads the seed's words to the pool size
+    # hash constants, a pair per hashmix: 16 for the first 4 seed words, 4 per further word, 8 for the key
+    hc = list(itertools.accumulate(range(4 * len(words) + 8), lambda h, _: h * 0x931E8875 & _M32,
+                                   initial=0x43B0D7E5))
+    pairs = zip(hc, hc[1:])
+    pool = [_hashmix(w, *next(pairs)) for w in words[:4]]
+    for s, d in itertools.permutations(range(4), 2):
+        pool[d] = _mix(pool[d], _hashmix(pool[s], *next(pairs)))
+    for w in words[4:]:
+        pool = [_mix(p, _hashmix(w, *next(pairs))) for p in pool]
+    spawn = np.array(hc[-9:], dtype=np.uint32)  # 4 hashmixes, one per pool word, for each spawn-key word
+    for j, index in enumerate((eps_index, trial_index)):
+        value = _hashmix(np.asarray(index, dtype=np.uint32)[..., None], spawn[4 * j : 4 * j + 4],
+                         spawn[4 * j + 1 : 4 * j + 5])
+        pool = _mix(np.asarray(pool, dtype=np.uint32), value)
+    # generate_state(2, np.uint64): the same hash on its own constants, then two little-endian pairs
+    return _hashmix(pool, _STATE_HASH[:4], _STATE_HASH[1:]).astype("<u4", copy=False).view("<u8")
+
+
 def trial_stream(seed: int, eps_index: int, trial_index: int) -> np.random.Generator:
-    """Counter-based channel stream for one (rate, trial) cell."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(eps_index, trial_index))
-    return np.random.Generator(np.random.Philox(ss))
+    """Counter-based channel stream for one (rate, trial) cell: numpy's Philox seeded with
+    SeedSequence(seed, spawn_key=(eps_index, trial_index)), keyed here by trial_keys."""
+    return np.random.Generator(np.random.Philox(key=trial_keys(seed, eps_index, trial_index)))
 
 
 def wilson_interval(successes, trials, z: float = Z95):
@@ -221,7 +273,9 @@ def _trial_rows(code: CodeInstance, tables: tuple, segments: tuple[tuple[float, 
     peeled over the tables _lane_tables(code) returns.
 
     The task is its (eps, eps index, lo, hi) segments in order, trials lo
-    to hi - 1 of each; the rows follow the same order.  Up to LANES trials
+    to hi - 1 of each; the rows follow the same order.  Each trial draws
+    from the task's one generator, re-keyed to counter 0 of the trial's
+    stream with a key of one trial_keys call for the task.  Up to LANES trials
     peel together, trial by trial in bit lanes of one uint64 erasure word
     per variable, and each sweep is one synchronous peeling sweep in every
     lane.  A lane ends at its first sweep with no progress, once it has no
@@ -233,8 +287,13 @@ def _trial_rows(code: CodeInstance, tables: tuple, segments: tuple[tuple[float, 
     """
     check_slots, var_blocks = tables
     n, n_msg = code.n, code.n_msg
-    total = sum(hi - lo for _, _, lo, hi in segments)
-    draws = ((eps, eps_idx, t) for eps, eps_idx, lo, hi in segments for t in range(lo, hi))
+    sizes = [hi - lo for _, _, lo, hi in segments]
+    total = sum(sizes)
+    keys = trial_keys(seed, np.repeat([eps_idx for _, eps_idx, _, _ in segments], sizes),
+                      np.concatenate([np.arange(lo, hi) for _, _, lo, hi in segments]))
+    draws = zip(np.repeat([eps for eps, _, _, _ in segments], sizes).tolist(), keys.tolist())
+    stream = np.random.Generator(np.random.Philox(key=keys[0]))
+    state = stream.bit_generator.state  # counter 0, no word buffered: where every trial's stream starts
     out = np.zeros((total, 4), dtype=np.int64)
     zero = np.zeros(n, dtype=np.int8)
     words = np.zeros(n + 1, dtype=np.uint64)  # bit b of words[v]: v erased in lane b; n never is
@@ -254,10 +313,11 @@ def _trial_rows(code: CodeInstance, tables: tuple, segments: tuple[tuple[float, 
 
     def take_trial(lane: int) -> None:
         nonlocal nxt
-        eps, eps_idx, t = next(draws)
-        word = transmit_bec(zero, eps, trial_stream(seed, eps_idx, t))
-        np.copyto(lane_word.view(np.int64), word)  # ERASED widens to all ones, 0 to 0
-        np.bitwise_and(lane_word, np.uint64(1 << lane), out=lane_word)
+        eps, state["state"]["key"] = next(draws)
+        stream.bit_generator.state = state
+        word = transmit_bec(zero, eps, stream)
+        # ERASED (-1) widens to the lane's bit, 0 to 0; at lane 63 the product wraps to the sign bit
+        np.multiply(word, -(1 << lane), out=lane_word.view(np.int64), dtype=np.int64)
         np.bitwise_or(erased, lane_word, out=erased)
         trial[lane], start[lane] = nxt, sweep
         nxt += 1
@@ -268,7 +328,7 @@ def _trial_rows(code: CodeInstance, tables: tuple, segments: tuple[tuple[float, 
     while live and (nxt < total or live.bit_count() > HANDOFF):
         # checks: per lane, once marks an erased neighbour, twice a second one; every index
         # is in range, and mode="clip" spares take the copy it makes of out to check them
-        np.take(words, check_slots, out=gathered, mode="clip")
+        words.take(check_slots, out=gathered, mode="clip")
         np.copyto(once, gathered[0])
         twice.fill(0)
         for row in gathered[1:]:
@@ -279,7 +339,7 @@ def _trial_rows(code: CodeInstance, tables: tuple, segments: tuple[tuple[float, 
         np.bitwise_and(once, twice, out=once)  # exactly one; never at the sentinel check m
         # variables: an erased bit resolves in each lane in which one of its checks marks it
         for table, fanned, part in fans:
-            np.take(once, table, out=fanned, mode="clip")
+            once.take(table, out=fanned, mode="clip")
             np.bitwise_or.reduce(fanned, axis=0, out=part)
         np.bitwise_and(resolved, erased, out=resolved)
         np.bitwise_xor(erased, resolved, out=erased)

@@ -176,6 +176,27 @@ def test_simulate_refuses_jobs_before_any_work(tmp_path, monkeypatch, capsys, mo
         assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("mode", ["preset", "code"])
+def test_simulate_refuses_plans_past_the_stream_keys(tmp_path, monkeypatch, capsys, mode):
+    """An --eps range leaving [0, 1] or stepping below the CSV's eps resolution, and --trials
+    past 2**32, the trial indices one spawn-key word holds, exit 2 from the plan's numbers
+    alone: nothing is built, loaded or created, and no grid point is made."""
+    base = construct_toy(tmp_path)
+    monkeypatch.setattr("scra.cli._build", _no_work)
+    monkeypatch.setattr("scra.cli.load_descriptor", _no_work)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    argv, out = (["--preset", "fig5"], "runs") if mode == "preset" else (["--code", str(base) + ".json"], "x.csv")
+    for flags, message in [
+        (["--eps", "0.4:1e20:1"], "eps range 0.4:1e+20:1.0 has points outside [0, 1]"),
+        (["--eps", "0.4:0.5:1e-300"], "eps range 0.4:0.5:1e-300 steps finer than the CSV's eps 1e-06"),
+        (["--eps", "0.4", "--trials", str(2**32 + 1)], "max_trials must be at most 2**32, got 4294967297"),
+    ]:
+        assert main(["simulate", *argv, *flags, "--out", out]) == 2, flags
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
 def _no_sweep(*args, **kwargs):
     raise AssertionError("run_sweep called for an --out that cannot be written")
 

@@ -159,6 +159,36 @@ def test_transmit_bec_is_the_random_compare_bit_for_bit():
         np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
 
 
+class _Words:
+    """A stand-in generator whose raw words are the given ones."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, n):
+        assert n == len(self.words)
+        return self.words.copy()
+
+
+def test_transmit_bec_bound_is_the_random_compare_on_crafted_words():
+    """Raw words at and next to every 2**-53 step of the bound erase exactly where numpy's
+    random(), (raw >> 11) * 2**-53, is below eps: at eps 0 (no word), 1 (every word),
+    nextafter(1, 0), the smallest positive double, and eps on and next to a step k * 2**-53."""
+    steps = [1, 2, 3, 2**52, 2**53 - 2, 2**53 - 1]
+    words = sorted({w for k in steps for w in ((k << 11) - 1, k << 11, (k << 11) + 1)} | {0, 2**64 - 1})
+    eps_values = [0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324]
+    eps_values += [e for k in steps for e in (k * 2.0**-53, np.nextafter(k * 2.0**-53, 0.0),
+                                              np.nextafter(k * 2.0**-53, 1.0))]
+    uniform = (np.array(words, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53  # numpy's random() of each word
+    for eps in eps_values:
+        got = transmit_bec(np.zeros(len(words), dtype=np.int8), eps, _Words(words))
+        want = np.where(uniform < eps, ERASED, 0).astype(np.int8)
+        assert got.tobytes() == want.tobytes(), eps
+    assert not transmit_bec(np.zeros(len(words), dtype=np.int8), 0.0, _Words(words)).any()
+    assert (transmit_bec(np.zeros(len(words), dtype=np.int8), 1.0, _Words(words)) == ERASED).all()
+
+
 def test_validators_accept_exactly_their_symbols():
     """Over every int8 value: the channel takes only 0 and 1, a received word only 0, 1 and ERASED."""
     c = small_ra()

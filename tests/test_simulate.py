@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import re
 from concurrent.futures import Future
 
 import numpy as np
@@ -72,6 +73,69 @@ def test_trial_stream_is_counter_based():
     assert not np.array_equal(a, c) and not np.array_equal(a, d)
 
 
+def test_plan_refuses_a_trial_index_past_one_spawn_key_word():
+    """Trial indices run below max_trials, and trial_keys reads each as one uint32 word."""
+    SweepPlan((0.5,), max_trials=2**32)
+    with pytest.raises(SimulationError, match=r"max_trials must be at most 2\*\*32, got 4294967297"):
+        SweepPlan((0.5,), max_trials=2**32 + 1)
+
+
+def test_eps_range_refuses_points_outside_the_csv_grid():
+    """A range whose points leave [0, 1], or whose step is finer than the CSV's :.6f eps, is
+    refused from its three numbers, before any point is built."""
+    for args, message in [((0.4, 1e20, 1.0), "has points outside [0, 1]"),
+                          ((-0.1, 0.5, 0.1), "has points outside [0, 1]"),
+                          ((0.5, 1.2, 0.3), "has points outside [0, 1]"),
+                          ((0.4, 0.5, 1e-300), "steps finer than the CSV's eps 1e-06"),
+                          ((0.4, 0.5, 9e-7), "steps finer than the CSV's eps 1e-06")]:
+        with pytest.raises(SimulationError, match=re.escape(message)):
+            eps_range(*args)
+    assert len(eps_range(0.5, 0.5001, 1e-6)) == 101
+    assert eps_range(0.7, 1.0, 0.1)[-1] == 1.0
+
+
+KEY_SEEDS = (0, 1, 2**32 + 5, 2**128 + 7, 12345678901234567890123456789012345678901)
+KEY_INDICES = (0, 1, 7, 2**31, 2**32 - 1)
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_trial_keys_are_numpys_seed_sequence_keys(seed):
+    """Over arrays and one cell at a time, for seeds of one to five words and indices up to
+    2**32 - 1, trial_keys gives the keys numpy's SeedSequence route gives."""
+    cells = list(itertools.product(KEY_INDICES, repeat=2))
+    eps_index, trial_index = (np.array(column, dtype=np.int64) for column in zip(*cells))
+    got = simulate.trial_keys(seed, eps_index, trial_index)
+    assert got.shape == (len(cells), 2) and got.dtype == np.uint64
+    for row, (ei, t) in zip(got, cells):
+        want = np.random.SeedSequence(entropy=seed, spawn_key=(ei, t)).generate_state(2, np.uint64)
+        np.testing.assert_array_equal(row, want)
+        np.testing.assert_array_equal(simulate.trial_keys(seed, ei, t), want)
+    with pytest.raises(SimulationError, match="seed must be a non-negative integer"):
+        simulate.trial_keys(-1, 0, 0)
+
+
+@pytest.mark.parametrize("seed", [5, 2**128 + 7])
+def test_a_rekeyed_generator_is_the_trial_stream(seed):
+    """One generator, its state set to counter 0 and a cell's key as _trial_rows sets it, gives
+    that cell's raw words, and leaves the state, of both trial_stream and numpy's own
+    SeedSequence-seeded Philox, at lengths around the 4-word Philox block."""
+    cells = [(0, 0), (3, 0), (3, 1), (9, 2**32 - 1), (2**32 - 1, 2**31)]
+    keys = simulate.trial_keys(seed, *(np.array(column) for column in zip(*cells)))
+    stream = np.random.Generator(np.random.Philox(key=keys[0]))
+    state = stream.bit_generator.state
+    for (ei, t), key in zip(cells, keys.tolist()):
+        for n in (0, 1, 3, 4, 5, 9):
+            state["state"]["key"] = key
+            stream.bit_generator.state = state
+            cell = trial_stream(seed, ei, t)
+            seeded = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(ei, t))))
+            words = stream.bit_generator.random_raw(n)
+            np.testing.assert_array_equal(words, cell.bit_generator.random_raw(n))
+            np.testing.assert_array_equal(words, seeded.bit_generator.random_raw(n))
+            np.testing.assert_equal(stream.bit_generator.state, cell.bit_generator.state)
+            np.testing.assert_equal(stream.bit_generator.state, seeded.bit_generator.state)
+
+
 # (code, eps below, near and above its waterfall): eps 0 and 1 are added to each
 LANE_CODES = {
     "ra": (lambda: build_sc_ra(ScRaParams(6, 6, 16, M=20), 3), (0.40, 0.45, 0.52)),
@@ -100,6 +164,20 @@ def test_lane_kernel_matches_decode_peel(monkeypatch, name, eps, handoff):
             np.testing.assert_array_equal(got, trial_rows_reference(code, eps, 2, lo, lo + size,
                                                                     max_iters, 9),
                                           err_msg=f"max_iters={max_iters} size={size}")
+
+
+@pytest.mark.parametrize("eps", [0.45, 1.0])
+def test_every_lane_carries_its_trial(monkeypatch, eps):
+    """A task of more than LANES trials fills lanes 0 to 63 with its first 64 trials, and each,
+    lane 63's too (where the widening product wraps to the sign bit), gets the tallies of
+    decode_peel on its own draw."""
+    code = LANE_CODES["ra"][0]()
+    monkeypatch.setattr(simulate, "HANDOFF", 0)  # every lane peels to its end in the kernel
+    size = simulate.LANES + 9
+    got = simulate._trial_rows(code, simulate._lane_tables(code), ((eps, 1, 0, size),), 1000, 3)
+    ref = trial_rows_reference(code, eps, 1, 0, size, 1000, 3)
+    assert (ref[:simulate.LANES, 2:].sum(axis=1) > 0).all()  # each first trial peeled or kept an erasure
+    np.testing.assert_array_equal(got, ref)
 
 
 def test_lane_hand_off_resumes_a_trial_mid_peel(monkeypatch):

@@ -97,17 +97,59 @@ def test_encode_accumulates_the_syndrome():
     assert tallies == [], f"codec.encode calls bincount at lines {tallies}"
 
 
+def named(node, name: str):
+    """The function or class definition called name, anywhere under node."""
+    return next(child for child in ast.walk(node)
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == name)
+
+
 def test_transmit_bec_is_the_only_draw():
     """Every random draw in the library is codec.transmit_bec's, and the lane kernel makes each
-    trial's through the simulate names transmit_bec and trial_stream, which perfbench wraps."""
+    trial's through the simulate name transmit_bec, which perfbench wraps, on the task's one
+    generator, built and re-keyed, before every draw, from the keys of one trial_keys call."""
     found = [(where, call.lineno) for path in sorted(SRC.glob("*.py"))
              for where, call in call_nodes(path.read_text(), path.stem)
              if isinstance(call.func, ast.Attribute) and call.func.attr in ("random", "random_raw")]
     assert {where for where, _ in found} == {"codec.transmit_bec"}, f"draws outside transmit_bec: {found}"
-    draws = [(where, call) for where, call in call_nodes((SRC / "simulate.py").read_text(), "simulate")
+    source = (SRC / "simulate.py").read_text()
+    nodes = call_nodes(source, "simulate")
+    draws = [(where, call) for where, call in nodes
              if "transmit_bec" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))]
     assert draws and all(
-        where.startswith("simulate._trial_rows.") and isinstance(call.func, ast.Name)
-        and isinstance(call.args[-1], ast.Call) and getattr(call.args[-1].func, "id", None) == "trial_stream"
+        where == "simulate._trial_rows.take_trial" and isinstance(call.func, ast.Name)
+        and isinstance(call.args[-1], ast.Name) and call.args[-1].id == "stream"
         for where, call in draws
     ), f"transmit_bec calls in simulate: {[(where, call.lineno) for where, call in draws]}"
+    # every stream in the library is built on trial_keys: one call per task, one per cell stream
+    streams = [(where, call.func.attr) for path in sorted(SRC.glob("*.py"))
+               for where, call in call_nodes(path.read_text(), path.stem)
+               if getattr(call.func, "attr", None) in ("Generator", "Philox", "SeedSequence")]
+    assert sorted(streams) == sorted([(where, name) for where in ("simulate._trial_rows", "simulate.trial_stream")
+                                      for name in ("Generator", "Philox")]), streams
+    assert sorted(where for where, call in nodes if getattr(call.func, "id", None) == "trial_keys") == [
+        "simulate._trial_rows", "simulate.trial_stream"]
+    rows = named(ast.parse(source), "_trial_rows")
+    assigned = {}  # name -> the values assigned to it in _trial_rows
+    for node in ast.walk(rows):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                for name in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(name, ast.Name):
+                        assigned.setdefault(name.id, []).append(node.value)
+    [built] = assigned["stream"]
+    philox = built.args[0]
+    assert built.func.attr == "Generator" and philox.func.attr == "Philox"
+    assert [kw.arg for kw in philox.keywords] == ["key"] and philox.keywords[0].value.value.id == "keys"
+    [keys] = assigned["keys"]
+    assert keys.func.id == "trial_keys"
+    # take_trial sets the stream's state, keyed from keys, before it draws
+    take = named(rows, "take_trial")
+    rekeys = [node for node in ast.walk(take) if isinstance(node, ast.Assign)
+              and ast.unparse(node.targets[0]) == "stream.bit_generator.state"]
+    assert len(rekeys) == 1 and all(rekeys[0].lineno < call.lineno for _, call in draws)
+    keyed = [node for node in ast.walk(take) if isinstance(node, ast.Assign)
+             and any(ast.unparse(t) == "state['state']['key']" for t in ast.walk(node.targets[0]))]
+    assert len(keyed) == 1 and keyed[0].lineno < rekeys[0].lineno
+    assert ast.unparse(keyed[0].value) == "next(draws)"
+    [draws_value] = assigned["draws"]
+    assert "keys.tolist()" in [ast.unparse(arg) for arg in draws_value.args]

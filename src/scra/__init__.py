@@ -47,7 +47,6 @@ from scra.simulate import (
     SimResult,
     run_sweep,
     wilson_interval,
-    waterfall_crossing,
 )
 
 __version__ = "0.1.0"

@@ -246,6 +246,7 @@ class DeRunResult:
         return self.outcome == "converged"
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # a breakdown (ra-proto, a < q, eps=1) ends as a NaN stall
 def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
     """Iterate a driver's recursion at fixed eps until success, stall, or budget.
 

@@ -28,7 +28,6 @@ trial's tallies are those of decode_peel on its own draw, bit for bit.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -38,6 +37,7 @@ import numpy as np
 from scra import codec
 from scra.codec import ERASED, decode_peel, transmit_bec  # noqa: F401 (decode_peel: perfbench wraps it here)
 from scra.construct import CodeInstance, _write_csv
+from scra.ensembles import is_int
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 BATCH = 256  # most trials per pool task, to balance the workers; a segment also shrinks near a word-error stop
@@ -46,6 +46,7 @@ HANDOFF = 8  # once no trial is left, this many live lanes finish one by one in 
 EPS_RESOLUTION = 1e-6  # the CSV prints eps as :.6f
 _M32 = 0xFFFFFFFF
 _STATE_HASH = np.array([0x8B51F9DD * 0x58F38DED**i & _M32 for i in range(5)], dtype=np.uint32)  # generate_state's
+_SPAWN_STEPS = np.array([0x931E8875**i & _M32 for i in range(9)], dtype=np.uint32)  # SeedSequence's multiplier ** 0..8
 
 
 class SimulationError(RuntimeError):
@@ -75,6 +76,9 @@ class SweepPlan:
             raise SimulationError("eps_grid must not be empty")
         if any(not 0.0 <= e <= 1.0 for e in self.eps_grid):
             raise SimulationError("every eps must lie in [0, 1]")
+        for name, value in vars(self).items():
+            if name != "eps_grid" and not (is_int(value) or name == "max_word_errors" and value is None):
+                raise SimulationError(f"{name} must be an integer, got {value!r}")
         if self.max_trials < 1:
             raise SimulationError("max_trials must be >= 1")
         if self.max_trials > 2**32:  # a trial index is one uint32 spawn-key word in trial_keys
@@ -103,14 +107,9 @@ def eps_range(start: float, stop: float, step: float) -> tuple[float, ...]:
     return tuple(float(start + i * step) for i in range(int(count)))
 
 
-# numpy SeedSequence's hashmix (h and the hash constant after it) and mix, on Python ints or uint32 arrays
+# numpy SeedSequence's hashmix, on uint32 arrays: h is its hash constant, h_next the one after it
 def _hashmix(value, h, h_next):
-    value = (value ^ h) * h_next & _M32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    value = (value ^ h) * h_next
     return value ^ value >> 16
 
 
@@ -119,26 +118,19 @@ def trial_keys(seed: int, eps_index, trial_index) -> np.ndarray:
 
     Each is np.random.SeedSequence(entropy=seed, spawn_key=(eps_index, trial_index))
     .generate_state(2, np.uint64), for indices below 2**32 (one spawn-key word each).
-    The seed's words mix once in Python ints, the spawn key into every cell at once.
+    numpy mixes the seed's words into the pool; the spawn key mixes in here, into every
+    cell at once.
     """
     if seed < 0:
         raise SimulationError(f"seed must be a non-negative integer, got {seed}")
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))  # a spawn key pads the seed's words to the pool size
-    # hash constants, a pair per hashmix: 16 for the first 4 seed words, 4 per further word, 8 for the key
-    hc = list(itertools.accumulate(range(4 * len(words) + 8), lambda h, _: h * 0x931E8875 & _M32,
-                                   initial=0x43B0D7E5))
-    pairs = zip(hc, hc[1:])
-    pool = [_hashmix(w, *next(pairs)) for w in words[:4]]
-    for s, d in itertools.permutations(range(4), 2):
-        pool[d] = _mix(pool[d], _hashmix(pool[s], *next(pairs)))
-    for w in words[4:]:
-        pool = [_mix(p, _hashmix(w, *next(pairs))) for p in pool]
-    spawn = np.array(hc[-9:], dtype=np.uint32)  # 4 hashmixes, one per pool word, for each spawn-key word
+    pool = np.random.SeedSequence(seed).pool
+    # the hash constant, times the multiplier per hashmix, took 4 per seed word (at least 4 words); 9 go on here
+    spawn = (0x43B0D7E5 * 0x931E8875 ** (4 * max(-(-seed.bit_length() // 32), 4)) & _M32) * _SPAWN_STEPS
     for j, index in enumerate((eps_index, trial_index)):
         value = _hashmix(np.asarray(index, dtype=np.uint32)[..., None], spawn[4 * j : 4 * j + 4],
                          spawn[4 * j + 1 : 4 * j + 5])
-        pool = _mix(np.asarray(pool, dtype=np.uint32), value)
+        pool = 0xCA01F9DD * pool - 0x4973F715 * value  # SeedSequence's mix(pool word, value)
+        pool ^= pool >> 16
     # generate_state(2, np.uint64): the same hash on its own constants, then two little-endian pairs
     return _hashmix(pool, _STATE_HASH[:4], _STATE_HASH[1:]).astype("<u4", copy=False).view("<u8")
 
@@ -395,8 +387,8 @@ def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
     is identical for any jobs value, and neither it nor the worker count
     depends on how trials are grouped.
     """
-    if jobs < 1:
-        raise SimulationError("jobs must be >= 1")
+    if not (is_int(jobs) and jobs >= 1):
+        raise SimulationError(f"jobs must be an integer >= 1, got {jobs!r}")
     # a fork pool starts every worker at once, so start no more than there are BATCH-sized tasks
     jobs = min(jobs, -(-len(plan.eps_grid) * plan.max_trials // BATCH))
     stop = plan.max_word_errors
@@ -467,26 +459,3 @@ def run_sweep(code: CodeInstance, plan: SweepPlan, jobs: int = 1) -> SimResult:
         message_bit_count=code.n_msg,
         metadata=meta,
     )
-
-
-def waterfall_crossing(result: SimResult, level: float = 0.5) -> float:
-    """Erasure rate where the WER curve crosses `level`.
-
-    Takes the last grid bracket with wer[i] <= level < wer[i+1] and
-    interpolates log-WER linearly inside it; a zero count is floored at
-    half a trial for the logarithm.
-    """
-    wer = result.wer()
-    bracket = None
-    for i in range(len(wer) - 1):
-        if wer[i] <= level < wer[i + 1]:
-            bracket = i
-    if bracket is None:
-        raise SimulationError(f"WER never crosses {level} inside the grid")
-    i = bracket
-    floor_i = 0.5 / result.trials[i]
-    la = np.log(max(wer[i], floor_i))
-    lb = np.log(wer[i + 1])
-    t = (np.log(level) - la) / (lb - la) if lb != la else 0.5
-    return float(result.eps[i] + t * (result.eps[i + 1] - result.eps[i]))
-

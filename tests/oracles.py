@@ -6,9 +6,10 @@ sort, the chain positions, the per-sweep peeling trace, the peeling loop
 that resets its sentinel every sweep, the Monte Carlo trials one
 decode_peel at a time, the structured DE step as a loop, the
 per-iteration DE loop with its front rule, the in-order word-error stop,
-and the GF(2) rank and greedy triangulation gap that count an encoder's
-work.  They check the library from outside, so they live with the tests;
-pytest does not collect this module.
+the waterfall locator on a sweep's WER curve, and the GF(2) rank and
+greedy triangulation gap that count an encoder's work.  They check the
+library from outside, so they live with the tests; pytest does not
+collect this module.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from scra.density_evolution import (
     DeRunResult,
     DeState,
 )
-from scra.simulate import trial_stream
+from scra.simulate import SimResult, SimulationError, trial_stream
 
 _ML_SIZE_LIMIT = 10_000
 
@@ -344,6 +345,28 @@ def stop_prefix(word_err_flags: np.ndarray, max_word_errors: int | None) -> int 
     if cum[-1] < max_word_errors:
         return None
     return int(np.searchsorted(cum, max_word_errors)) + 1
+
+
+def waterfall_crossing(result: SimResult, level: float = 0.5) -> float:
+    """Erasure rate where the WER curve crosses `level`.
+
+    Takes the last grid bracket with wer[i] <= level < wer[i+1] and
+    interpolates log-WER linearly inside it; a zero count is floored at
+    half a trial for the logarithm.
+    """
+    wer = result.wer()
+    bracket = None
+    for i in range(len(wer) - 1):
+        if wer[i] <= level < wer[i + 1]:
+            bracket = i
+    if bracket is None:
+        raise SimulationError(f"WER never crosses {level} inside the grid")
+    i = bracket
+    floor_i = 0.5 / result.trials[i]
+    la = np.log(max(wer[i], floor_i))
+    lb = np.log(wer[i + 1])
+    t = (np.log(level) - la) / (lb - la) if lb != la else 0.5
+    return float(result.eps[i] + t * (result.eps[i + 1] - result.eps[i]))
 
 
 def gf2_rank(c) -> int:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from oracles import decode_ml_oracle, gf2_rank, greedy_gap, h_dense, peel_trace, proto_step_reference
+from oracles import (decode_ml_oracle, gf2_rank, greedy_gap, h_dense, peel_trace, proto_step_reference,
+                     waterfall_crossing)
 from scra.cli import main as cli_main
 from scra.codec import decode_peel, encode, transmit_bec
 from scra.construct import build_sc_ldpc, build_sc_ra
@@ -20,7 +21,7 @@ from scra.ensembles import (
     ScRaParams,
     design_rate,
 )
-from scra.simulate import SweepPlan, eps_range, run_sweep, trial_stream, waterfall_crossing
+from scra.simulate import SweepPlan, eps_range, run_sweep, trial_stream
 
 
 def report(num, ok, detail):

@@ -565,6 +565,15 @@ def test_de_threshold_reports_front_stalled_probes_on_stderr(tmp_path, capsys):
         assert "front" not in text
 
 
+def test_de_threshold_breakdown_warns_nothing(capsys):
+    """ra-proto with a < q raises 0 to a negative power at eps=1; that probe ends as a stall,
+    and the search exits 0 without a numpy warning, which the suite turns into an error."""
+    assert main(["de", "threshold", "--ensemble", "ra-proto", "--q", "4", "--a", "2", "--L", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "ensemble=ra-proto threshold_lo=0.706177 threshold_hi=0.706238 probes=16 iters=8035\n"
+    assert "Warning" not in captured.err
+
+
 @pytest.mark.parametrize("command,args,key", [
     ("construct", {"family": "ra", "q": 3, "a": 3, "L": 1, "M": 2, "seed": True}, "seed"),
     ("construct", {"family": "ra", "q": 3, "a": True, "L": 1, "M": 2, "seed": 0}, "a"),

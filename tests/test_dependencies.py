@@ -1,4 +1,5 @@
-"""The library imports nothing at run time but the standard library and numpy."""
+"""The library imports nothing at run time but the standard library and numpy, and exports
+nothing that only the tests or the benchmark use."""
 
 import ast
 import sys
@@ -27,3 +28,24 @@ def test_library_imports_only_the_stdlib_and_numpy(path):
     here, such as scipy, would pass every other test and fail on a user's install."""
     bad = [m for m in absolute_imports(path) if m not in sys.stdlib_module_names and m not in ALLOWED]
     assert not bad, f"{path.name} imports {bad}, which is neither the standard library nor numpy"
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads, as a name or an attribute, outside the top-level
+    definition or assignment of that same name."""
+    used = set()
+    for stmt in tree.body:
+        own = {getattr(stmt, "name", None)} | {t.id for t in getattr(stmt, "targets", []) if isinstance(t, ast.Name)}
+        used |= {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
+                 if isinstance(node, (ast.Name, ast.Attribute))} - own
+    return used
+
+
+def test_every_export_is_used_in_the_library():
+    """A name that scra/__init__.py exports serves the library itself; a helper that only the
+    tests call belongs in tests/oracles.py."""
+    exported = [alias.asname or alias.name for node in ast.parse((SRC / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    used = set().union(*(used_names(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))
+                         if path.name != "__init__.py"))
+    assert [name for name in exported if name not in used] == []

@@ -10,7 +10,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from oracles import stop_prefix, toy_code as hand_code, trial_rows_reference
+from oracles import stop_prefix, toy_code as hand_code, trial_rows_reference, waterfall_crossing
 from scra import codec, simulate
 from scra.cli import main as cli_main
 from scra.codec import decode_peel, transmit_bec
@@ -24,7 +24,6 @@ from scra.simulate import (
     eps_range,
     run_sweep,
     trial_stream,
-    waterfall_crossing,
     wilson_interval,
 )
 
@@ -47,6 +46,13 @@ def test_plan_validation():
             SweepPlan((0.5,), max_iters=bad)
     with pytest.raises(SimulationError):
         run_sweep(toy_code(), SweepPlan((0.5,), max_trials=1), jobs=0)
+    # every count and the seed is an int, as in the parameter classes: no bool, float or numpy int
+    for name, bad in [("seed", True), ("max_iters", 2.5), ("seed", 1.5), ("seed", np.int64(3)),
+                      ("max_trials", 2.5), ("max_word_errors", 1.5)]:
+        with pytest.raises(SimulationError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+            SweepPlan((0.5,), **{name: bad})
+    with pytest.raises(SimulationError, match="jobs must be an integer >= 1, got 1.5"):
+        run_sweep(toy_code(), SweepPlan((0.5,), max_trials=1), jobs=1.5)
 
 
 def test_eps_range():
@@ -94,14 +100,16 @@ def test_eps_range_refuses_points_outside_the_csv_grid():
     assert eps_range(0.7, 1.0, 0.1)[-1] == 1.0
 
 
-KEY_SEEDS = (0, 1, 2**32 + 5, 2**128 + 7, 12345678901234567890123456789012345678901)
+KEY_SEEDS = (0, 1, 2**32 - 1, 2**32 + 5, 2**96 + 3, 2**128 - 1, 2**128 + 7, 2**200 + 99,
+             12345678901234567890123456789012345678901)
 KEY_INDICES = (0, 1, 7, 2**31, 2**32 - 1)
 
 
 @pytest.mark.parametrize("seed", KEY_SEEDS)
 def test_trial_keys_are_numpys_seed_sequence_keys(seed):
-    """Over arrays and one cell at a time, for seeds of one to five words and indices up to
-    2**32 - 1, trial_keys gives the keys numpy's SeedSequence route gives."""
+    """Over arrays and one cell at a time, for seeds of one to seven words, on both sides of
+    the four-word pool, and indices up to 2**32 - 1, trial_keys gives the keys numpy's
+    SeedSequence route gives."""
     cells = list(itertools.product(KEY_INDICES, repeat=2))
     eps_index, trial_index = (np.array(column, dtype=np.int64) for column in zip(*cells))
     got = simulate.trial_keys(seed, eps_index, trial_index)

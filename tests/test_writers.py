@@ -106,7 +106,8 @@ def named(node, name: str):
 def test_transmit_bec_is_the_only_draw():
     """Every random draw in the library is codec.transmit_bec's, and the lane kernel makes each
     trial's through the simulate name transmit_bec, which perfbench wraps, on the task's one
-    generator, built and re-keyed, before every draw, from the keys of one trial_keys call."""
+    generator, built and re-keyed, before every draw, from the keys of one trial_keys call;
+    numpy's SeedSequence is built once, in trial_keys, and read only for its pool."""
     found = [(where, call.lineno) for path in sorted(SRC.glob("*.py"))
              for where, call in call_nodes(path.read_text(), path.stem)
              if isinstance(call.func, ast.Attribute) and call.func.attr in ("random", "random_raw")]
@@ -124,8 +125,13 @@ def test_transmit_bec_is_the_only_draw():
     streams = [(where, call.func.attr) for path in sorted(SRC.glob("*.py"))
                for where, call in call_nodes(path.read_text(), path.stem)
                if getattr(call.func, "attr", None) in ("Generator", "Philox", "SeedSequence")]
-    assert sorted(streams) == sorted([(where, name) for where in ("simulate._trial_rows", "simulate.trial_stream")
-                                      for name in ("Generator", "Philox")]), streams
+    built = [(where, name) for where in ("simulate._trial_rows", "simulate.trial_stream")
+             for name in ("Generator", "Philox")]
+    assert sorted(streams) == sorted([*built, ("simulate.trial_keys", "SeedSequence")]), streams
+    # trial_keys reads numpy's SeedSequence only for the pool the seed's words mix into
+    read = [node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Call) and getattr(node.value.func, "attr", None) == "SeedSequence"]
+    assert read == ["pool"], read
     assert sorted(where for where, call in nodes if getattr(call.func, "id", None) == "trial_keys") == [
         "simulate._trial_rows", "simulate.trial_stream"]
     rows = named(ast.parse(source), "_trial_rows")

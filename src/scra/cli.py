@@ -14,7 +14,7 @@ import json
 import os
 import string
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -39,7 +39,6 @@ from scra.density_evolution import (
     MAX_ITERS,
     MODELS,
     make_de_model,
-    positive_rate,
     sweep_fig4,
     threshold,
     write_fig4_csv,
@@ -281,11 +280,10 @@ def _de_model(cfg: dict):
     cls, windowed, _ = MODELS[kind]
     skip = {True: (), False: ("w",), None: ("L", "w")}[windowed]
     entries = _params(cfg, cls, f"ensemble {kind}", skip, optional=("w",))
-    # DE reads no M; M equal to the second field, a (or dr), keeps the check count whole
-    p = cls(**{"L": 0, **entries, "M": entries[fields(cls)[1].name]})
-    p = replace(p, w=p.width) if windowed and p.w is None else p
-    positive_rate(p)  # a degenerate ensemble is refused before any probe
-    return make_de_model(kind, p)
+    # DE reads no M: M equal to the second field, a (or dr), keeps the check count whole;
+    # a smoothed view without --w takes the first, q (or dl), as its window
+    width, combine = (entries[f.name] for f in fields(cls)[:2])
+    return make_de_model(kind, cls(**{"L": 0, "w": width if windowed else None, **entries, "M": combine}))
 
 
 def _cmd_de_threshold(cfg: dict) -> str | None:

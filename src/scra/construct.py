@@ -137,7 +137,7 @@ def _build(p: ScRaParams | ScLdpcParams, seed: int, family: str) -> CodeInstance
         raise ParameterError(f"build_sc_{family} needs {family} parameters, got {p!r}")
     if p.w is not None:
         raise ParameterError("a code instance takes w=None parameters; w is the window of the smoothed DE")
-    if seed < 0:
+    if not (is_int(seed) and seed >= 0):  # load_descriptor's rule, so that every saved seed loads
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     k, n = code_size(p)
     m = n - k
@@ -160,9 +160,9 @@ def build_sc_ra(p: ScRaParams, seed: int) -> CodeInstance:
     Parameters
     ----------
     p : ScRaParams
-        Ensemble parameters; `w` is ignored for instance construction.
+        Ensemble parameters with `w` None; a set window is refused.
     seed : int
-        Seed of the construction stream.
+        Seed of the construction stream, an int >= 0 (no bool).
 
     Returns
     -------

@@ -10,7 +10,7 @@ checks modeled through their mean message degree (a real-valued exponent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -21,8 +21,6 @@ from scra.ensembles import (
     ScLdpcParams,
     ScRaParams,
     density_matched_q,
-    design_rate,
-    smoothed_rate,
 )
 from scra.construct import _write_csv
 
@@ -403,20 +401,6 @@ class Fig4Row:
     front_stalled: int
 
 
-def positive_rate(p: ScRaParams | ScLdpcParams) -> float:
-    """The rate of p's DE view: smoothed_rate with a window w, design_rate without.
-
-    A rate that is not positive marks a degenerate ensemble, whose threshold
-    means nothing, so it is refused with a ParameterError naming p.
-    """
-    r = float(smoothed_rate(p) if p.w is not None else design_rate(p))
-    if r <= 0:
-        named = " ".join(f"{f.name}={getattr(p, f.name)}" for f in fields(p)
-                         if f.name != "M" and getattr(p, f.name) is not None)
-        raise ParameterError(f"{p.family} ensemble {named} has rate {r:.6g}, not positive; it has no threshold")
-    return r
-
-
 def sweep_fig4(
     variant: str,
     Ls: tuple[int, ...] = FIG4_LS,
@@ -430,8 +414,8 @@ def sweep_fig4(
     w=dl) and their smoothed_rate; variant "4b" uses the structured
     ensembles and their design_rate.  Each LDPC degree dl is paired with
     the RA repetition factor of equal edge density at the uncoupled rate
-    FIG4_RATE.  A point whose rate is not positive is refused (see
-    positive_rate) before the first search.
+    FIG4_RATE.  A point whose rate is not positive is refused, by its
+    ScLdpcParams, before the first search.
     """
     if variant not in ("4a", "4b"):
         raise ParameterError(f"variant must be '4a' or '4b', got {variant!r}")
@@ -445,11 +429,11 @@ def sweep_fig4(
         for L in Ls:
             for p in (ScRaParams(q=q, a=q, L=L, M=1, w=q if smoothed else None),
                       ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=dl if smoothed else None)):
-                grid.append((p, make_de_model(f"{p.family}-{view}", p), positive_rate(p)))
+                grid.append((p, make_de_model(f"{p.family}-{view}", p)))
     rows: list[Fig4Row] = []
-    for p, model, r in grid:
+    for p, model in grid:
         res = threshold(model, precision=precision, max_iters=max_iters)
-        rows.append(Fig4Row(p.family, p.width, p.L, p.w, r, res.lo, res.hi, res.iters,
+        rows.append(Fig4Row(p.family, p.width, p.L, p.w, p.rate, res.lo, res.hi, res.iters,
                             res.capped, res.front_stalled))
     return rows
 

@@ -8,7 +8,6 @@ either family is a float.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
@@ -53,6 +52,11 @@ class _Chain:
         )
         if self.w is not None:
             _require(is_int(self.w) and self.w >= 1, f"w must be an integer >= 1, got {self.w!r}")
+
+    @property
+    def rate(self) -> float:
+        """The rate of this view: smoothed_rate with a window w, design_rate without."""
+        return float(smoothed_rate(self) if self.w is not None else design_rate(self))
 
     @property
     def span(self) -> int:
@@ -114,6 +118,8 @@ class ScLdpcParams(_Chain):
     dl: variable degree, dl >= 2.   dr: check degree, dr >= dl.
     L: one-sided coupling length.   M: bit nodes per position; dr must
     divide dl*M.  w: smoothing window or None for the structured ensemble.
+    The rate of the view (see _Chain.rate) must be positive: dr near dl
+    at small L (dl == dr at any L) leaves neither a code nor a threshold.
     """
 
     family: ClassVar[str] = "ldpc"
@@ -136,17 +142,13 @@ class ScLdpcParams(_Chain):
         _require(is_int(self.dl) and self.dl >= 2, f"dl must be an integer >= 2, got {self.dl!r}")
         _require(is_int(self.dr) and self.dr >= self.dl, f"dr must be an integer >= dl, got {self.dr!r}")
         self._check_chain("dl", "dr")
+        r = self.rate
+        window = "" if self.w is None else f" w={self.w}"
+        _require(r > 0, f"ldpc ensemble dl={self.dl} dr={self.dr} L={self.L}{window} has rate {r:.6g}, not positive")
 
 
 # family name -> parameter class
 FAMILY_PARAMS = {cls.family: cls for cls in (ScRaParams, ScLdpcParams)}
-
-
-def _flag_degenerate(p: ScRaParams | ScLdpcParams, r: Fraction | float) -> Fraction | float:
-    """The rate r of p, with a warning if it is not positive; such an ensemble is degenerate."""
-    if r <= 0:
-        warnings.warn(f"degenerate coupled {p.family} ensemble: design rate {r} is not positive")
-    return r
 
 
 def smoothed_rate(p: ScRaParams | ScLdpcParams) -> float:
@@ -156,14 +158,13 @@ def smoothed_rate(p: ScRaParams | ScLdpcParams) -> float:
     c = (q/a or dl/dr)(2L + w - 2 sum_{i=1..w-1} (i/w)^(a or dr)) checks per
     unit of M, so the rate is span/(span + c) for RA, each check bringing its
     parity bit, and (span - c)/span for LDPC, Lemma 3 of Kudekar, Richardson
-    and Urbanke (arXiv:1001.1826).  At w=1 it is a/(a+q), or 1 - dl/dr.  A
-    nonpositive rate is flagged as degenerate, as in design_rate.
+    and Urbanke (arXiv:1001.1826).  At w=1 it is a/(a+q), or 1 - dl/dr.
     """
     if p.w is None:
         raise ParameterError("smoothed_rate applies to the smoothed ensemble; w must be set")
     empty = 2 * sum((i / p.w) ** p.combine for i in range(1, p.w))
     c = (p.width / p.combine) * (2 * p.L + p.w - empty)
-    return _flag_degenerate(p, p.span / (p.span + c) if p.family == "ra" else (p.span - c) / p.span)
+    return p.span / (p.span + c) if p.family == "ra" else (p.span - c) / p.span
 
 
 def code_size(p: ScRaParams | ScLdpcParams) -> tuple[int, int]:
@@ -184,13 +185,11 @@ def design_rate(p: ScRaParams | ScLdpcParams) -> Fraction:
     From code_size this is (2L+1)a / ((2L+1)a + (2L+q)q) for the RA
     family, tending to a/(a+q) as L grows, and 1 - (dl/dr)(2L+dl)/(2L+1)
     for the LDPC baseline; the extra check positions past the message span
-    carry the termination overhead.  dr near dl at small L (dl == dr at
-    any L) makes the LDPC rate nonpositive; such a parameter set is
-    flagged as degenerate but still computed.
+    carry the termination overhead.
     """
     if p.w is not None:
         raise ParameterError("design_rate applies to the structured ensemble; w must be None")
-    return _flag_degenerate(p, Fraction(*code_size(p)))
+    return Fraction(*code_size(p))
 
 
 def density_matched_q(dl: int, rate: Fraction | float | int | str) -> int:

@@ -57,7 +57,7 @@ class SimulationError(RuntimeError):
 class SweepPlan:
     """One erasure-rate sweep.
 
-    eps_grid: channel erasure rates to visit, each in [0, 1].
+    eps_grid: tuple of channel erasure rates to visit, each in [0, 1].
     max_trials: trial budget per rate.
     max_word_errors: stop a rate early once this many word errors have
         accumulated along the trial sequence (None disables).
@@ -72,6 +72,8 @@ class SweepPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.eps_grid, tuple) and all(is_int(e) or isinstance(e, float) for e in self.eps_grid)):
+            raise SimulationError(f"eps_grid must be a tuple of rates, got {self.eps_grid!r}")
         if len(self.eps_grid) == 0:
             raise SimulationError("eps_grid must not be empty")
         if any(not 0.0 <= e <= 1.0 for e in self.eps_grid):

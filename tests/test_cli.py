@@ -698,14 +698,49 @@ def test_de_sweep_refuses_bad_grid_before_any_search(tmp_path, monkeypatch, caps
      "ldpc ensemble dl=3 dr=6 L=0 w=3 has rate -0.410837"),
 ], ids=["sweep", "threshold"])
 def test_de_refuses_a_degenerate_ensemble_before_any_probe(tmp_path, monkeypatch, capsys, argv, named):
-    """A point whose rate is not positive has no threshold to search: after the library's
-    warning it exits 2, naming its parameters, before any probe and writing nothing."""
+    """A point whose rate is not positive has no threshold to search: it exits 2, naming its
+    parameters, before any probe and writing nothing."""
     monkeypatch.setattr("scra.density_evolution.threshold", _no_search)
     monkeypatch.setattr("scra.cli.threshold", _no_search)
-    with pytest.warns(UserWarning, match="degenerate coupled ldpc ensemble"):
-        assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 2
-    assert f"error: {named}, not positive; it has no threshold\n" in capsys.readouterr().err
+    assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 2
+    assert f"error: {named}, not positive\n" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+DEGENERATE = "ldpc ensemble dl=3 dr=3 L=1 has rate -0.666667, not positive"
+
+
+def test_construct_refuses_a_degenerate_ldpc_ensemble(tmp_path, capsys):
+    """A (3,3) chain of length 3 would have k = -6: construct exits 2, naming the parameters,
+    and writes no descriptor, alist or config."""
+    argv = ["construct", "--family", "ldpc", "--dl", "3", "--dr", "3", "--L", "1", "--M", "3"]
+    assert main([*argv, "--out", str(tmp_path / "code")]) == 2
+    assert f"error: {DEGENERATE}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_descriptor_of_a_degenerate_ldpc_ensemble_is_refused(tmp_path, capsys):
+    """load_descriptor builds its parameters through the same type, so a stored code whose
+    rate is not positive exits 2, naming field 'params', and nothing is written."""
+    base = tmp_path / "code"
+    assert main(["construct", "--family", "ldpc", "--dl", "3", "--dr", "6", "--L", "1", "--M", "2",
+                 "--out", str(base)]) == 0
+    doc = json.loads((tmp_path / "code.json").read_text())
+    doc["params"]["dr"] = 3  # n is that of the (3,6) code, so only the rate is wrong
+    (tmp_path / "code.json").write_text(json.dumps(doc))
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["encode", "--code", str(tmp_path / "code.json"), "--message", "0x0",
+                 "--out", str(tmp_path / "w.txt")]) == 2
+    assert f"error: field 'params': {DEGENERATE}\n" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_de_threshold_takes_the_rate_of_the_smoothed_view(tmp_path):
+    """ldpc-w (4,5) at L=5 has design rate -1/55 but smoothed rate +0.021 at its window w=dl:
+    the parameters DE searches are built once, with their window, and they are not refused."""
+    assert main(["de", "threshold", "--ensemble", "ldpc-w", "--dl", "4", "--dr", "5", "--L", "5",
+                 "--out", str(tmp_path / "t.csv")]) == 0
 
 
 def test_de_sweep_reports_capped_probes(tmp_path, capsys):

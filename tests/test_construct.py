@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 from functools import cached_property
 
 import numpy as np
@@ -73,6 +74,14 @@ def test_build_is_pure_function_of_params_and_seed():
     assert build_sc_ldpc(lp, 7) != build_sc_ldpc(lp, 8)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, -1, np.int64(3)])
+def test_builder_takes_the_seeds_a_descriptor_loads(seed):
+    """A seed is an int >= 0, as load_descriptor reads it: True would build as seed 1 and save
+    as a seed no descriptor loads, and 1.5 would fail inside numpy."""
+    with pytest.raises(ParameterError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+        build_sc_ra(ScRaParams(3, 3, 1, 2), seed)
+
+
 def test_builder_rejects_other_family():
     """The family is read off the parameters, so a mismatch must not build."""
     with pytest.raises(ParameterError):
@@ -133,7 +142,7 @@ def test_ra_instance_invariants(q, a, L, M):
         assert degs.max() - degs.min() <= 1
 
 
-@pytest.mark.parametrize("dl,dr,L,M", [(2, 4, 0, 2), (3, 6, 1, 2), (4, 8, 2, 10), (3, 4, 4, 8)])
+@pytest.mark.parametrize("dl,dr,L,M", [(2, 5, 0, 5), (3, 6, 1, 2), (4, 8, 2, 10), (3, 4, 4, 8)])
 def test_ldpc_instance_invariants(dl, dr, L, M):
     c = build_sc_ldpc(ScLdpcParams(dl, dr, L, M), seed=11)
     var_deg = np.bincount(c.check_vars, minlength=c.n)

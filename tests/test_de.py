@@ -135,9 +135,9 @@ def test_stepped_state_is_never_overwritten(kind, p):
     ("ra-proto", ScRaParams(3, 3, 1, M=3)),
     ("ra-proto", ScRaParams(6, 6, 5, M=6)),
     ("ra-proto", ScRaParams(9, 3, 3, M=3)),
-    ("ldpc-proto", ScLdpcParams(2, 4, 0, M=2)),
+    ("ldpc-proto", ScLdpcParams(2, 5, 0, M=5)),
     ("ldpc-proto", ScLdpcParams(4, 8, 3, M=8)),
-    ("ldpc-proto", ScLdpcParams(8, 16, 2, M=16)),
+    ("ldpc-proto", ScLdpcParams(8, 32, 2, M=4)),
 ])
 def test_proto_step_matches_loop_reference(kind, p):
     """Same arithmetic in the same order as the loop: equal to the last bit, not to a tolerance."""
@@ -173,7 +173,7 @@ def _reference_w_step(model, s):
     ("ra-w", ScRaParams(3, 3, 0, M=3, w=3)),  # window wider than the chain
     ("ra-w", ScRaParams(4, 2, 1, M=2, w=5)),
     ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4)),
-    ("ldpc-w", ScLdpcParams(3, 6, 1, M=6, w=7)),
+    ("ldpc-w", ScLdpcParams(3, 12, 1, M=4, w=7)),
     ("ra-uncoupled", ScRaParams(6, 6, 0, M=6)),
 ])
 def test_w_step_matches_convolve_reference(kind, p):
@@ -718,7 +718,7 @@ def test_step_dispatch_guards():
     with pytest.raises(ParameterError, match="window"):
         make_de_model("ra-w", ScRaParams(3, 3, 0, M=3))
     with pytest.raises(ParameterError, match="window"):
-        make_de_model("ldpc-w", ScLdpcParams(3, 6, 0, 6))
+        make_de_model("ldpc-w", ScLdpcParams(3, 12, 0, 4))
 
 
 @pytest.mark.parametrize("kwargs,key", [

@@ -49,3 +49,10 @@ def test_every_export_is_used_in_the_library():
     used = set().union(*(used_names(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))
                          if path.name != "__init__.py"))
     assert [name for name in exported if name not in used] == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_reports_bad_input_by_refusal_not_warning(path):
+    """Bad input is refused with an error, which the command line turns into exit 2; a
+    warning would let the run go on, and under -W error exit 3 after partial work."""
+    assert "warnings" not in absolute_imports(path), f"{path.name} imports warnings"

@@ -1,6 +1,5 @@
 """Parameter validation and exact rate bookkeeping."""
 
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -24,10 +23,10 @@ def rate_sc_ra_reference(p: ScRaParams) -> Fraction:
     return Fraction(p.span * p.a, p.span * p.a + p.n_chk_pos * p.q)
 
 
-def rate_sc_ldpc_reference(p: ScLdpcParams) -> Fraction:
+def rate_sc_ldpc_reference(dl: int, dr: int, L: int) -> Fraction:
     """The paper's closed form for the terminated coupled (dl, dr) LDPC
     rate: 1 - (dl/dr) * (2L+dl)/(2L+1)."""
-    return 1 - Fraction(p.dl, p.dr) * Fraction(p.n_chk_pos, p.span)
+    return 1 - Fraction(dl, dr) * Fraction(2 * L + dl, 2 * L + 1)
 
 
 def test_rate_ra_exact_value():
@@ -44,7 +43,8 @@ def test_rate_ldpc_exact_value():
 
 
 def test_design_rate_matches_closed_forms():
-    """k/n of code_size is the paper's closed form of either family, exactly."""
+    """k/n of code_size is the paper's closed form of either family, exactly; an LDPC
+    parameter set is refused exactly where that rate is not positive."""
     for L in (0, 1, 2, 5, 16):
         for q in range(2, 9):
             for a in range(1, q + 1):
@@ -52,12 +52,12 @@ def test_design_rate_matches_closed_forms():
                 assert design_rate(p) == rate_sc_ra_reference(p)
         for dl in range(2, 7):
             for dr in range(dl, 13):
-                p = ScLdpcParams(dl=dl, dr=dr, L=L, M=dr)
-                ref = rate_sc_ldpc_reference(p)
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    assert design_rate(p) == ref
-                assert len(caught) == (ref <= 0)  # the degenerate warning, exactly when due
+                ref = rate_sc_ldpc_reference(dl, dr, L)
+                if ref <= 0:
+                    with pytest.raises(ParameterError, match="not positive"):
+                        ScLdpcParams(dl=dl, dr=dr, L=L, M=dr)
+                else:
+                    assert design_rate(ScLdpcParams(dl=dl, dr=dr, L=L, M=dr)) == ref
 
 
 @pytest.mark.parametrize("p", [ScRaParams(3, 3, 1, 2), ScRaParams(4, 2, 2, 3), ScLdpcParams(3, 6, 2, 4)])
@@ -73,17 +73,18 @@ def smoothed_rate_ra_reference(p: ScRaParams) -> Fraction:
     return p.span / (p.span + Fraction(p.q, p.a) * (2 * p.L - p.w + 2 * (p.w + 1 - boundary)))
 
 
-def smoothed_rate_ldpc_reference(p: ScLdpcParams) -> Fraction:
+def smoothed_rate_ldpc_reference(dl: int, dr: int, L: int, w: int) -> Fraction:
     """Lemma 3 of Kudekar, Richardson and Urbanke, "Threshold saturation via spatial
     coupling" (arXiv:1001.1826), exact: the design rate of the (dl, dr, L, w) ensemble is
     (1 - dl/dr) - (dl/dr) (w + 1 - 2 sum_{i=0..w} (i/w)^dr) / (2L + 1)."""
-    boundary = sum(Fraction(i, p.w) ** p.dr for i in range(p.w + 1))
-    return 1 - Fraction(p.dl, p.dr) - Fraction(p.dl, p.dr) * (p.w + 1 - 2 * boundary) / p.span
+    boundary = sum(Fraction(i, w) ** dr for i in range(w + 1))
+    return 1 - Fraction(dl, dr) - Fraction(dl, dr) * (w + 1 - 2 * boundary) / (2 * L + 1)
 
 
 @pytest.mark.parametrize("L", [0, 1, 4, 16, 64])
 def test_smoothed_rate_matches_closed_forms(L):
-    """One form of smoothed_rate gives either family's closed form."""
+    """One form of smoothed_rate gives either family's closed form; an LDPC parameter set
+    is refused exactly where that rate is not positive."""
     for w in range(1, 8):
         for q in range(2, 9):
             for a in range(1, q + 1):
@@ -91,12 +92,13 @@ def test_smoothed_rate_matches_closed_forms(L):
                 np.testing.assert_allclose(smoothed_rate(p), float(smoothed_rate_ra_reference(p)), rtol=1e-12)
         for dl in range(2, 7):
             for dr in range(dl, 13):
-                p = ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=w)
-                ref = smoothed_rate_ldpc_reference(p)
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    assert smoothed_rate(p) == pytest.approx(float(ref), rel=1e-12, abs=1e-15)
-                assert len(caught) == (ref <= 0)  # the degenerate warning, exactly when due
+                ref = smoothed_rate_ldpc_reference(dl, dr, L, w)
+                if ref <= 0:
+                    with pytest.raises(ParameterError, match="not positive"):
+                        ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=w)
+                else:
+                    p = ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=w)
+                    assert smoothed_rate(p) == pytest.approx(float(ref), rel=1e-12)
 
 
 # Independently derived with exact rational arithmetic and frozen here.
@@ -124,13 +126,14 @@ def test_rate_w_collapses_to_asymptotic_at_w1(q, a):
 
 @pytest.mark.parametrize("dl,dr", [(2, 4), (3, 6), (4, 8), (3, 9), (5, 5)])
 def test_ldpc_rate_w_collapses_to_uncoupled_at_w1(dl, dr):
-    """At w=1 no check is empty, and the rate is that of the uncoupled (dl, dr) ensemble."""
+    """At w=1 no check is empty, and the rate is that of the uncoupled (dl, dr) ensemble;
+    at dl == dr that rate is 0, and the parameters are refused."""
     for L in (0, 1, 4, 16):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = smoothed_rate(ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=1))
-        assert got == pytest.approx(1 - dl / dr, rel=1e-12, abs=1e-15)
-        assert len(caught) == (dl == dr)  # a rate of 0 is degenerate
+        if dl == dr:
+            with pytest.raises(ParameterError, match=f"dl={dl} dr={dr} L={L} w=1 has rate 0, not positive"):
+                ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=1)
+        else:
+            assert smoothed_rate(ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=1)) == pytest.approx(1 - dl / dr, rel=1e-12)
 
 
 @pytest.mark.parametrize("q", range(3, 11))
@@ -235,8 +238,13 @@ def test_ldpc_params_rejected(kwargs):
         ScLdpcParams(**kwargs)
 
 
-def test_degenerate_ldpc_rate_warns():
-    with pytest.warns(UserWarning):
-        r = design_rate(ScLdpcParams(dl=4, dr=4, L=1))
-    assert r <= 0
+def test_degenerate_ldpc_ensemble_is_refused():
+    """An LDPC ensemble whose rate is not positive has neither a code nor a threshold: its
+    parameters are refused, naming them and the rate of their view."""
+    with pytest.raises(ParameterError, match=r"^ldpc ensemble dl=4 dr=4 L=1 has rate -1, not positive$"):
+        ScLdpcParams(dl=4, dr=4, L=1)
+    with pytest.raises(ParameterError, match=r"^ldpc ensemble dl=3 dr=6 L=0 w=3 has rate -0\.410837, not positive$"):
+        ScLdpcParams(dl=3, dr=6, L=0, M=2, w=3)
+    # the smoothed view of these parameters has a positive rate where the structured one has not
+    assert float(rate_sc_ldpc_reference(4, 5, 5)) < 0 < ScLdpcParams(dl=4, dr=5, L=5, M=5, w=4).rate
 

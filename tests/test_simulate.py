@@ -55,6 +55,15 @@ def test_plan_validation():
         run_sweep(toy_code(), SweepPlan((0.5,), max_trials=1), jobs=1.5)
 
 
+def test_plan_takes_a_tuple_of_rates():
+    """eps_grid is a tuple of int or float rates; a bare rate, a string or a bool is refused,
+    naming eps_grid."""
+    for bad in (0.5, ("0.5",), (True,)):
+        with pytest.raises(SimulationError, match=re.escape(f"eps_grid must be a tuple of rates, got {bad!r}")):
+            SweepPlan(bad)
+    assert SweepPlan((0, 0.5, 1)).eps_grid == (0, 0.5, 1)
+
+
 def test_eps_range():
     assert eps_range(0.0, 0.0, 1.0) == (0.0,)
     grid = eps_range(0.43, 0.50, 0.005)

@@ -311,8 +311,8 @@ def _cmd_de_sweep(cfg: dict) -> str:
     rows = sweep_fig4(cfg["figure"], Ls=Ls, ldpc_degrees=degrees,
                       precision=cfg["precision"], max_iters=cfg["max_iters"])
     write_fig4_csv(rows, cfg["out"], {"figure": cfg["figure"], "precision": cfg["precision"]})
-    for r in rows:
-        print(f"family={r.family} degree={r.degree} L={r.L} w={'' if r.w is None else r.w} "
+    for p, r in rows:
+        print(f"family={p.family} degree={p.width} L={p.L} w={'' if p.w is None else p.w} "
               f"capped={r.capped} front_stalled={r.front_stalled}", file=sys.stderr)
     print(f"wrote {cfg['out']} ({len(rows)} rows)")
     return cfg["out"]

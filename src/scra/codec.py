@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scra.ensembles import is_int
+
 ERASED = -1
 
 
@@ -125,12 +127,14 @@ def decode_peel(c, word, max_iters: int = 1000) -> DecodeOutcome:
     word : array_like
         Length-n int8 word over {0, 1, ERASED}.
     max_iters : int
-        Sweep budget.
+        Sweep budget; at 0 or below no sweep runs.
 
     Returns
     -------
     DecodeOutcome
     """
+    if not is_int(max_iters):
+        raise CodecError(f"max_iters must be an integer, got {max_iters!r}")
     work = _as_word(c, word).copy()
     erased = np.flatnonzero(work == ERASED)
     n_unknown = erased.size

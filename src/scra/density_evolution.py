@@ -21,6 +21,7 @@ from scra.ensembles import (
     ScLdpcParams,
     ScRaParams,
     density_matched_q,
+    is_int,
 )
 from scra.construct import _write_csv
 
@@ -283,6 +284,8 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
     """
     if not 0.0 <= eps <= 1.0:
         raise ParameterError(f"eps must lie in [0, 1], got {eps}")
+    if not is_int(max_iters):
+        raise ParameterError(f"max_iters must be an integer, got {max_iters!r}")
     s = model.initial_state(eps)
     # DE_BLOCK + 1 values of x and of y: a block's start, then its steps
     xs, ys = (np.empty((DE_BLOCK + 1, *a.shape)) for a in (s.x, s.y))
@@ -354,10 +357,10 @@ def threshold(model, precision: float = BISECT_PRECISION, max_iters: int = MAX_I
     at eps=0 or a success at eps=1 means the convergence predicate is not
     monotone in the way bisection needs, and raises DensityEvolutionError.
     """
-    if not precision > 0:
+    if isinstance(precision, bool) or not precision > 0:
         raise ParameterError(f"precision must be > 0, got {precision}")
-    if max_iters < 1:
-        raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
+    if not (is_int(max_iters) and max_iters >= 1):
+        raise ParameterError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     probes: list[tuple[float, bool, int, str]] = []
 
     def probe(eps: float) -> bool:
@@ -381,34 +384,14 @@ def threshold(model, precision: float = BISECT_PRECISION, max_iters: int = MAX_I
     return ThresholdResult(lo, hi, probes)
 
 
-@dataclass
-class Fig4Row:
-    """One point of the threshold-vs-rate comparison; degree is the searched chain's width, q or dl.
-
-    capped and front_stalled count the search's probes as ThresholdResult does; the CSV
-    leaves them out.
-    """
-
-    family: str
-    degree: int
-    L: int
-    w: int | None
-    rate: float
-    threshold_lo: float
-    threshold_hi: float
-    iters: int
-    capped: int
-    front_stalled: int
-
-
 def sweep_fig4(
     variant: str,
     Ls: tuple[int, ...] = FIG4_LS,
     ldpc_degrees: tuple[int, ...] = FIG4_DEGREES,
     precision: float = BISECT_PRECISION,
     max_iters: int = MAX_ITERS,
-) -> list[Fig4Row]:
-    """Threshold sweep over density-matched degree families.
+) -> list[tuple[ScRaParams | ScLdpcParams, ThresholdResult]]:
+    """Threshold sweep over density-matched degree families, as (params, ThresholdResult) pairs.
 
     variant "4a" uses the smoothed ensembles (RA with w=q, LDPC with
     w=dl) and their smoothed_rate; variant "4b" uses the structured
@@ -430,20 +413,16 @@ def sweep_fig4(
             for p in (ScRaParams(q=q, a=q, L=L, M=1, w=q if smoothed else None),
                       ScLdpcParams(dl=dl, dr=dr, L=L, M=dr, w=dl if smoothed else None)):
                 grid.append((p, make_de_model(f"{p.family}-{view}", p)))
-    rows: list[Fig4Row] = []
-    for p, model in grid:
-        res = threshold(model, precision=precision, max_iters=max_iters)
-        rows.append(Fig4Row(p.family, p.width, p.L, p.w, p.rate, res.lo, res.hi, res.iters,
-                            res.capped, res.front_stalled))
-    return rows
+    return [(p, threshold(model, precision=precision, max_iters=max_iters)) for p, model in grid]
 
 
-def write_fig4_csv(rows: list[Fig4Row], dest, metadata: dict | None = None) -> None:
-    """Write threshold sweep rows as a tagged CSV."""
+def write_fig4_csv(rows: list, dest, metadata: dict | None = None) -> None:
+    """Write sweep_fig4's (params, ThresholdResult) pairs as a tagged CSV; the degree
+    column is the chain's width, q or dl."""
     lines = (
-        f"{r.family},{r.degree},{r.L},{'' if r.w is None else r.w},{r.rate:.10g},"
-        f"{r.threshold_lo:.10g},{r.threshold_hi:.10g},{r.iters}"
-        for r in rows
+        f"{p.family},{p.width},{p.L},{'' if p.w is None else p.w},{p.rate:.10g},"
+        f"{r.lo:.10g},{r.hi:.10g},{r.iters}"
+        for p, r in rows
     )
     columns = "family,degree,L,w,rate,threshold_lo,threshold_hi,iters"
     _write_csv(dest, "scra-de-sweep v1", metadata or {}, columns, lines)

@@ -147,10 +147,11 @@ def wilson_interval(successes, trials, z: float = Z95):
     """Wilson score interval for a binomial proportion; vectorized."""
     k = np.asarray(successes, dtype=np.float64)
     t = np.asarray(trials, dtype=np.float64)
-    p = np.divide(k, t, out=np.zeros_like(k), where=t > 0)
-    denom = 1.0 + z * z / t
-    center = (p + z * z / (2 * t)) / denom
-    half = (z / denom) * np.sqrt(p * (1 - p) / t + z * z / (4 * t * t))
+    n = np.where(t > 0, t, 1.0)  # no trials: the k == 0 and k == t rules below give [0, 1] for any n
+    p = k / n
+    denom = 1.0 + z * z / n
+    center = (p + z * z / (2 * n)) / denom
+    half = (z / denom) * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
     # the bounds are exact at the empirical extremes; do not let roundoff leak past them
     lo = np.where(k == 0, 0.0, np.clip(center - half, 0.0, 1.0))
     hi = np.where(k == t, 1.0, np.clip(center + half, 0.0, 1.0))

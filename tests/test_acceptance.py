@@ -136,10 +136,10 @@ def test_c07_threshold_family_shape():
     for family in ("ra", "ldpc"):
         for L in (8, 16):
             pts = sorted(
-                (r for r in rows if r.family == family and r.L == L),
-                key=lambda r: r.degree,
+                ((p, r) for p, r in rows if p.family == family and p.L == L),
+                key=lambda pr: pr[0].width,
             )
-            mids = [0.5 * (r.threshold_lo + r.threshold_hi) for r in pts]
+            mids = [mid(r) for _, r in pts]
             if not all(b > a for a, b in zip(mids, mids[1:])):
                 ok = False
                 notes.append(f"{family} L={L} not increasing: {mids}")
@@ -147,17 +147,15 @@ def test_c07_threshold_family_shape():
     partner_q = {3: 4, 4: 6, 5: 8, 6: 10}
     matched = 0
     for L in (8, 16):
-        ra_by_q = {r.degree: r for r in rows if r.family == "ra" and r.L == L}
-        for ld in (r for r in rows if r.family == "ldpc" and r.L == L):
-            ra = ra_by_q[partner_q[ld.degree]]
-            t_ra = 0.5 * (ra.threshold_lo + ra.threshold_hi)
-            t_ld = 0.5 * (ld.threshold_lo + ld.threshold_hi)
-            if abs(t_ra - t_ld) <= 0.005:
+        ra_by_q = {p.width: (p, r) for p, r in rows if p.family == "ra" and p.L == L}
+        for ld, r_ld in ((p, r) for p, r in rows if p.family == "ldpc" and p.L == L):
+            ra, r_ra = ra_by_q[partner_q[ld.width]]
+            if abs(mid(r_ra) - mid(r_ld)) <= 0.005:
                 matched += 1
                 if ra.rate < ld.rate:
                     ok = False
                     notes.append(
-                        f"L={L} ra q={ra.degree} rate {ra.rate:.4f} < ldpc dl={ld.degree} rate {ld.rate:.4f}"
+                        f"L={L} ra q={ra.width} rate {ra.rate:.4f} < ldpc dl={ld.width} rate {ld.rate:.4f}"
                     )
     if matched == 0:
         ok = False

@@ -750,10 +750,10 @@ def test_de_sweep_reports_capped_probes(tmp_path, capsys):
     assert main(["de", "sweep", "--figure", "4a", "--L-values", "4", "--degrees", "3",
                  "--max-iters", "10", "--out", str(out)]) == 0
     rows = sweep_fig4("4a", Ls=(4,), ldpc_degrees=(3,), max_iters=10)
-    assert all(r.capped > 0 for r in rows)
+    assert all(r.capped > 0 for _, r in rows)
     assert capsys.readouterr().err.splitlines() == [
-        f"family={r.family} degree={r.degree} L=4 w={r.w} capped={r.capped} front_stalled={r.front_stalled}"
-        for r in rows
+        f"family={p.family} degree={p.width} L=4 w={p.w} capped={r.capped} front_stalled={r.front_stalled}"
+        for p, r in rows
     ]
     assert out.read_text().splitlines()[3] == "family,degree,L,w,rate,threshold_lo,threshold_hi,iters"
 

@@ -251,6 +251,9 @@ def test_peel_resolves_duplicates_once():
     word[[0, 3, 4, 5]] = ERASED
     known = word != ERASED
 
+    idle = decode_peel(c, word, max_iters=0)  # a budget of 0 makes no sweep
+    assert idle.iterations == 0 and idle.residual_all_bits == 4
+    np.testing.assert_array_equal(idle.word, word)
     first = decode_peel(c, word, max_iters=1)
     assert first.iterations == 1 and first.residual_all_bits == 1
     np.testing.assert_array_equal(first.word[known], word[known])

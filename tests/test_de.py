@@ -1,5 +1,6 @@
 """Density evolution recursions, drivers, and threshold bisection."""
 
+import ast
 import hashlib
 import json
 import os
@@ -13,6 +14,9 @@ import numpy as np
 import pytest
 
 from oracles import de_run_reference, proto_step_reference
+from scra import density_evolution
+from scra.codec import ERASED, CodecError, decode_peel
+from scra.construct import build_sc_ra
 from scra.density_evolution import (
     DE_BLOCK,
     FRONT_EVERY,
@@ -726,10 +730,28 @@ def test_step_dispatch_guards():
     ({"precision": -1.0}, "precision"),
     ({"precision": float("nan")}, "precision"),
     ({"max_iters": 0}, "max_iters"),
+    ({"precision": True}, "precision"),
 ])
 def test_threshold_refuses_bad_bisection_args(kwargs, key):
     with pytest.raises(ParameterError, match=key):
         threshold(make_de_model("ra-uncoupled", ScRaParams(6, 6, 0, M=6)), **kwargs)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "3", np.int64(3)], ids=repr)
+@pytest.mark.parametrize("name", ["de_run", "threshold", "decode_peel"])
+def test_every_budget_is_an_integer(name, bad):
+    """One budget rule, as SweepPlan's: max_iters is a Python int; a float, a bool, a string or
+    a numpy integer is refused with the error of its module, naming it."""
+    model = make_de_model("ra-uncoupled", ScRaParams(6, 6, 0, M=6))
+    code = build_sc_ra(ScRaParams(3, 3, 1, M=2), 0)
+    calls = {
+        "de_run": (ParameterError, lambda: de_run(model, 0.42, bad)),
+        "threshold": (ParameterError, lambda: threshold(model, max_iters=bad)),
+        "decode_peel": (CodecError, lambda: decode_peel(code, np.full(code.n, ERASED, np.int8), bad)),
+    }
+    error, call = calls[name]
+    with pytest.raises(error, match="max_iters"):
+        call()
 
 
 def test_threshold_ends_on_adjacent_doubles():
@@ -743,14 +765,14 @@ def test_threshold_ends_on_adjacent_doubles():
 
 def test_sweep_rows_and_csv(tmp_path):
     rows = sweep_fig4("4b", Ls=(2,), ldpc_degrees=(3,), precision=5e-3)
-    assert [r.family for r in rows] == ["ra", "ldpc"]
-    ra, ldpc = rows
-    assert ra.degree == 4 and ra.w is None  # density-matched q at rate 1/2
-    assert ldpc.degree == 3
-    for r in rows:
-        assert 0.0 < r.threshold_lo < r.threshold_hi < 1.0
-        assert r.threshold_hi - r.threshold_lo <= 5e-3 + 1e-12
-        assert 0.0 < r.rate < 1.0
+    # each pair holds the parameters searched, q = 4 being density-matched to dl = 3 at rate 1/2
+    assert [p for p, _ in rows] == [ScRaParams(4, 4, 2, M=1), ScLdpcParams(3, 6, 2, M=6)]
+    for p, r in rows:
+        fresh = threshold(make_de_model(f"{p.family}-proto", p), precision=5e-3)
+        assert (r.lo, r.hi, r.probes) == (fresh.lo, fresh.hi, fresh.probes)
+        assert 0.0 < r.lo < r.hi < 1.0
+        assert r.hi - r.lo <= 5e-3 + 1e-12
+        assert 0.0 < p.rate < 1.0
 
     out = tmp_path / "sweep.csv"
     write_fig4_csv(rows, str(out), {"figure": "4b"})
@@ -760,6 +782,15 @@ def test_sweep_rows_and_csv(tmp_path):
     assert lines[2] == "family,degree,L,w,rate,threshold_lo,threshold_hi,iters"
     assert len(lines) == 5
     assert lines[3].startswith("ra,4,2,,")
+
+
+def test_density_evolution_keeps_three_dataclasses():
+    """DE's records are one state, one run and one search; a sweep returns each search with
+    the parameters it ran, not a record that copies their fields."""
+    tree = ast.parse(Path(density_evolution.__file__).read_text())
+    records = {node.name for node in tree.body if isinstance(node, ast.ClassDef)
+               and any("dataclass" in ast.unparse(d) for d in node.decorator_list)}
+    assert records == {"DeState", "DeRunResult", "ThresholdResult"}
 
 
 def test_sweep_rejects_bad_variant():

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import re
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -260,6 +261,10 @@ def test_wilson_interval_edges_and_value():
     np.testing.assert_allclose([lo, hi], [0.236590, 0.763410], atol=1e-5)
     los, his = wilson_interval(np.arange(11), np.full(11, 10))
     assert np.all(np.diff(los) > 0) and np.all(np.diff(his) > 0)
+    with warnings.catch_warnings():  # a rate with no trials has the whole range, without a warning
+        warnings.simplefilter("error")
+        los, his = wilson_interval([0, 3], [0, 10])
+    assert (los[0], his[0]) == (0.0, 1.0) and (los[1], his[1]) == wilson_interval(3, 10)
 
 
 def test_stop_index_prefix_rule():

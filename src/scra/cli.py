@@ -292,7 +292,8 @@ def _cmd_de_threshold(cfg: dict) -> str | None:
         f"ensemble={cfg['ensemble']} threshold_lo={res.lo:.6f} threshold_hi={res.hi:.6f} "
         f"probes={len(res.probes)} iters={res.iters}"
     )
-    print(f"capped={res.capped} front_stalled={res.front_stalled}", file=sys.stderr)
+    print(f"capped={res.capped} front_stalled={res.front_stalled} wave_converged={res.wave_converged}",
+          file=sys.stderr)
     if cfg["out"] is not None:
         _write_text(
             cfg["out"],
@@ -313,7 +314,8 @@ def _cmd_de_sweep(cfg: dict) -> str:
     write_fig4_csv(rows, cfg["out"], {"figure": cfg["figure"], "precision": cfg["precision"]})
     for p, r in rows:
         print(f"family={p.family} degree={p.width} L={p.L} w={'' if p.w is None else p.w} "
-              f"capped={r.capped} front_stalled={r.front_stalled}", file=sys.stderr)
+              f"capped={r.capped} front_stalled={r.front_stalled} wave_converged={r.wave_converged}",
+              file=sys.stderr)
     print(f"wrote {cfg['out']} ({len(rows)} rows)")
     return cfg["out"]
 

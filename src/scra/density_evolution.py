@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -28,12 +29,15 @@ from scra.construct import _write_csv
 DELTA_SUCCESS = 1e-8
 DELTA_STALL = 1e-12
 # A coupled run decodes by a front of positions that moves inward; one that fails stops
-# moving.  de_run reads the front every FRONT_EVERY steps (a multiple of DE_BLOCK), and a
-# run whose front has not moved since the halfway mark, while its change fell by at least
-# FRONT_DROP times, fails as "front-stalled".
+# moving.  de_run reads the front at every block end from DE_BLOCK on.  A run whose front
+# has not moved since the halfway mark (read every FRONT_EVERY steps, a multiple of
+# DE_BLOCK), while its change fell by at least FRONT_DROP times, fails as "front-stalled";
+# one whose front moved by FRONT_ADVANCE positions since the halfway mark, while its change
+# did not fall, is a decoding wave and succeeds as "wave-converged".
 FRONT_DECODED = 1e-3  # a position is behind the front once its largest message erasure is below this
 FRONT_EVERY = 1024
 FRONT_DROP = 10
+FRONT_ADVANCE = 4
 MAX_ITERS = 20000
 DE_BLOCK = 64  # most steps de_run takes between checks of its stop conditions
 BISECT_PRECISION = 1e-4
@@ -63,6 +67,11 @@ class DeState:
     x: np.ndarray
     y: np.ndarray
     eps: float
+
+
+def _is_real(x) -> bool:
+    """A real number, not a bool (see ensembles.is_int)."""
+    return isinstance(x, Real) and not isinstance(x, bool)
 
 
 def _residuals(xs: np.ndarray) -> np.ndarray:
@@ -232,7 +241,8 @@ def make_de_model(kind: str, p: ScRaParams | ScLdpcParams):
 
 @dataclass
 class DeRunResult:
-    """One DE run: outcome is "converged", "stalled" (the change fell below
+    """One DE run: outcome is "converged", "wave-converged" (a coupled run's
+    front moved steadily, see de_run), "stalled" (the change fell below
     DELTA_STALL first), "front-stalled" (a coupled run's front stopped moving,
     see de_run) or "budget" (max_iters ran out undecided)."""
 
@@ -242,7 +252,7 @@ class DeRunResult:
 
     @property
     def converged(self) -> bool:
-        return self.outcome == "converged"
+        return self.outcome in ("converged", "wave-converged")
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # a breakdown (ra-proto, a < q, eps=1) ends as a NaN stall
@@ -253,16 +263,25 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
     DELTA_SUCCESS.  Stall: the change (the largest move of x, or of y where
     that is larger) falls below DELTA_STALL first, reporting
     non-convergence; a NaN change counts as a stall, so a recursion that
-    breaks down stops at once rather than running out the budget.  Front
-    stall, for a driver with a front on a chain of more than one position
-    (len(x) > 1): at each iteration t that is a multiple of FRONT_EVERY,
-    let h be t/2 rounded down to a multiple of FRONT_EVERY and at least
-    FRONT_EVERY; the run fails as "front-stalled" when front(t) equals
-    front(h) and change(t) <= change(h) / FRONT_DROP.  A chain of one
-    position, such as ra-uncoupled or any ensemble at L=0, has no front:
-    near its BP threshold a run can plateau, then converge.  The result is
-    that of checking success, then stall, then the front stall after every
-    step.
+    breaks down stops at once rather than running out the budget.
+
+    Two rules read the front of a driver with one, on a chain of more than
+    one position (len(x) > 1).  Front stall: at each iteration t that is a
+    multiple of FRONT_EVERY, let h be t/2 rounded down to a multiple of
+    FRONT_EVERY and at least FRONT_EVERY; the run fails as "front-stalled"
+    when front(t) equals front(h) and change(t) <= change(h) / FRONT_DROP.
+    Wave: at each iteration t >= 2 FRONT_EVERY that is a multiple of
+    DE_BLOCK, let h be t/2 rounded down to a multiple of DE_BLOCK and at
+    least FRONT_EVERY; the run succeeds as "wave-converged" when front(t)
+    - front(h) >= FRONT_ADVANCE and change(t) >= change(h): its decoding
+    wave moves inward at a speed that does not fall.  Such a run has not
+    reached DELTA_SUCCESS; that it would was checked offline, not here:
+    every probe the rule decides in the default Fig. 4 grids and the
+    pinned test searches also converges in a plain run of 10^6
+    iterations.  A chain of one position, such as ra-uncoupled or any
+    ensemble at L=0, has no front: near its BP threshold a run can
+    plateau, then converge.  The result is that of checking success, then
+    stall, then the front stall, then the wave after every step.
 
     model is a driver from make_de_model, or any object with:
       initial_state(eps) -> DeState, the state before the first step, whose
@@ -273,7 +292,7 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
         de_run passes eps as a 0-d float64 array, and the step must be bit
         for bit the one the float gives;
       and optionally front(x) -> int, the decoding front of the values x
-        (see _Driver.front); a driver without one is never front-stalled.
+        (see _Driver.front); a driver without one takes neither front rule.
     A driver may also keep scratch of its own that every step overwrites,
     which is why one model runs one de_run at a time.
     The steps go in blocks of 1, 1, 2, 4, .. up to DE_BLOCK steps, so every
@@ -282,8 +301,9 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
     the end of a block; the steps after the first decisive one are thrown
     away.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ParameterError(f"eps must lie in [0, 1], got {eps}")
+    if not (_is_real(eps) and 0.0 <= eps <= 1.0):
+        raise ParameterError(f"eps must be a real number in [0, 1], got {eps!r}")
+    eps = float(eps)
     if not is_int(max_iters):
         raise ParameterError(f"max_iters must be an integer, got {max_iters!r}")
     s = model.initial_state(eps)
@@ -293,7 +313,7 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
     steps = list(zip(xs, ys, xs[1:], ys[1:]))  # (x, y, x_out, y_out) of each step of a block
     step_into, e = model.step_into, np.array(eps, dtype=np.float64)
     front = getattr(model, "front", None) if len(s.x) > 1 else None
-    marks = []  # (front, change) at each multiple of FRONT_EVERY
+    marks = []  # marks[t // DE_BLOCK - 1] is (front, change) at iteration t
     done = 0
     while done < max_iters:
         k = min(done or 1, DE_BLOCK, max_iters - done)
@@ -307,11 +327,17 @@ def de_run(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResult:
             outcome = "converged" if res[j] < DELTA_SUCCESS else "stalled"
             return DeRunResult(outcome, done + j + 1, float(res[j]))
         done += k
-        if front is not None and done % FRONT_EVERY == 0:
+        if front is not None and done % DE_BLOCK == 0:
             marks.append((front(xs[k]), chg[-1]))
-            front_h, change_h = marks[max(len(marks) // 2, 1) - 1]
-            if marks[-1][0] == front_h and chg[-1] <= change_h / FRONT_DROP:
-                return DeRunResult("front-stalled", done, float(res[-1]))
+            front_t, change_t = marks[-1]
+            if done % FRONT_EVERY == 0:
+                front_h, change_h = marks[max(done // 2 // FRONT_EVERY * FRONT_EVERY, FRONT_EVERY) // DE_BLOCK - 1]
+                if front_t == front_h and change_t <= change_h / FRONT_DROP:
+                    return DeRunResult("front-stalled", done, float(res[-1]))
+            if done >= 2 * FRONT_EVERY:
+                front_h, change_h = marks[max(done // 2 // DE_BLOCK * DE_BLOCK, FRONT_EVERY) // DE_BLOCK - 1]
+                if front_t - front_h >= FRONT_ADVANCE and change_t >= change_h:
+                    return DeRunResult("wave-converged", done, float(res[-1]))
         xs[0], ys[0] = xs[k], ys[k]
     return DeRunResult("budget", done, float(_residuals(xs[:1])[0]))
 
@@ -339,6 +365,11 @@ class ThresholdResult:
         return sum(pr[3] == "front-stalled" for pr in self.probes)
 
     @property
+    def wave_converged(self) -> int:
+        """Probes that succeeded because their front moved steadily (see de_run)."""
+        return sum(pr[3] == "wave-converged" for pr in self.probes)
+
+    @property
     def iters(self) -> int:
         return sum(pr[2] for pr in self.probes)
 
@@ -350,15 +381,18 @@ def threshold(model, precision: float = BISECT_PRECISION, max_iters: int = MAX_I
     doubles; the returned lo converged and hi failed, each verified by an
     actual run.  On a chain of more than one position, hi may rest on a
     front stall (see de_run), which ends a failing run before its change
-    falls below DELTA_STALL.  That such a run fails was checked offline,
-    not here: every probe the rule stops in the default Fig. 4 grids and
-    the pinned test searches also fails in a plain run of 10^6 iterations.
+    falls below DELTA_STALL, and lo on a wave (see de_run), which ends a
+    converging run whose front moves steadily before its residual falls
+    below DELTA_SUCCESS.  That such runs fail, or converge, was checked
+    offline, not here: every probe either rule stops in the default Fig. 4
+    grids and the pinned test searches also fails, or converges, in a
+    plain run of 10^6 iterations; lo is not run again to completion.
     A probe that runs out of max_iters counts as a failure too.  A failure
     at eps=0 or a success at eps=1 means the convergence predicate is not
     monotone in the way bisection needs, and raises DensityEvolutionError.
     """
-    if isinstance(precision, bool) or not precision > 0:
-        raise ParameterError(f"precision must be > 0, got {precision}")
+    if not (_is_real(precision) and precision > 0):
+        raise ParameterError(f"precision must be a real number > 0, got {precision!r}")
     if not (is_int(max_iters) and max_iters >= 1):
         raise ParameterError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     probes: list[tuple[float, bool, int, str]] = []

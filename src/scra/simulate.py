@@ -144,9 +144,12 @@ def trial_stream(seed: int, eps_index: int, trial_index: int) -> np.random.Gener
 
 
 def wilson_interval(successes, trials, z: float = Z95):
-    """Wilson score interval for a binomial proportion; vectorized."""
+    """Wilson score interval for a binomial proportion; vectorized.  Successes outside
+    [0, trials] are refused."""
     k = np.asarray(successes, dtype=np.float64)
     t = np.asarray(trials, dtype=np.float64)
+    if not ((0 <= k) & (k <= t)).all():
+        raise SimulationError(f"successes must lie in [0, trials], got {successes!r} of {trials!r}")
     n = np.where(t > 0, t, 1.0)  # no trials: the k == 0 and k == t rules below give [0, 1] for any n
     p = k / n
     denom = 1.0 + z * z / n

@@ -29,6 +29,8 @@ from scra.construct import DESCRIPTOR_FORMAT, DESCRIPTOR_VERSION, CodeInstance, 
 from scra.density_evolution import (
     DELTA_STALL,
     DELTA_SUCCESS,
+    DE_BLOCK,
+    FRONT_ADVANCE,
     FRONT_DECODED,
     FRONT_DROP,
     FRONT_EVERY,
@@ -299,10 +301,12 @@ def de_run_reference(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResu
     the largest x; the change is the largest move of x, taken with that of
     y through Python's max, so a NaN move of x stops the run and one of y
     alone does not.  A model with a front, on a chain of more than one
-    position, also gets the front rule at every multiple of FRONT_EVERY,
-    after the converged and stall checks; the front is counted here, as
-    the positions whose largest x is below FRONT_DECODED, not taken from
-    the model.  The iterations are counted here too.
+    position, also gets two front rules after the converged and stall
+    checks: the front stall at every multiple of FRONT_EVERY, then the wave
+    at every multiple of DE_BLOCK from 2 FRONT_EVERY on.  The front is
+    counted here, as the positions whose largest x is below FRONT_DECODED,
+    not taken from the model, and recorded with the change at every
+    multiple of DE_BLOCK.  The iterations are counted here too.
     """
 
     def residual(s: DeState) -> float:
@@ -328,11 +332,16 @@ def de_run_reference(model, eps: float, max_iters: int = MAX_ITERS) -> DeRunResu
         chg = change(state, new)
         if not chg >= DELTA_STALL:
             return DeRunResult("stalled", t, res)
-        if has_front and t % FRONT_EVERY == 0:
+        if has_front and t % DE_BLOCK == 0:
             marks[t] = front(new), chg
+        if has_front and t % FRONT_EVERY == 0:
             h = max(t // 2 // FRONT_EVERY * FRONT_EVERY, FRONT_EVERY)
             if marks[t][0] == marks[h][0] and chg <= marks[h][1] / FRONT_DROP:
                 return DeRunResult("front-stalled", t, res)
+        if has_front and t % DE_BLOCK == 0 and t >= 2 * FRONT_EVERY:
+            h = max(t // 2 // DE_BLOCK * DE_BLOCK, FRONT_EVERY)
+            if marks[t][0] - marks[h][0] >= FRONT_ADVANCE and chg >= marks[h][1]:
+                return DeRunResult("wave-converged", t, res)
         state = new
     return DeRunResult("budget", max(max_iters, 0), residual(state))
 

@@ -543,10 +543,10 @@ def test_de_threshold_reports_capped_probes_on_stderr(tmp_path, capsys):
     argv = ["de", "threshold", "--ensemble", "ra-w", "--q", "3", "--a", "3", "--L", "4",
             "--precision", "1e-2"]
     assert main([*argv, "--out", str(tmp_path / "full.csv")]) == 0
-    assert capsys.readouterr().err == "capped=0 front_stalled=0\n"
+    assert capsys.readouterr().err == "capped=0 front_stalled=0 wave_converged=0\n"
     assert main([*argv, "--max-iters", "20", "--out", str(tmp_path / "cut.csv")]) == 0
     captured = capsys.readouterr()
-    capped = int(re.fullmatch(r"capped=(\d+) front_stalled=0\n", captured.err).group(1))
+    capped = int(re.fullmatch(r"capped=(\d+) front_stalled=0 wave_converged=0\n", captured.err).group(1))
     assert capped > 0
     assert "capped" not in captured.out
     assert "capped" not in (tmp_path / "cut.csv").read_text()
@@ -560,9 +560,21 @@ def test_de_threshold_reports_front_stalled_probes_on_stderr(tmp_path, capsys):
     assert main(["de", "threshold", "--ensemble", "ra-w", "--q", "6", "--a", "6", "--L", "4",
                  "--precision", "1e-3", "--out", str(out)]) == 0
     captured = capsys.readouterr()
-    assert captured.err == "capped=0 front_stalled=1\n"
+    assert captured.err == "capped=0 front_stalled=1 wave_converged=0\n"
     for text in (captured.out, out.read_text(), (tmp_path / "thr.csv.config.json").read_text()):
         assert "front" not in text
+
+
+def test_de_threshold_reports_wave_converged_probes_on_stderr(tmp_path, capsys):
+    """Probes that succeeded by their wave are counted on stderr after front_stalled=, never
+    in stdout, the CSV or the config."""
+    out = tmp_path / "thr.csv"
+    assert main(["de", "threshold", "--ensemble", "ra-w", "--q", "6", "--a", "6", "--L", "16",
+                 "--precision", "1e-3", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "capped=0 front_stalled=1 wave_converged=1\n"
+    for text in (captured.out, out.read_text(), (tmp_path / "thr.csv.config.json").read_text()):
+        assert "wave_converged" not in text
 
 
 def test_de_threshold_breakdown_warns_nothing(capsys):
@@ -752,7 +764,8 @@ def test_de_sweep_reports_capped_probes(tmp_path, capsys):
     rows = sweep_fig4("4a", Ls=(4,), ldpc_degrees=(3,), max_iters=10)
     assert all(r.capped > 0 for _, r in rows)
     assert capsys.readouterr().err.splitlines() == [
-        f"family={p.family} degree={p.width} L=4 w={p.w} capped={r.capped} front_stalled={r.front_stalled}"
+        f"family={p.family} degree={p.width} L=4 w={p.w} capped={r.capped} front_stalled={r.front_stalled} "
+        f"wave_converged={r.wave_converged}"
         for p, r in rows
     ]
     assert out.read_text().splitlines()[3] == "family,degree,L,w,rate,threshold_lo,threshold_hi,iters"

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -285,27 +286,31 @@ PINNED_THRESHOLDS = [
 ]
 
 # sha256 of repr((lo, hi, [(eps, converged) of each probe])) at the default precision and
-# budget: the bisection path.  The front rule of de_run ends failing runs only, so it left
-# every path as it was before the rule; any change must keep them.
+# budget: the bisection path.  The front stall of de_run ends failing runs only, so it left
+# every path as it was before the rule.  The wave rule decides as converged the ldpc-w and
+# ldpc-proto probe at 0.4976806640625, which ran out of the budget before it and converges
+# in a plain run of 40939 and 25246 iterations; both paths moved there, onto the same one.
+# Any other change must keep them.
 PATH_DIGESTS = {
     ("ra-uncoupled", ScRaParams(6, 6, 0, M=6)): "d333a1335f6e7be6fbdc37b88ee1e0036e1d58a7864901b899fb3aa14bf3b162",
     ("ra-w", ScRaParams(6, 6, 16, M=6, w=6)): "60cf53d682f88cb0644fb4e99825e35e21a7aea57f30da13f05203cb4439ba94",
-    ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4)): "60cf53d682f88cb0644fb4e99825e35e21a7aea57f30da13f05203cb4439ba94",
+    ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4)): "40f9db38c2c6c62595c667914b2bb75937d9242f68a455f6c2cf5e7aa650129e",
     ("ra-proto", ScRaParams(6, 6, 16, M=6)): "662f37dc4d9caf400ebe2b899c1683bf53c420315c7ca14da9984917e93cf42a",
     ("ra-proto", ScRaParams(6, 6, 8, M=6)): "d3ea9cf2c83de8507b56c37ad70cc9fb995abc18247482f8e2a4f7b30dfb3882",
-    ("ldpc-proto", ScLdpcParams(4, 8, 16, M=8)): "662f37dc4d9caf400ebe2b899c1683bf53c420315c7ca14da9984917e93cf42a",
+    ("ldpc-proto", ScLdpcParams(4, 8, 16, M=8)): "40f9db38c2c6c62595c667914b2bb75937d9242f68a455f6c2cf5e7aa650129e",
 }
 
 # sha256 of repr((lo, hi, [(eps, converged, iters) of each probe])) at the default precision
 # and budget.  A change to the DE code that keeps its arithmetic and its stop rules keeps
-# every probe bit for bit; one that moves a probe must say why and pin anew.
+# every probe bit for bit; one that moves a probe must say why and pin anew.  The wave rule
+# of de_run moved the four L=16 coupled searches, each of which it ends some probe of early.
 PROBE_DIGESTS = {
     ("ra-uncoupled", ScRaParams(6, 6, 0, M=6)): "c32df4abd31fabd4e0a6ed8e4ecb31c1625c0fafa36a8d4ffb84e718b304a2b2",
-    ("ra-w", ScRaParams(6, 6, 16, M=6, w=6)): "45e1529fe9ec2837aeb3edd14f19b673c80a1ed173eed35305063de570c501f6",
-    ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4)): "ca270f238ca7615a5d5a37ea63de387ca366aaa04cf63ad11c826ce4d0a622b1",
-    ("ra-proto", ScRaParams(6, 6, 16, M=6)): "0a45d290106e448fa523b541795eae375da3143f5fdccc52e3140bf927e7c922",
+    ("ra-w", ScRaParams(6, 6, 16, M=6, w=6)): "35802d8b60838aa301bb3519d3e7a17addfe4dec1b6cec097894e5dbbe43d9ac",
+    ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4)): "1c715f557e51e75f55e41a0ef9d960fbef5e7a605c2d9523a6c6a22b89097694",
+    ("ra-proto", ScRaParams(6, 6, 16, M=6)): "4a1093cf9964414d02dbeabc896888a9d1326119925041f5e9fa5666d98a549b",
     ("ra-proto", ScRaParams(6, 6, 8, M=6)): "f7bfa48927a22917495dee9893591ce75d4c71a811fdaaa51c7678180b61d71d",
-    ("ldpc-proto", ScLdpcParams(4, 8, 16, M=8)): "42d8025407d300b1450fbaa243cf8d819d250c46269bbadaa6a4c002e07d6595",
+    ("ldpc-proto", ScLdpcParams(4, 8, 16, M=8)): "14225c63c8e1e1a3208918a0dd4af72f0684cfd85ffedd284d1785dbea469331",
 }
 
 
@@ -391,12 +396,21 @@ def test_state_digests_without_avx512_kernels():
     assert digests == [STATE_DIGESTS[()][kind] for kind, _ in STATE_CASES]
 
 
+# (kind, params, eps, t): probes of the pinned searches that the wave rule decides at t, the
+# first at its first check, 2 FRONT_EVERY; the ldpc-w one ran out of the budget before the rule
+WAVE_DECIDED = [
+    ("ra-w", ScRaParams(6, 6, 16, M=6, w=6), 0.4970703125, 2 * FRONT_EVERY),
+    ("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4), 0.4976806640625, 13248),
+    ("ra-proto", ScRaParams(6, 6, 16, M=6), 0.49761962890625, 14400),
+]
+
+
 def _block_cases():
     """(kind, params, eps, budgets): every kind at 0, below, near and above its pinned threshold
     and at 1, then the structured RA chain whose boundary checks turn to NaN at eps=1, each at
-    budgets around the block ends; then runs the front rule ends, at budgets around its second
-    check: each coupled kind above its threshold, and the ra-w and ra-proto probes that the rule
-    moves from the budget to a front stall."""
+    budgets around the block ends; then runs the front rules end, at budgets around their first
+    check: each coupled kind above its threshold, and the ra-w and ra-proto probes that the
+    front stall moves from the budget; then the WAVE_DECIDED probes at budgets around t."""
     short = (0, 1, DE_BLOCK - 1, DE_BLOCK, DE_BLOCK + 1, 2 * DE_BLOCK + 3)
     for kind, p, pinned in PINNED_THRESHOLDS[:4] + PINNED_THRESHOLDS[5:]:  # one chain of each kind
         for eps in (0.0, pinned - 0.05, pinned, pinned + 0.05, 1.0):
@@ -407,6 +421,8 @@ def _block_cases():
         yield kind, p, 0.497802734375, long
     for kind, p, _ in PINNED_THRESHOLDS[1], PINNED_THRESHOLDS[3]:
         yield kind, p, 0.4976806640625, long
+    for kind, p, eps, t in WAVE_DECIDED:
+        yield kind, p, eps, (t - 1, t, t + 1)
 
 
 BLOCK_RUNS = [pytest.param(kind, p, eps, max_iters, id=f"{kind}-p{i}-{eps}-{max_iters}")
@@ -428,6 +444,9 @@ def test_blocked_run_matches_reference_loop(kind, p, eps, max_iters):
         assert (got.outcome, got.iterations) == ("stalled", 1) and np.isnan(got.residual)
     if eps == 0.4976806640625 and max_iters == MAX_ITERS:  # a budget probe before the rule
         assert got.outcome == "front-stalled"
+    for t in (t for case in WAVE_DECIDED if case[:3] == (kind, p, eps) for t in case[3:]):
+        want_run = ("wave-converged", t, True) if max_iters >= t else ("budget", max_iters, False)
+        assert (got.outcome, got.iterations, got.converged) == want_run
 
 
 def test_runs_share_no_state_through_the_history():
@@ -617,6 +636,54 @@ def test_front_stalled_probes_fail_in_a_plain_run(kind, p):
         assert r.outcome == "stalled", (eps, r)
 
 
+@pytest.mark.parametrize("kind,p", [case[:2] for case in PINNED_THRESHOLDS[1:4] + PINNED_THRESHOLDS[5:]])
+def test_wave_converged_probes_converge_in_a_plain_run(kind, p):
+    """Every probe the wave rule ends in the four coupled L=16 searches also converges when
+    run without the front rules, within 10^6 iterations, and lo rests on such a probe."""
+    res = pinned_search(kind, p)
+    waves = [pr for pr in res.probes if pr[3] == "wave-converged"]
+    assert len(waves) == res.wave_converged > 0 and all(pr[1] for pr in waves)
+    plain = _NoFront(make_de_model(kind, p))
+    for eps, *_ in waves:
+        r = de_run(plain, eps, 10**6)
+        assert r.outcome == "converged", (eps, r)
+
+
+class _Wave(density_evolution._Driver):
+    """A chain of 16 positions at erasure 0.5 whose front moves by `advance` positions each
+    time the iteration count, which y holds, doubles from FRONT_EVERY on; the count moves by
+    1 a step, so the change holds at 1."""
+
+    def __init__(self, advance):
+        self.advance = advance
+
+    def initial_state(self, eps):
+        return DeState(np.full(16, 0.5), np.zeros(1), eps)
+
+    def step_into(self, x, y, eps, x_out, y_out):
+        np.add(y, 1.0, out=y_out)
+        x_out[...] = 0.5
+        if y_out[0] >= FRONT_EVERY:
+            x_out[: self.advance * int(np.log2(y_out[0] / FRONT_EVERY))] = 0.0
+
+
+@pytest.mark.parametrize("advance,want", [(3, ("budget", MAX_ITERS)), (4, ("wave-converged", 2 * FRONT_EVERY))])
+def test_wave_rule_needs_an_advance_of_four_and_a_change_that_holds(advance, want):
+    """A front that moves by 3 positions from each halfway mark never decides; one that moves
+    by 4, while its change holds level, converges at the rule's first check, in de_run and in
+    the reference loop alike."""
+    got, ref = de_run(_Wave(advance), 0.5), de_run_reference(_Wave(advance), 0.5)
+    assert (got.outcome, got.iterations) == (ref.outcome, ref.iterations) == want
+
+
+def test_wave_rule_decides_the_ldpc_w_bracket():
+    """The probe at 0.4976806640625 of ldpc-w (4,8) at L=16 ran out of the budget before the
+    wave rule; decided, it moves the bracket up by one step of the bisection."""
+    res = pinned_search("ldpc-w", ScLdpcParams(4, 8, 16, M=8, w=4))
+    assert (round(res.lo, 6), round(res.hi, 6)) == (0.497681, 0.497742)
+    assert (res.lo, True, 13248, "wave-converged") in res.probes
+
+
 @pytest.mark.parametrize("kind,p,pinned", PINNED_THRESHOLDS[1:4] + PINNED_THRESHOLDS[5:])
 def test_front_never_falls(kind, p, pinned):
     """DE from the all-eps start falls pointwise, so a coupled run's front never falls: below,
@@ -683,8 +750,9 @@ def test_drivers_without_a_front_keep_the_plain_rule():
     assert (r.outcome, r.iterations) == ("stalled", 2419) and r.iterations > 2 * FRONT_EVERY
     for driver in (model, _Stuck(), _Instant()):
         for eps in (0.0, 0.2, 0.4124298095703125, 0.5, 1.0):
-            assert de_run(driver, eps).outcome != "front-stalled"
-    assert pinned_search("ra-uncoupled", ScRaParams(6, 6, 0, M=6)).front_stalled == 0
+            assert de_run(driver, eps).outcome not in ("front-stalled", "wave-converged")
+    search = pinned_search("ra-uncoupled", ScRaParams(6, 6, 0, M=6))
+    assert search.front_stalled == search.wave_converged == 0
 
 
 def test_a_chain_of_one_position_has_no_front():
@@ -693,9 +761,9 @@ def test_a_chain_of_one_position_has_no_front():
     front-stalls no probe and brackets its BP threshold 0.42944."""
     ra_w = threshold(make_de_model("ra-w", ScRaParams(6, 6, 0, M=6, w=1)), precision=1e-5)
     ra = threshold(make_de_model("ra-uncoupled", ScRaParams(6, 6, 0, M=6)), precision=1e-5)
-    assert ra_w == ra and ra.front_stalled == 0
+    assert ra_w == ra and ra.front_stalled == ra.wave_converged == 0
     ldpc = threshold(make_de_model("ldpc-w", ScLdpcParams(3, 6, 0, M=6, w=1)))
-    assert ldpc.front_stalled == 0 and ldpc.lo <= 0.42944 <= ldpc.hi
+    assert ldpc.front_stalled == ldpc.wave_converged == 0 and ldpc.lo <= 0.42944 <= ldpc.hi
 
 
 def test_threshold_detects_non_monotone_predicate():
@@ -731,6 +799,9 @@ def test_step_dispatch_guards():
     ({"precision": float("nan")}, "precision"),
     ({"max_iters": 0}, "max_iters"),
     ({"precision": True}, "precision"),
+    ({"precision": "1e-3"}, "precision"),
+    ({"precision": 1e-3 + 0j}, "precision"),
+    ({"precision": None}, "precision"),
 ])
 def test_threshold_refuses_bad_bisection_args(kwargs, key):
     with pytest.raises(ParameterError, match=key):
@@ -752,6 +823,20 @@ def test_every_budget_is_an_integer(name, bad):
     error, call = calls[name]
     with pytest.raises(error, match="max_iters"):
         call()
+
+
+@pytest.mark.parametrize("bad", [True, False, "0.3", 0.3 + 0j, None, np.array(0.3), -0.1, 1.5, float("nan")],
+                         ids=repr)
+def test_de_run_refuses_an_eps_that_is_not_a_real_number_in_the_unit_interval(bad):
+    with pytest.raises(ParameterError, match="eps"):
+        de_run(make_de_model("ra-uncoupled", ScRaParams(6, 6, 0, M=6)), bad)
+
+
+@pytest.mark.parametrize("eps", [0, 1, 0.25, np.float64(0.25), np.float32(0.25), Fraction(1, 4)], ids=repr)
+def test_de_run_takes_any_real_eps(eps):
+    """A real number in [0, 1] of any type runs, and runs as its float."""
+    model = make_de_model("ra-w", ScRaParams(3, 3, 4, M=3, w=3))
+    assert de_run(model, eps) == de_run(model, float(eps))
 
 
 def test_threshold_ends_on_adjacent_doubles():

@@ -267,6 +267,15 @@ def test_wilson_interval_edges_and_value():
     assert (los[0], his[0]) == (0.0, 1.0) and (los[1], his[1]) == wilson_interval(3, 10)
 
 
+@pytest.mark.parametrize("successes,trials", [(5, 3), (-1, 10), ([0, 11], [10, 10]), (1, 0), (float("nan"), 10)],
+                         ids=repr)
+def test_wilson_interval_refuses_successes_outside_the_trials(successes, trials):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError, match="successes"):
+            wilson_interval(successes, trials)
+
+
 def test_stop_index_prefix_rule():
     flags = np.array([0, 1, 0, 1, 1, 0, 1])
     assert stop_prefix(flags, None) is None
